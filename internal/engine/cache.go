@@ -96,11 +96,11 @@ type cacheGen struct {
 	cex  *cexCache
 
 	// pcIDs caches the hash-cons id of each PC node's conjunct, keyed
-	// by node identity (nodes are immutable). Bounded by the
-	// generation's lifetime: a flush drops it with the intern table it
-	// indexes into.
+	// by solver.PC.ID (nodes are immutable), which keeps no path
+	// condition alive. Bounded by the generation's lifetime: a flush
+	// drops it with the intern table it indexes into.
 	pcMu  sync.RWMutex
-	pcIDs map[*solver.PC]uint64
+	pcIDs map[uint64]uint64
 }
 
 // NewCache builds an empty cache from o.
@@ -141,7 +141,7 @@ func (c *Cache) newGen() *cacheGen {
 		cons:  newConsTable(),
 		memo:  make([]memoShard, memoShards),
 		cex:   newCexCache(cexCacheSize),
-		pcIDs: map[*solver.PC]uint64{},
+		pcIDs: map[uint64]uint64{},
 	}
 	for i := range g.memo {
 		g.memo[i] = memoShard{ents: map[uint64]*list.Element{}, lru: list.New()}

@@ -7,30 +7,19 @@ import (
 )
 
 // conjunct is one unit of a sliced query: a simplified formula, its
-// independence-support tokens, and (lazily) its hash-cons id. pcNode
-// is set when the conjunct came from a *solver.PC chain, enabling the
-// pool's per-node id cache.
+// independence-support tokens, and (lazily) its hash-cons id. node is
+// the solver.PC node ID when the conjunct came from a path condition
+// (0 otherwise), enabling the pool's per-node id cache.
 type conjunct struct {
 	f       solver.Formula
 	support []string
-	pcNode  *solver.PC
+	node    uint64
 }
 
-// sliceConjuncts splits a query — a path condition plus extra
-// formulas — into conjuncts. It reports ok=false when a conjunct is
+// splitExtras simplifies a query's extra formulas and splits them into
+// top-level conjuncts. It reports ok=false when a conjunct is
 // literally false (the query is trivially unsat).
-func sliceConjuncts(pc *solver.PC, extras []solver.Formula) (out []conjunct, ok bool) {
-	out = make([]conjunct, 0, pc.Len()+len(extras))
-	for q := pc; q != nil; q = q.Parent() {
-		f, sup := q.Head()
-		out = append(out, conjunct{f: f, support: sup, pcNode: q})
-	}
-	// The chain walk yields newest-first; flip to oldest-first so
-	// component order (and thus solve order) matches sequential
-	// accumulation order.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+func splitExtras(extras []solver.Formula) (out []solver.Formula, ok bool) {
 	for _, x := range extras {
 		if !appendSimplified(&out, solver.Simplify(x)) {
 			return nil, false
@@ -41,15 +30,32 @@ func sliceConjuncts(pc *solver.PC, extras []solver.Formula) (out []conjunct, ok 
 
 // appendSimplified splits a simplified formula into top-level
 // conjuncts; false means a conjunct is constant false.
-func appendSimplified(out *[]conjunct, f solver.Formula) bool {
+func appendSimplified(out *[]solver.Formula, f solver.Formula) bool {
 	switch f := f.(type) {
 	case solver.BoolConst:
 		return f.Val
 	case solver.And:
 		return appendSimplified(out, f.X) && appendSimplified(out, f.Y)
 	}
-	*out = append(*out, conjunct{f: f, support: solver.Support(f)})
+	*out = append(*out, f)
 	return true
+}
+
+// sliceConjuncts lays a query — a path condition plus its split
+// extras — out as conjuncts, oldest first, so component order (and
+// thus solve order) matches sequential accumulation order.
+func sliceConjuncts(pc *solver.PC, xs []solver.Formula) []conjunct {
+	out := make([]conjunct, pc.Len(), pc.Len()+len(xs))
+	i := pc.Len()
+	for q := pc; q != nil; q = q.Parent() {
+		i--
+		f, sup := q.Head()
+		out[i] = conjunct{f: f, support: sup, node: q.ID()}
+	}
+	for _, x := range xs {
+		out = append(out, conjunct{f: x, support: solver.Support(x)})
+	}
+	return out
 }
 
 // components groups conjuncts into independence classes: two conjuncts

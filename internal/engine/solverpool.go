@@ -28,19 +28,22 @@ const cexCacheSize = 64
 // query runs the incremental pipeline
 //
 //	simplify → interval fast path → independence slicing →
-//	per-component memo → counterexample cache → DPLL
+//	per-component memo → counterexample cache → CDCL search
 //
-// Path conditions arrive as *solver.PC cons lists, so the pipeline
-// sees pre-simplified conjuncts with cached support tokens and only
+// (CDCL is the default search core; Options.SolverAlgo can select the
+// legacy DPLL core or the portfolio instead.) Path conditions arrive
+// as *solver.PC cons lists, so the pipeline sees pre-simplified
+// conjuncts with cached support tokens and interval state, and only
 // ever pays per-conjunct costs once per PC node, not once per query.
 // Trivial conjunctions (boolean literals and single-variable interval
 // guards — the overwhelming majority of branch feasibility checks) are
-// decided by constant-time interval reasoning and never touch the memo
-// table, the hash-cons table, or DPLL. The remainder is sliced into
-// independent components: the long shared prefix of a path condition
-// memo-hits component-by-component and only the component entangled
-// with the new guard is ever solved fresh, usually straight from a
-// cached model.
+// decided from the interval state cached on the path condition's
+// newest node plus the query's own guard, and never touch the memo
+// table, the hash-cons table, or the search core. The remainder is
+// sliced into independent components: the long shared prefix of a
+// path condition memo-hits component-by-component and only the
+// component entangled with the new guard is ever solved fresh, usually
+// straight from a cached model.
 //
 // The cached half of the pipeline (intern table, memo, model ring) now
 // lives in a Cache, which may be private to this pool (the default) or
@@ -211,25 +214,25 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 		sp.Stage("quick", "unsat", 0)
 		return false, nil
 	}
-	cs, ok := sliceConjuncts(pc, extras)
+	xs, ok := splitExtras(extras)
 	if !ok {
 		p.quick.Add(1)
 		sp.Stage("quick", "unsat", 0)
 		return false, nil
 	}
-	if len(cs) == 0 {
-		p.quick.Add(1)
-		sp.Stage("quick", "sat", 0)
-		return true, nil
-	}
-	fs := make([]solver.Formula, len(cs))
-	for i := range cs {
-		fs[i] = cs[i].f
-	}
-	if sat, decided := solver.QuickConj(fs); decided {
+	// The interval fast path starts from the state cached on pc's
+	// newest node and folds in only the extras: its cost is the new
+	// guard's, not the path's. The conjunct slice is built only for
+	// the few queries it cannot decide.
+	if sat, decided := pc.Quick(xs); decided {
 		p.quick.Add(1)
 		sp.Stage("quick", verdictOf(sat, nil), 0)
 		return sat, nil
+	}
+	cs := sliceConjuncts(pc, xs)
+	fs := make([]solver.Formula, len(cs))
+	for i := range cs {
+		fs[i] = cs[i].f
 	}
 	// Capture one cache generation for the whole query: every interned
 	// id, memo key, lookup and store below is internally consistent
@@ -261,8 +264,8 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 
 // decideComponent resolves one independence component against the g
 // cache generation: interval fast path, then the memo table, then the
-// counterexample cache, then a fresh (small) DPLL solve. g is nil when
-// memoization is disabled.
+// counterexample cache, then a fresh (small) solve by the search core
+// (CDCL by default). g is nil when memoization is disabled.
 func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, fs []solver.Formula, comp []int) (bool, error) {
 	sub := make([]solver.Formula, len(comp))
 	tokens := 0
@@ -374,18 +377,18 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 // via the per-PC-node cache when the conjunct came from a path
 // condition.
 func conjunctID(g *cacheGen, c *conjunct) uint64 {
-	if c.pcNode == nil {
+	if c.node == 0 {
 		return g.cons.formulaID(c.f)
 	}
 	g.pcMu.RLock()
-	id, ok := g.pcIDs[c.pcNode]
+	id, ok := g.pcIDs[c.node]
 	g.pcMu.RUnlock()
 	if ok {
 		return id
 	}
 	id = g.cons.formulaID(c.f)
 	g.pcMu.Lock()
-	g.pcIDs[c.pcNode] = id
+	g.pcIDs[c.node] = id
 	g.pcMu.Unlock()
 	return id
 }

@@ -419,31 +419,38 @@ func (inf *Inference) call(e *microc.Call) *QType {
 	return inf.retQ[callee]
 }
 
-// Solve propagates nullness and returns warnings — one per
-// (null source, nonnull sink) flow, with a witness path (the paper's
-// "imprecise qualifier flows").
-func (inf *Inference) Solve() []Warning {
-	if !inf.solved {
-		// Union reachability for IsNull/QualOf queries.
-		inf.nullReach = map[int]int{}
-		var queue []int
-		for id := range inf.nullSrc {
-			inf.nullReach[id] = -1
-			queue = append(queue, id)
-		}
-		sort.Ints(queue) // determinism
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			for _, ed := range inf.succs[n] {
-				if _, seen := inf.nullReach[ed.to]; !seen {
-					inf.nullReach[ed.to] = n
-					queue = append(queue, ed.to)
-				}
+// reach brings the union reachability behind IsNull and QualOf up to
+// date: one BFS from every null source, rerun only when a constraint
+// was added since the last one (the solved flag).
+func (inf *Inference) reach() {
+	if inf.solved {
+		return
+	}
+	inf.nullReach = map[int]int{}
+	var queue []int
+	for id := range inf.nullSrc {
+		inf.nullReach[id] = -1
+		queue = append(queue, id)
+	}
+	sort.Ints(queue) // determinism
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, ed := range inf.succs[n] {
+			if _, seen := inf.nullReach[ed.to]; !seen {
+				inf.nullReach[ed.to] = n
+				queue = append(queue, ed.to)
 			}
 		}
-		inf.solved = true
 	}
+	inf.solved = true
+}
+
+// Solve propagates nullness and returns warnings — one per
+// (null source, nonnull sink) flow, with a witness path (the paper's
+// "imprecise qualifier flows"). Only Solve builds the per-source
+// witness searches; IsNull and QualOf read the cached reachability.
+func (inf *Inference) Solve() []Warning {
 	var srcIDs []int
 	for id := range inf.nullSrc {
 		srcIDs = append(srcIDs, id)
@@ -485,12 +492,12 @@ func (inf *Inference) Solve() []Warning {
 }
 
 // IsNull reports whether q may be null in the current solution
-// (solving first if needed).
+// (propagating first if constraints were added since).
 func (inf *Inference) IsNull(q *QVar) bool {
 	if q == nil {
 		return false
 	}
-	inf.Solve()
+	inf.reach()
 	_, reached := inf.nullReach[q.ID]
 	return reached
 }

@@ -204,6 +204,59 @@ void f(void) { sink(g); }
 	}
 }
 
+// TestIsNullLeavesWarningsAlone: IsNull reads the cached reachability
+// and never builds warnings, so a burst of IsNull calls between two
+// Solves changes nothing Solve reports; and the cache still follows
+// constraints added after a solve.
+func TestIsNullLeavesWarningsAlone(t *testing.T) {
+	prog := mustParse(`
+void sinkB(int *nonnull x);
+void sinkC(int *nonnull x);
+int *a = NULL;
+int *b;
+int *c;
+void f(void) { b = a; sinkB(b); sinkC(c); }
+`)
+	inf := New(prog)
+	for _, f := range prog.Funcs {
+		inf.AddFunction(f)
+	}
+	render := func(ws []Warning) string {
+		var parts []string
+		for _, w := range ws {
+			parts = append(parts, w.String())
+		}
+		return strings.Join(parts, "\n")
+	}
+	before := render(inf.Solve())
+	if before == "" {
+		t.Fatal("fixture should warn about a reaching sink through b")
+	}
+	a, _ := prog.Global("a")
+	b, _ := prog.Global("b")
+	c, _ := prog.Global("c")
+	for i := 0; i < 100; i++ {
+		for _, g := range []*microc.VarDecl{a, b, c} {
+			inf.IsNull(inf.VarQ(g).Ptr)
+			inf.QualOf(inf.VarQ(g).Ptr)
+		}
+	}
+	if after := render(inf.Solve()); after != before {
+		t.Fatalf("warnings changed across IsNull calls:\nbefore %s\nafter  %s", before, after)
+	}
+	if !inf.IsNull(inf.VarQ(b).Ptr) || inf.IsNull(inf.VarQ(c).Ptr) {
+		t.Fatal("IsNull: b must be null (flows from a), c must not")
+	}
+	// A flow added after the first solve reaches c.
+	inf.subtype(inf.VarQ(a), inf.VarQ(c))
+	if !inf.IsNull(inf.VarQ(c).Ptr) {
+		t.Fatal("IsNull missed a flow added after the first solve")
+	}
+	if n := len(inf.Solve()); n != 2 {
+		t.Fatalf("after the new flow Solve reports %d warnings, want 2", n)
+	}
+}
+
 func TestUnifyPropagatesBothWays(t *testing.T) {
 	prog := mustParse(`
 int *a = NULL;

@@ -115,7 +115,7 @@ type Options struct {
 // Server is the serving state: caches, admission control, metrics,
 // and the drain flag. Construct with New.
 type Server struct {
-	opts  Options
+	opts    Options
 	cache   *engine.Cache
 	sums    *summary.Store
 	resp    *respCache

@@ -1,10 +1,18 @@
 package solver
 
+import "mix/internal/persist"
+
 // This file implements the interval fast path: a constant-time-per-
 // conjunct decision procedure for conjunctions whose conjuncts are
 // boolean literals or single-variable bounds (x ⋈ c). Branch guards
 // produced by symbolic execution are overwhelmingly of this shape, so
-// most feasibility queries never reach DPLL at all.
+// most feasibility queries never reach the search core at all.
+//
+// The procedure is a left fold over the conjuncts. Its state keeps the
+// per-variable facts in a persistent map, so every PC node carries the
+// state of its whole prefix for the price of one update (pc.go), and a
+// query folds only its new guard on top of it (PC.Quick). QuickConj is
+// the same fold started from the empty state.
 
 // iv is a rational interval with open/closed ends plus punched-out
 // points (from disequalities). Bounds are int64 because guards compare
@@ -17,16 +25,35 @@ type iv struct {
 	holes          []int64
 }
 
-func (v *iv) boundLo(c int64, open bool) {
-	if !v.hasLo || c > v.lo || (c == v.lo && open) {
+// boundLo tightens the lower bound and reports whether it changed.
+func (v *iv) boundLo(c int64, open bool) bool {
+	if !v.hasLo || c > v.lo || (c == v.lo && open && !v.loOpen) {
 		v.hasLo, v.lo, v.loOpen = true, c, open
+		return true
 	}
+	return false
 }
 
-func (v *iv) boundHi(c int64, open bool) {
-	if !v.hasHi || c < v.hi || (c == v.hi && open) {
+// boundHi tightens the upper bound and reports whether it changed.
+func (v *iv) boundHi(c int64, open bool) bool {
+	if !v.hasHi || c < v.hi || (c == v.hi && open && !v.hiOpen) {
 		v.hasHi, v.hi, v.hiOpen = true, c, open
+		return true
 	}
+	return false
+}
+
+// punch adds a hole at c and reports whether it was new. The holes
+// slice may be shared with the fact this one was copied from, so it is
+// never appended to in place.
+func (v *iv) punch(c int64) bool {
+	for _, h := range v.holes {
+		if h == c {
+			return false
+		}
+	}
+	v.holes = append(v.holes[:len(v.holes):len(v.holes)], c)
+	return true
 }
 
 func (v *iv) empty() bool {
@@ -50,101 +77,197 @@ func (v *iv) empty() bool {
 	return false
 }
 
-// QuickConj tries to decide the conjunction of fs with per-variable
-// interval reasoning. decided=false means the conjunction contains a
-// shape the fast path does not recognize AND no recognized subset is
-// already contradictory — the caller must fall back to the full
-// solver. When decided, sat is exact for rational semantics: every
-// recognized conjunct constrains a single variable, so per-variable
-// intervals are a complete decision procedure for the recognized
-// fragment, and a contradiction within the recognized subset refutes
-// the whole conjunction.
-func QuickConj(fs []Formula) (sat, decided bool) {
-	bools := map[string]bool{}
-	ivs := map[string]*iv{}
-	all := true
-	get := func(name string) *iv {
-		v := ivs[name]
-		if v == nil {
-			v = &iv{}
-			ivs[name] = v
-		}
-		return v
+// fact is what the fast path knows about one variable name: its value
+// as a boolean variable and its interval as an integer variable (the
+// two namespaces are independent). A fact is immutable once it is in a
+// map; updates copy it.
+type fact struct {
+	hasBool, val bool
+	iv
+}
+
+// quickState is the fold's state after a sequence of conjuncts.
+type quickState struct {
+	facts  persist.Map[string, *fact]
+	opaque bool // some conjunct lies outside the recognized fragment
+	unsat  bool // the recognized conjuncts contradict each other
+}
+
+var emptyQuick = quickState{facts: persist.NewMap[string, *fact](persist.HashString)}
+
+// with returns the state extended by conjunct f, for a PC node.
+func (s quickState) with(f Formula) quickState {
+	if s.unsat {
+		return s
 	}
-	var add func(f Formula, pos bool) bool // false = recognized contradiction
-	add = func(f Formula, pos bool) bool {
-		switch f := f.(type) {
-		case BoolConst:
-			if f.Val != pos {
-				return false
-			}
-			return true
-		case BoolVar:
-			if prev, ok := bools[f.Name]; ok {
-				return prev == pos
-			}
-			bools[f.Name] = pos
-			return true
-		case Not:
-			return add(f.X, !pos)
-		case And:
-			if pos {
-				return add(f.X, true) && add(f.Y, true)
-			}
-		case Eq:
-			if name, c, ok := varConst(f.X, f.Y); ok {
-				v := get(name)
-				if pos {
-					v.boundLo(c, false)
-					v.boundHi(c, false)
-				} else {
-					v.holes = append(v.holes, c)
-				}
-				return !v.empty()
-			}
-		case Le:
-			if name, c, flip, ok := varConstDir(f.X, f.Y); ok {
-				v := get(name)
-				switch {
-				case pos && !flip: // x <= c
-					v.boundHi(c, false)
-				case pos && flip: // c <= x
-					v.boundLo(c, false)
-				case !pos && !flip: // !(x <= c): x > c
-					v.boundLo(c, true)
-				default: // !(c <= x): x < c
-					v.boundHi(c, true)
-				}
-				return !v.empty()
-			}
-		case Lt:
-			if name, c, flip, ok := varConstDir(f.X, f.Y); ok {
-				v := get(name)
-				switch {
-				case pos && !flip: // x < c
-					v.boundHi(c, true)
-				case pos && flip: // c < x
-					v.boundLo(c, true)
-				case !pos && !flip: // !(x < c): x >= c
-					v.boundLo(c, false)
-				default: // !(c < x): x <= c
-					v.boundHi(c, false)
-				}
-				return !v.empty()
-			}
-		}
-		all = false
-		return true // unrecognized: no contradiction evidence
+	w := folder{quickState: s, keep: true}
+	if !w.add(f, true) {
+		w.unsat = true
 	}
+	return w.quickState
+}
+
+// decide folds fs on top of s without keeping the result. decided=false
+// means some conjunct has a shape the fast path does not recognize AND
+// no recognized subset is already contradictory — the caller must fall
+// back to the full solver. When decided, sat is exact for rational
+// semantics: every recognized conjunct constrains a single variable,
+// so per-variable intervals are a complete decision procedure for the
+// recognized fragment, and a contradiction within the recognized
+// subset refutes the whole conjunction.
+func (s quickState) decide(fs []Formula) (sat, decided bool) {
+	w := folder{quickState: s}
 	for _, f := range fs {
-		if !add(f, true) {
-			return false, true
+		if w.unsat {
+			break
+		}
+		if !w.add(f, true) {
+			w.unsat = true
 		}
 	}
-	if !all {
+	switch {
+	case w.unsat:
+		return false, true
+	case w.opaque:
 		return false, false
 	}
 	return true, true
+}
+
+// QuickConj tries to decide the conjunction of fs with per-variable
+// interval reasoning; see quickState.decide for the meaning of the
+// answer.
+func QuickConj(fs []Formula) (sat, decided bool) {
+	return emptyQuick.decide(fs)
+}
+
+// folder extends a quickState conjunct by conjunct. A kept fold (a PC
+// node's state) writes updated facts to the persistent map; a
+// throwaway fold (a query's extras) writes them to a scratch list
+// consulted first, so deciding a query never copies the map.
+type folder struct {
+	quickState
+	keep    bool
+	scratch []namedFact
+}
+
+type namedFact struct {
+	name string
+	f    *fact
+}
+
+// get returns name's current fact, nil if there is none. The fact is
+// shared: callers copy it before changing it.
+func (w *folder) get(name string) *fact {
+	for i := len(w.scratch) - 1; i >= 0; i-- {
+		if w.scratch[i].name == name {
+			return w.scratch[i].f
+		}
+	}
+	f, _ := w.facts.Get(name)
+	return f
+}
+
+// fact returns a copy of name's current fact (zero if there is none).
+func (w *folder) fact(name string) fact {
+	if f := w.get(name); f != nil {
+		return *f
+	}
+	return fact{}
+}
+
+func (w *folder) put(name string, f *fact) {
+	if w.keep {
+		w.facts = w.facts.Set(name, f)
+		return
+	}
+	w.scratch = append(w.scratch, namedFact{name, f})
+}
+
+// add folds f (negated when !pos) into the state; false means a
+// recognized contradiction.
+func (w *folder) add(f Formula, pos bool) bool {
+	switch f := f.(type) {
+	case BoolConst:
+		return f.Val == pos
+	case BoolVar:
+		old := w.get(f.Name)
+		if old != nil && old.hasBool {
+			return old.val == pos
+		}
+		v := fact{hasBool: true, val: pos}
+		if old != nil {
+			v.iv = old.iv
+		}
+		w.put(f.Name, &v)
+		return true
+	case Not:
+		return w.add(f.X, !pos)
+	case And:
+		if pos {
+			return w.add(f.X, true) && w.add(f.Y, true)
+		}
+	case Eq:
+		if name, c, ok := varConst(f.X, f.Y); ok {
+			v := w.fact(name)
+			var changed bool
+			if pos {
+				lo := v.boundLo(c, false)
+				hi := v.boundHi(c, false)
+				changed = lo || hi
+			} else {
+				changed = v.punch(c)
+			}
+			return w.settle(name, v, changed)
+		}
+	case Le:
+		if name, c, flip, ok := varConstDir(f.X, f.Y); ok {
+			v := w.fact(name)
+			var changed bool
+			switch {
+			case pos && !flip: // x <= c
+				changed = v.boundHi(c, false)
+			case pos && flip: // c <= x
+				changed = v.boundLo(c, false)
+			case !pos && !flip: // !(x <= c): x > c
+				changed = v.boundLo(c, true)
+			default: // !(c <= x): x < c
+				changed = v.boundHi(c, true)
+			}
+			return w.settle(name, v, changed)
+		}
+	case Lt:
+		if name, c, flip, ok := varConstDir(f.X, f.Y); ok {
+			v := w.fact(name)
+			var changed bool
+			switch {
+			case pos && !flip: // x < c
+				changed = v.boundHi(c, true)
+			case pos && flip: // c < x
+				changed = v.boundLo(c, true)
+			case !pos && !flip: // !(x < c): x >= c
+				changed = v.boundLo(c, false)
+			default: // !(c < x): x <= c
+				changed = v.boundHi(c, false)
+			}
+			return w.settle(name, v, changed)
+		}
+	}
+	w.opaque = true
+	return true // unrecognized: no contradiction evidence
+}
+
+// settle stores an edited interval fact when it changed and reports
+// whether it is still satisfiable.
+func (w *folder) settle(name string, v fact, changed bool) bool {
+	if v.empty() {
+		return false
+	}
+	if changed {
+		nf := v
+		w.put(name, &nf)
+	}
+	return true
 }
 
 // varConst matches (IntVar, IntConst) in either order.

@@ -55,7 +55,7 @@ type Solver struct {
 	// compares it against its cache's flush epoch and calls Reset when
 	// they diverge, so pooled solvers never outlive the memoization
 	// generation their learned clauses were earned under.
-	Gen uint64
+	Gen   uint64
 	Stats Stats
 
 	d     *cdcl     // persistent CDCL state, created on first use

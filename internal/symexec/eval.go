@@ -201,23 +201,19 @@ func (x *Executor) evalCall(st State, e *microc.Call, depth int) ([]evalOut, err
 	}
 	var result []evalOut
 	for _, fo := range fouts {
-		cases := collectCases(fo.v)
 		resolved := false
-		for _, c := range cases {
-			if vf, ok := c.leaf.(VFunc); ok {
-				pc := fo.st.PC.And(c.g)
-				if !x.feasible(fo.st, pc) {
-					continue
-				}
-				resolved = true
-				cst := fo.st.Clone()
-				cst.PC = pc
-				outs, err := x.evalCallTo(cst, e, vf.F, depth)
-				if err != nil {
-					return nil, err
-				}
-				result = append(result, outs...)
+		for _, c := range walkCases(fo.st.PC, fo.v, isFunc, nil) {
+			if !x.feasible(fo.st, c.pc) {
+				continue
 			}
+			resolved = true
+			cst := fo.st.Clone()
+			cst.PC = c.pc
+			outs, err := x.evalCallTo(cst, e, c.leaf.(VFunc).F, depth)
+			if err != nil {
+				return nil, err
+			}
+			result = append(result, outs...)
 		}
 		if !resolved {
 			// The paper's executor cannot call symbolic function
@@ -461,56 +457,87 @@ func (x *Executor) evalLV(st State, e microc.Expr, depth int) ([]lvOut, error) {
 	return nil, fmt.Errorf("symexec: %T is not an lvalue", e)
 }
 
-// ptrCase is one leaf of a conditional pointer value.
+// ptrCase is one wanted leaf of a conditional value and the path
+// condition under which the value takes it.
 type ptrCase struct {
-	g    solver.Formula
+	pc   *solver.PC
 	leaf Value
 }
 
-// collectCases flattens a VITE tree into guarded leaves.
-func collectCases(v Value) []ptrCase {
-	switch v := v.(type) {
-	case VITE:
-		var out []ptrCase
-		for _, c := range collectCases(v.X) {
-			out = append(out, ptrCase{g: solver.NewAnd(v.G, c.g), leaf: c.leaf})
+func isObj(v Value) bool  { _, ok := v.(VObj); return ok }
+func isFunc(v Value) bool { _, ok := v.(VFunc); return ok }
+
+// walkCases visits the leaves of a VITE tree in order, then-branch
+// first. It returns the leaves satisfying want, each with pc extended
+// by the guards on its path. The walk adds one guard per level
+// (solver.Chain), so sibling leaves share the nodes of their common
+// prefix and a k-leaf tree builds O(k) nodes; each path condition is
+// exactly pc.And of its guards' conjunction. Every other leaf goes to
+// other (when non-nil) with that conjunction itself, g1 ∧ (g2 ∧ (… ∧
+// true)), in the same visit order.
+func walkCases(pc *solver.PC, v Value, want func(Value) bool, other func(leaf Value, guard solver.Formula)) []ptrCase {
+	var out []ptrCase
+	var guards []solver.Formula // the guards from the root to the current node
+	// step extends c by g on the way into child, unless child is a
+	// leaf nobody wants a path condition for.
+	step := func(c solver.Chain, g solver.Formula, child Value) solver.Chain {
+		if _, ok := child.(VITE); ok || want(child) {
+			return c.And(g)
 		}
-		for _, c := range collectCases(v.Y) {
-			out = append(out, ptrCase{g: solver.NewAnd(solver.NewNot(v.G), c.g), leaf: c.leaf})
-		}
-		return out
+		return c
 	}
-	return []ptrCase{{g: solver.True, leaf: v}}
+	var walk func(v Value, c solver.Chain)
+	walk = func(v Value, c solver.Chain) {
+		if ite, ok := v.(VITE); ok {
+			neg := solver.NewNot(ite.G)
+			guards = append(guards, ite.G)
+			walk(ite.X, step(c, ite.G, ite.X))
+			guards[len(guards)-1] = neg
+			walk(ite.Y, step(c, neg, ite.Y))
+			guards = guards[:len(guards)-1]
+			return
+		}
+		if want(v) {
+			out = append(out, ptrCase{pc: c.PC(), leaf: v})
+			return
+		}
+		if other != nil {
+			g := solver.True
+			for i := len(guards) - 1; i >= 0; i-- {
+				g = solver.NewAnd(guards[i], g)
+			}
+			other(v, g)
+		}
+	}
+	walk(v, pc.Chain())
+	return out
 }
 
 // derefTargets resolves a pointer value to object cells, reporting a
 // null dereference when the null case is feasible. The returned states
-// carry the per-target path conditions.
+// carry the per-target path conditions. It walks the pointer's VITE
+// tree once (walkCases) and issues the null query first, then one
+// query per object target in tree order.
 func (x *Executor) derefTargets(st State, v Value, pos microc.Pos, what string) []lvOut {
-	cases := collectCases(v)
 	nullG := solver.False
-	var objCases []ptrCase
-	for _, c := range cases {
-		switch leaf := c.leaf.(type) {
+	objCases := walkCases(st.PC, v, isObj, func(leaf Value, g solver.Formula) {
+		switch leaf := leaf.(type) {
 		case VNull:
-			nullG = solver.NewOr(nullG, c.g)
-		case VObj:
-			objCases = append(objCases, c)
+			nullG = solver.NewOr(nullG, g)
 		case VInt:
-			nullG = solver.NewOr(nullG, solver.NewAnd(c.g, solver.Eq{X: leaf.T, Y: solver.IntConst{Val: 0}}))
+			nullG = solver.NewOr(nullG, solver.NewAnd(g, solver.Eq{X: leaf.T, Y: solver.IntConst{Val: 0}}))
 			x.report(st, Imprecision, pos, "dereference of integer value %s", what)
 		default:
 			x.report(st, Imprecision, pos, "dereference of unmodeled value %s", what)
 		}
-	}
+	})
 	if x.feasible(st, st.PC, nullG) {
 		x.report(st, NullDeref, pos, "dereference of possibly-null pointer %s", what)
 	}
 	var out []lvOut
 	survivors := 0
 	for _, c := range objCases {
-		pc := st.PC.And(c.g)
-		if !x.feasible(st, pc) {
+		if !x.feasible(st, c.pc) {
 			continue
 		}
 		survivors++
@@ -518,7 +545,7 @@ func (x *Executor) derefTargets(st State, v Value, pos microc.Pos, what string) 
 		if survivors > 1 {
 			cst = st.Clone()
 		}
-		cst.PC = pc
+		cst.PC = c.pc
 		obj := c.leaf.(VObj)
 		field := obj.Field
 		out = append(out, lvOut{st: cst, obj: obj.Obj, field: field})
