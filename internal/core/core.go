@@ -315,25 +315,19 @@ func (c *Checker) symBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 	// path inside its own slice still fails, because the pruned roots
 	// are disjoint from its slice.
 	if !c.opts.Unsound {
-		tr := sym.NewTranslator()
-		guards := make([]solver.Formula, 0, len(okResults)+len(prunedGuards))
+		guards := make([]sym.Val, 0, len(okResults)+len(prunedGuards))
 		for _, r := range okResults {
-			g, err := tr.Formula(r.State.Guard)
-			if err != nil {
-				return nil, fmt.Errorf("core: translating guard: %w", err)
-			}
-			guards = append(guards, g)
+			guards = append(guards, r.State.Guard)
 		}
-		for _, pg := range prunedGuards {
-			g, err := tr.Formula(pg)
-			if err != nil {
-				return nil, fmt.Errorf("core: translating pruned guard: %w", err)
-			}
-			guards = append(guards, g)
-		}
+		guards = append(guards, prunedGuards...)
 		// Valid(g1 ∨ ... ∨ gn) given the side constraints: check that
 		// ¬(g1 ∨ ... ∨ gn) ∧ sides is unsatisfiable.
-		counter, err := c.sat(solver.NewAnd(solver.NewNot(solver.Disj(guards...)), tr.Sides()))
+		tr := sym.NewTranslator()
+		disj, err := tr.Disjunction(guards)
+		if err != nil {
+			return nil, fmt.Errorf("core: translating guards: %w", err)
+		}
+		counter, err := c.sat(solver.NewAnd(solver.NewNot(disj), tr.Sides()))
 		if err != nil {
 			return nil, fmt.Errorf("core: exhaustiveness check failed: %w", err)
 		}

@@ -32,8 +32,10 @@ import (
 // empty, and is overwritten wholesale on the next Persist — degraded
 // to recompute, never a wrong answer.
 
-// diskSchemaVersion versions the solver-memo file format.
-const diskSchemaVersion = 1
+// diskSchemaVersion versions the solver-memo file format. Version 2
+// keys verdicts by solver.FormulaKey instead of the display text of
+// version 1, so a version-1 file is stale and recomputed.
+const diskSchemaVersion = 2
 
 const (
 	// maxDiskVerdicts bounds the persisted verdict map across runs.
@@ -48,7 +50,7 @@ type diskStore struct {
 	path string
 
 	mu       sync.Mutex
-	verdicts map[string]bool // canonical conjunction text → sat
+	verdicts map[string]bool // solver.FormulaKey of the conjunction → sat
 	models   []*solver.Model
 	dirty    bool
 }

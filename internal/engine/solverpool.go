@@ -334,10 +334,13 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 		}
 	}
 	// Persistent tier (diskcache.go): definite verdicts saved by an
-	// earlier process, keyed by the conjunction's canonical text. A hit
-	// is promoted into this generation's memo so repeats stay in memory.
-	if g != nil {
-		if sat, ok := p.cache.diskLookup(conj.String()); ok {
+	// earlier process, keyed by the conjunction's canonical key, which
+	// is built only when the cache has a disk tier. A hit is promoted
+	// into this generation's memo so repeats stay in memory.
+	var diskKey string
+	if g != nil && p.cache.disk != nil {
+		diskKey = solver.FormulaKey(conj)
+		if sat, ok := p.cache.diskLookup(diskKey); ok {
 			sp.Stage("disk", verdictOf(sat, nil), 0)
 			p.memoStore(sh, key, sat, nil)
 			return sat, nil
@@ -365,10 +368,10 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 	if err == nil && sat && g != nil {
 		g.cex.add(model) // add ignores nil models (extraction is best-effort)
 	}
-	if err == nil && g != nil {
+	if err == nil && diskKey != "" {
 		// Persist only definite verdicts: "unknown" depends on solver
 		// bounds, which the disk file may outlive.
-		p.cache.diskAdd(conj.String(), sat, model)
+		p.cache.diskAdd(diskKey, sat, model)
 	}
 	return sat, err
 }

@@ -203,15 +203,15 @@ func (m *Mixer) tSymBlock(env *Env, e lang.Expr) (Type, error) {
 		}
 		init = solver.NewAnd(init, ff)
 	}
-	var guards []solver.Formula
-	for _, r := range okResults {
-		g, err := tr.Formula(r.State.Guard)
-		if err != nil {
-			return nil, err
-		}
-		guards = append(guards, g)
+	guards := make([]sym.Val, len(okResults))
+	for i, r := range okResults {
+		guards[i] = r.State.Guard
 	}
-	counter, err := m.solv.Sat(solver.Conj(init, solver.NewNot(solver.Disj(guards...)), tr.Sides()))
+	disj, err := tr.Disjunction(guards)
+	if err != nil {
+		return nil, err
+	}
+	counter, err := m.solv.Sat(solver.Conj(init, solver.NewNot(disj), tr.Sides()))
 	if err != nil {
 		return nil, err
 	}

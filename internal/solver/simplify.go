@@ -15,11 +15,11 @@ import (
 //   - comparisons of syntactically equal terms: t = t → true,
 //     t <= t → true, t < t → false
 //   - duplicate and complementary conjuncts/disjuncts: x ∧ x → x,
-//     x ∧ ¬x → false, x ∨ ¬x → true
-//   - the consensus rule on disjunctions of conjunction-of-literal
-//     clauses: (A ∧ x) ∨ (A ∧ ¬x) → A, applied to fixpoint — this is
-//     what collapses the exhaustiveness check over 2^k complete branch
-//     guards without any DPLL search
+//     x ∧ ¬x → false, x ∨ ¬x → true — on a disjunction of branch
+//     guards factored by shared prefixes (sym.Translator.Disjunction)
+//     these collapse a complete fork tree level by level
+//   - the consensus rule on flat disjunctions of conjunction-of-literal
+//     clauses: (A ∧ x) ∨ (A ∧ ¬x) → A, applied to fixpoint
 //
 // Simplify never errors: formulas it cannot improve (including nil or
 // unknown variants) come back unchanged, and the solver's own

@@ -305,7 +305,9 @@ func errResult(st State, pos lang.Pos, format string, args ...any) []Result {
 }
 
 // seq runs e and applies k to every successful result, propagating
-// error results unchanged.
+// error results unchanged. The first continuation's list becomes the
+// accumulator, so a step with one result returns k's list as is
+// instead of copying it.
 func (x *Executor) seq(env *Env, st State, e lang.Expr, k func(State, Val) ([]Result, error)) ([]Result, error) {
 	rs, err := x.run(env, st, e)
 	if err != nil {
@@ -327,7 +329,11 @@ func (x *Executor) seq(env *Env, st State, e lang.Expr, k func(State, Val) ([]Re
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ks...)
+		if out == nil {
+			out = ks
+		} else {
+			out = append(out, ks...)
+		}
 		if x.MaxPaths > 0 && len(out) > x.MaxPaths {
 			// Path-budget exhaustion degrades: truncate the result set
 			// and record the imprecision (matching symexec), instead of

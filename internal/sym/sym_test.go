@@ -287,25 +287,32 @@ func TestForkModeAllowsDifferentBranchTypes(t *testing.T) {
 func TestMaxPathsBound(t *testing.T) {
 	// Exceeding MaxPaths degrades: the result set is truncated to the
 	// budget and the truncation is recorded, not turned into an error.
-	x := NewExecutor()
-	x.MaxPaths = 3
-	env := EmptyEnv().
-		Extend("a", x.Fresh.Var(types.Bool, "a")).
-		Extend("b", x.Fresh.Var(types.Bool, "b")).
-		Extend("c", x.Fresh.Var(types.Bool, "c"))
-	src := "let _ = (if a then 1 else 2) in let _ = (if b then 1 else 2) in if c then 1 else 2"
-	rs, err := x.Run(env, x.InitialState(), lang.MustParse(src))
-	if err != nil {
-		t.Fatalf("path exhaustion must degrade, not error: %v", err)
-	}
-	if len(rs) == 0 || len(rs) > 3 {
-		t.Fatalf("want 1..3 surviving paths after truncation, got %d", len(rs))
-	}
-	if x.ImprecisionCount() == 0 {
-		t.Fatal("truncation must be recorded as imprecision")
-	}
-	if d := x.Degraded(); fault.ClassOf(d) != fault.PathBudget || !strings.Contains(d.Error(), "max-paths=3") {
-		t.Fatalf("degradation cause = %v, want path-budget naming max-paths=3", d)
+	// The second program's four paths arrive at the budget check through
+	// single-result steps only (the if's condition, the let's bound
+	// value), where seq returns its continuation's list without copying.
+	for _, src := range []string{
+		"let _ = (if a then 1 else 2) in let _ = (if b then 1 else 2) in if c then 1 else 2",
+		"let z = 0 in if a then (if b then z else 1) else (if c then 2 else 3)",
+	} {
+		x := NewExecutor()
+		x.MaxPaths = 3
+		env := EmptyEnv().
+			Extend("a", x.Fresh.Var(types.Bool, "a")).
+			Extend("b", x.Fresh.Var(types.Bool, "b")).
+			Extend("c", x.Fresh.Var(types.Bool, "c"))
+		rs, err := x.Run(env, x.InitialState(), lang.MustParse(src))
+		if err != nil {
+			t.Fatalf("%s: path exhaustion must degrade, not error: %v", src, err)
+		}
+		if len(rs) == 0 || len(rs) > 3 {
+			t.Fatalf("%s: want 1..3 surviving paths after truncation, got %d", src, len(rs))
+		}
+		if x.ImprecisionCount() == 0 {
+			t.Fatalf("%s: truncation must be recorded as imprecision", src)
+		}
+		if d := x.Degraded(); fault.ClassOf(d) != fault.PathBudget || !strings.Contains(d.Error(), "max-paths=3") {
+			t.Fatalf("%s: degradation cause = %v, want path-budget naming max-paths=3", src, d)
+		}
 	}
 }
 

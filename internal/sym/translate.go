@@ -2,6 +2,8 @@ package sym
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"mix/internal/solver"
 	"mix/internal/types"
@@ -53,7 +55,7 @@ func (t *Translator) Formula(v Val) (solver.Formula, error) {
 	case BoolConst:
 		return solver.BoolConst{Val: u.Val}, nil
 	case SymVar:
-		return solver.BoolVar{Name: fmt.Sprintf("p%d", u.ID)}, nil
+		return solver.BoolVar{Name: "p" + strconv.Itoa(u.ID)}, nil
 	case EqOp:
 		if types.Equal(u.X.T, types.Bool) {
 			fx, err := t.Formula(u.X)
@@ -130,7 +132,7 @@ func (t *Translator) Term(v Val) (solver.Term, error) {
 	case IntConst:
 		return solver.IntConst{Val: u.Val}, nil
 	case SymVar:
-		return solver.IntVar{Name: fmt.Sprintf("s%d", u.ID)}, nil
+		return solver.IntVar{Name: "s" + strconv.Itoa(u.ID)}, nil
 	case AddOp:
 		tx, err := t.Term(u.X)
 		if err != nil {
@@ -329,4 +331,99 @@ func (t *Translator) readEntryFormula(base Mem, addr, v, ptr Val) (solver.Formul
 	}
 	eq := solver.Eq{X: ta, Y: tp}
 	return solver.NewOr(solver.NewAnd(eq, fv), solver.NewAnd(solver.NewNot(eq), rest)), nil
+}
+
+// Disjunction lowers a set of path guards to their disjunction,
+// factored by shared conjunct prefixes. Every fork extends its parent's
+// guard with one MkAnd, so a guard is a left-nested chain of conjuncts
+// and the guards of one exploration form a trie: sibling paths share
+// the chain up to their fork. The rewrite
+//
+//	(p ∧ a) ∨ (p ∧ b) ≡ p ∧ (a ∨ b)
+//
+// is exact, and it lets each distinct prefix conjunct be translated
+// once and appear once, instead of once per leaf below it. A guard
+// that ends at an inner node (a strict prefix of another guard) makes
+// that node's subtree true; duplicate guards share a leaf; a missing
+// leaf leaves its sibling's subtree alone under the fork, so a
+// non-exhaustive set still has a counterexample for the solver to
+// find. For a complete fork tree each node's children are a conjunct
+// and its negation over equal subtrees, the shape solver.Simplify
+// collapses level by level in time linear in the tree.
+func (t *Translator) Disjunction(guards []Val) (solver.Formula, error) {
+	root := &guardNode{}
+	var chain []Val
+	for _, g := range guards {
+		chain = conjunctChain(g, chain)
+		n := root
+		for _, c := range chain {
+			var err error
+			if n, err = n.child(t, c); err != nil {
+				return nil, err
+			}
+		}
+		n.leaf = true
+	}
+	return root.lower(), nil
+}
+
+// guardNode is one trie node of Disjunction: the conjunct that leads
+// to it from its parent, with its translation, and whether some guard
+// ends here.
+type guardNode struct {
+	conj     Val
+	f        solver.Formula
+	leaf     bool
+	children []*guardNode
+}
+
+// child returns n's child for conjunct c, translating c when it is new
+// under n. Siblings are few — a fork adds two — so a linear scan beats
+// hashing the conjunct.
+func (n *guardNode) child(t *Translator, c Val) (*guardNode, error) {
+	for _, ch := range n.children {
+		if ValEqual(ch.conj, c) {
+			return ch, nil
+		}
+	}
+	f, err := t.Formula(c)
+	if err != nil {
+		return nil, err
+	}
+	ch := &guardNode{conj: c, f: f}
+	n.children = append(n.children, ch)
+	return ch, nil
+}
+
+// lower builds the disjunction of the guards ending at or below n,
+// relative to n's own prefix.
+func (n *guardNode) lower() solver.Formula {
+	if n.leaf {
+		return solver.True
+	}
+	acc := solver.False
+	for _, ch := range n.children {
+		acc = solver.NewOr(acc, solver.NewAnd(ch.f, ch.lower()))
+	}
+	return acc
+}
+
+// conjunctChain refills buf with g's conjuncts, oldest first, by
+// walking the left spine of its AndOp chain. The constant true is the
+// empty chain; any other non-AndOp value is a single conjunct.
+func conjunctChain(g Val, buf []Val) []Val {
+	out := buf[:0]
+	for {
+		a, ok := g.U.(AndOp)
+		if !ok {
+			break
+		}
+		out = append(out, a.Y)
+		g = a.X
+	}
+	if b, ok := g.U.(BoolConst); !ok || !b.Val {
+		out = append(out, g)
+	}
+	slices.Reverse(out)
+	return out
 }

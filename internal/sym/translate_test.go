@@ -185,3 +185,87 @@ func TestValEqualEdgeCases(t *testing.T) {
 		t.Fatal("structural equality on NotOp")
 	}
 }
+
+// countBoolVars counts the boolean-variable occurrences in f.
+func countBoolVars(f solver.Formula) int {
+	switch f := f.(type) {
+	case solver.BoolVar:
+		return 1
+	case solver.Not:
+		return countBoolVars(f.X)
+	case solver.And:
+		return countBoolVars(f.X) + countBoolVars(f.Y)
+	case solver.Or:
+		return countBoolVars(f.X) + countBoolVars(f.Y)
+	}
+	return 0
+}
+
+// The guards of a complete k-fork tree share their prefixes, so the
+// factored disjunction carries each of the tree's 2^(k+1)-2 branch
+// conjuncts once, where the flat one repeats every prefix per leaf
+// (k·2^k occurrences), and Simplify collapses it to true.
+func TestDisjunctionTranslatesEachPrefixConjunctOnce(t *testing.T) {
+	const k = 6
+	x := NewExecutor()
+	env := EmptyEnv()
+	var src strings.Builder
+	for i := 0; i < k; i++ {
+		name := string(rune('a' + i))
+		env = env.Extend(name, x.Fresh.Var(types.Bool, name))
+		src.WriteString("let _ = (if " + name + " then 1 else 2) in ")
+	}
+	src.WriteString("0")
+	rs, err := x.Run(env, x.InitialState(), lang.MustParse(src.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	guards := make([]Val, len(rs))
+	for i, r := range rs {
+		guards[i] = r.State.Guard
+	}
+	if len(guards) != 1<<k {
+		t.Fatalf("%d paths, want %d", len(guards), 1<<k)
+	}
+	tr := NewTranslator()
+	d, err := tr.Disjunction(guards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := countBoolVars(d), 1<<(k+1)-2; got != want {
+		t.Fatalf("factored disjunction has %d variable occurrences, want %d", got, want)
+	}
+	var flat []solver.Formula
+	for _, g := range guards {
+		f, err := tr.Formula(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat = append(flat, f)
+	}
+	if got, want := countBoolVars(solver.Disj(flat...)), k<<k; got != want {
+		t.Fatalf("flat disjunction has %d variable occurrences, want %d", got, want)
+	}
+	if s := solver.Simplify(d); !solver.FormulaEq(s, solver.True) {
+		t.Fatalf("Simplify(factored) = %s, want true", s)
+	}
+}
+
+// A variable's solver name is its sort letter and ID (p for booleans,
+// s for integers), the same at every occurrence.
+func TestTranslatorNamesVariablesConsistently(t *testing.T) {
+	x := NewExecutor()
+	b := x.Fresh.Var(types.Bool, "b")
+	n := x.Fresh.Var(types.Int, "n")
+	tr := NewTranslator()
+	for i := 0; i < 2; i++ {
+		f, err := tr.Formula(MkAnd(b, Val{LtOp{n, IntVal(0)}, types.Bool}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := solver.NewAnd(solver.BoolVar{Name: "p1"}, solver.Lt{X: solver.IntVar{Name: "s2"}, Y: solver.IntConst{Val: 0}})
+		if !solver.FormulaEq(f, want) {
+			t.Fatalf("translation %d = %s, want %s", i, f, want)
+		}
+	}
+}

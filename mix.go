@@ -76,7 +76,9 @@ type Config struct {
 	Env map[string]string
 	// Workers > 0 enables the parallel path-exploration engine with
 	// that many workers (1 = sequential exploration with the memoizing
-	// solver pool). 0 keeps the engine off entirely.
+	// solver pool). 0 keeps the engine off, unless another option needs
+	// one (MaxPaths, Deadline, Metrics, ...); that engine runs one
+	// worker.
 	Workers int
 	// MaxPaths bounds the engine's total path budget (0 = unlimited);
 	// exceeding it degrades the check to an uncertified (Degraded)
@@ -310,7 +312,9 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 			defer cache.Persist()
 		}
 		eopts := engine.Options{
-			Workers:       cfg.Workers,
+			// Workers 0 with an engine another option forces explores
+			// sequentially, not on engine.Options' GOMAXPROCS default.
+			Workers:       max(cfg.Workers, 1),
 			MaxPaths:      int64(cfg.MaxPaths),
 			NoMemo:        cfg.NoMemo,
 			Cache:         cache,
@@ -454,7 +458,9 @@ type CConfig struct {
 	SummaryStore *summary.Store
 	// Workers > 0 enables the engine: solver queries go through a
 	// memoizing pool and the symbolic-to-typed translation queries of
-	// each block evaluate in parallel across that many workers.
+	// each block evaluate in parallel across that many workers. 0
+	// keeps the engine off, unless another option needs one; that
+	// engine runs one worker.
 	Workers int
 	// NoMemo disables the engine's solver memo table.
 	NoMemo bool
@@ -620,7 +626,7 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 			defer cache.Persist()
 		}
 		eopts := engine.Options{
-			Workers:       cfg.Workers,
+			Workers:       max(cfg.Workers, 1), // as in CheckExpr
 			NoMemo:        cfg.NoMemo,
 			Cache:         cache,
 			Context:       cfg.Context,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mix/internal/corpus"
+	"mix/internal/obs"
 )
 
 func TestCheckWellTyped(t *testing.T) {
@@ -174,5 +175,67 @@ func TestAnalyzeCStats(t *testing.T) {
 	}
 	if res.BlocksAnalyzed == 0 || res.FixpointIters == 0 {
 		t.Fatalf("stats not populated: %+v", res)
+	}
+}
+
+// ladderInput returns corpus.Ladder(n) in facade form.
+func ladderInput(n int) (string, map[string]string) {
+	src, pairs := corpus.Ladder(n)
+	env := map[string]string{}
+	for _, p := range pairs {
+		env[p[0]] = p[1]
+	}
+	return src, env
+}
+
+// A ladder-13 block has 8,192 paths, more than the consensus pass of
+// solver.Simplify takes on one flat disjunction. Its guards' factored
+// disjunction still collapses level by level, so the block's one
+// exhaustiveness query is decided on the quick path, with no slice
+// left for the search core.
+func TestLadder13ExhaustivenessDecidedQuick(t *testing.T) {
+	src, env := ladderInput(13)
+	res := Check(src, Config{Mode: StartSymbolic, Env: env, Workers: 1})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Type != "int" || res.Paths != 1<<13 {
+		t.Fatalf("type %s over %d paths, want int over %d", res.Type, res.Paths, 1<<13)
+	}
+	if res.QuickDecided != 1 || res.Slices != 0 {
+		t.Fatalf("QuickDecided = %d, Slices = %d; want the exhaustiveness query quick-decided (1, 0)",
+			res.QuickDecided, res.Slices)
+	}
+}
+
+// gauge reads one gauge from a registry snapshot (-1 when absent).
+func gauge(reg *obs.Registry, name string) int64 {
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return -1
+}
+
+// Workers 0 means no engine of the check's own. When another option
+// forces one anyway (here a metrics registry), that engine explores on
+// one worker, as the check would without it, not on GOMAXPROCS.
+func TestWorkersZeroForcedEngineIsSequential(t *testing.T) {
+	src, env := ladderInput(8)
+	reg := obs.NewRegistry()
+	res := Check(src, Config{Mode: StartSymbolic, Env: env, Metrics: reg})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if w, s := gauge(reg, "engine.workers"), gauge(reg, "engine.steals"); w != 1 || s != 0 || res.Steals != 0 {
+		t.Fatalf("Check: engine.workers %d, engine.steals %d, Result.Steals %d; want 1, 0, 0", w, s, res.Steals)
+	}
+	creg := obs.NewRegistry()
+	if _, err := AnalyzeC(corpus.SyntheticVsftpd(4, 1), CConfig{Metrics: creg}); err != nil {
+		t.Fatal(err)
+	}
+	if w := gauge(creg, "engine.workers"); w != 1 {
+		t.Fatalf("AnalyzeC: engine.workers %d, want 1", w)
 	}
 }
