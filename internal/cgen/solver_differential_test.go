@@ -1,6 +1,7 @@
 package cgen
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"mix/internal/engine"
@@ -8,22 +9,31 @@ import (
 	"mix/internal/solver"
 )
 
+// countingReference wraps solver.NewReference and counts the solvers
+// it builds, so a leg whose seam silently falls back to solver.New
+// cannot pass.
+func countingReference(n *atomic.Int64) func() *solver.Solver {
+	return func() *solver.Solver {
+		n.Add(1)
+		return solver.NewReference()
+	}
+}
+
 // TestSearchCoresMatchOnGeneratedC: MIXY warnings over generated C
-// programs must be byte-identical under every -solver setting — the
-// CDCL core with its incremental assumption stacks, the legacy DPLL
-// oracle, and the portfolio racer — both with a direct per-run solver
-// and through the engine's pooled incremental solvers. Any learned
-// clause that survives where it shouldn't, any assumption that leaks
-// across a pop, any portfolio race that is not verdict-deterministic
-// shows up here as a warning diff.
+// programs must be byte-identical under the CDCL core with its
+// incremental assumption stacks and under the chronological DPLL
+// reference (solver.NewReference), both with a direct per-run solver
+// and through the engine's pooled solvers. Any learned clause that
+// survives where it shouldn't, or any assumption that leaks across a
+// pop, shows up here as a warning diff.
 func TestSearchCoresMatchOnGeneratedC(t *testing.T) {
 	const programs = 60
 	cfg := DefaultConfig()
 	cfg.SymbolicEntry = true
 	gen := New(0xCDC2, cfg)
-	algos := []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL, solver.AlgoPortfolio}
 
 	diverse := 0
+	var direct, pooled atomic.Int64
 	for i := 0; i < programs; i++ {
 		src := gen.Program()
 		base, err := mixy.Run(mustParse(src), mixy.Options{StrictInit: true})
@@ -34,32 +44,34 @@ func TestSearchCoresMatchOnGeneratedC(t *testing.T) {
 		if len(base.Warnings) > 0 {
 			diverse++
 		}
-		for _, a := range algos {
-			direct, err := mixy.Run(mustParse(src), mixy.Options{
-				StrictInit: true,
-				Solver:     solver.Config{Algo: a},
-			})
-			if err != nil {
-				t.Fatalf("program %d (%v direct): %v\n%s", i, a, err, src)
-			}
-			if got := warningText(direct); got != want {
-				t.Fatalf("program %d (%v direct): warnings diverge\ndefault:\n%s\ngot:\n%s\nprogram:\n%s",
-					i, a, want, got, src)
-			}
+		ref, err := mixy.Run(mustParse(src), mixy.Options{
+			StrictInit: true,
+			NewSolver:  countingReference(&direct),
+		})
+		if err != nil {
+			t.Fatalf("program %d (dpll direct): %v\n%s", i, err, src)
+		}
+		if got := warningText(ref); got != want {
+			t.Fatalf("program %d (dpll direct): warnings diverge\ncdcl:\n%s\ndpll:\n%s\nprogram:\n%s",
+				i, want, got, src)
+		}
 
-			eng := engine.New(engine.Options{Workers: 4, SolverAlgo: a})
-			pooled, err := mixy.Run(mustParse(src), mixy.Options{StrictInit: true, Engine: eng})
-			eng.Close()
-			if err != nil {
-				t.Fatalf("program %d (%v engine): %v\n%s", i, a, err, src)
-			}
-			if got := warningText(pooled); got != want {
-				t.Fatalf("program %d (%v engine): warnings diverge\ndefault:\n%s\ngot:\n%s\nprogram:\n%s",
-					i, a, want, got, src)
-			}
+		eng := engine.New(engine.Options{Workers: 4, NewSolver: countingReference(&pooled)})
+		ref, err = mixy.Run(mustParse(src), mixy.Options{StrictInit: true, Engine: eng})
+		eng.Close()
+		if err != nil {
+			t.Fatalf("program %d (dpll engine): %v\n%s", i, err, src)
+		}
+		if got := warningText(ref); got != want {
+			t.Fatalf("program %d (dpll engine): warnings diverge\ncdcl:\n%s\ndpll:\n%s\nprogram:\n%s",
+				i, want, got, src)
 		}
 	}
 	if diverse < 5 {
 		t.Fatalf("only %d of %d programs produced warnings; property too weak", diverse, programs)
+	}
+	if direct.Load() == 0 || pooled.Load() == 0 {
+		t.Fatalf("the reference seam never ran: %d direct, %d pooled solvers built",
+			direct.Load(), pooled.Load())
 	}
 }

@@ -109,10 +109,6 @@ type Analysis struct {
 	NoMemo        bool     `json:"no_memo,omitempty"`
 	Deadline      Duration `json:"deadline,omitempty"`
 	SolverTimeout Duration `json:"solver_timeout,omitempty"`
-	Solver        string   `json:"solver,omitempty"`
-	MaxAtoms      int      `json:"max_atoms,omitempty"`
-	MaxDecisions  int      `json:"max_decisions,omitempty"`
-	MaxLearned    int      `json:"max_learned,omitempty"`
 
 	// CacheDir points the persistent caches (function summaries, solver
 	// memo, counterexample models) at a directory. CLI / daemon-config
@@ -187,10 +183,6 @@ func (a *Analysis) Register(fs *flag.FlagSet, kind Kind) {
 	fs.Var(negBool{&a.NoMemo}, "memo", "memoize solver queries (engine only)")
 	fs.Var(&a.Deadline, "deadline", "wall-clock deadline for the whole run (0 = none)")
 	fs.Var(&a.SolverTimeout, "solver-timeout", "per-query solver timeout (0 = none)")
-	fs.StringVar(&a.Solver, "solver", "", "solver search core: cdcl (default), dpll, or portfolio")
-	fs.IntVar(&a.MaxAtoms, "max-atoms", 0, "max decision atoms per solver query (0 = default, 256)")
-	fs.IntVar(&a.MaxDecisions, "max-decisions", 0, "max branch decisions per solver query (0 = default, 2^20)")
-	fs.IntVar(&a.MaxLearned, "max-learned", 0, "max learned clauses kept by the CDCL core (0 = default, 10000)")
 	fs.StringVar(&a.CacheDir, "cache-dir", "", "persist caches (summaries, solver memo, models) under this directory across runs")
 
 	switch kind {
@@ -224,10 +216,6 @@ func (a Analysis) MixConfig() mix.Config {
 		NoMemo:            a.NoMemo,
 		Deadline:          time.Duration(a.Deadline),
 		SolverTimeout:     time.Duration(a.SolverTimeout),
-		Solver:            a.Solver,
-		MaxAtoms:          a.MaxAtoms,
-		MaxDecisions:      a.MaxDecisions,
-		MaxLearned:        a.MaxLearned,
 		CacheDir:          a.CacheDir,
 	}
 	if a.Symbolic {
@@ -251,10 +239,6 @@ func (a Analysis) CConfig() mix.CConfig {
 		NoMemo:        a.NoMemo,
 		Deadline:      time.Duration(a.Deadline),
 		SolverTimeout: time.Duration(a.SolverTimeout),
-		Solver:        a.Solver,
-		MaxAtoms:      a.MaxAtoms,
-		MaxDecisions:  a.MaxDecisions,
-		MaxLearned:    a.MaxLearned,
 		CacheDir:      a.CacheDir,
 	}
 }

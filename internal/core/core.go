@@ -67,11 +67,11 @@ type Options struct {
 	// worker pool and routes every solver query through its memoizing
 	// SolverPool. Nil preserves the sequential single-solver behavior.
 	Engine *engine.Engine
-	// Solver selects the search core and resource bounds of the
-	// checker's own solver (the one used when Engine is nil, and for
-	// the address-equality side queries). The zero value is the
-	// default CDCL core with standard bounds.
-	Solver solver.Config
+	// NewSolver is a test seam: it builds the checker's own solver
+	// (the one used when Engine is nil, and for the address-equality
+	// side queries) in place of solver.New, so the differential tests
+	// can run it on solver.NewReference.
+	NewSolver func() *solver.Solver
 	// ShardPrefix, when non-empty, restricts every top-level symbolic
 	// block to the subtree selected by forcing its first
 	// len(ShardPrefix) fork decisions (false = then, true = else); the
@@ -130,7 +130,11 @@ type Checker struct {
 // symbolic executor, each given a hook that invokes the corresponding
 // mix rule.
 func New(opts Options) *Checker {
-	c := &Checker{opts: opts, solv: opts.Solver.NewSolver(), eng: opts.Engine}
+	newSolver := opts.NewSolver
+	if newSolver == nil {
+		newSolver = solver.New
+	}
+	c := &Checker{opts: opts, solv: newSolver(), eng: opts.Engine}
 	c.typs = &types.Checker{SymBlock: c.tSymBlock}
 	c.exec = sym.NewExecutor()
 	c.exec.Mode = opts.IfMode

@@ -1,23 +1,40 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"mix/internal/engine"
+	"mix/internal/lang"
 	"mix/internal/langgen"
 	"mix/internal/solver"
 	"mix/internal/types"
 )
 
-// TestSearchCoresMatchOnGeneratedPrograms: the CDCL core, the legacy
-// DPLL core, and the portfolio racer are interchangeable back ends —
-// checking randomly generated programs must produce the same
-// accept/reject verdict and the same derived type under every
-// -solver setting, both directly and through an engine. The DPLL core
-// stays in the tree exactly to serve as this differential oracle.
+// countingReference wraps solver.NewReference and counts the solvers
+// it builds, so a leg whose seam silently falls back to solver.New
+// cannot pass.
+func countingReference(n *atomic.Int64) func() *solver.Solver {
+	return func() *solver.Solver {
+		n.Add(1)
+		return solver.NewReference()
+	}
+}
+
+// TestSearchCoresMatchOnGeneratedPrograms: the CDCL core and the
+// chronological DPLL reference (solver.NewReference) are
+// interchangeable back ends — checking randomly generated programs
+// must produce the same accept/reject verdict and the same derived
+// type on either, both directly and through an engine. The DPLL search
+// stays in the tree exactly to serve as this differential reference.
 func TestSearchCoresMatchOnGeneratedPrograms(t *testing.T) {
 	const programs = 120
-	algos := []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL, solver.AlgoPortfolio}
+	// The engine's interval fast path decides every query the
+	// generated programs send through the pool, so one more program
+	// compares two typed-block results: only the search can refute the
+	// inner guard and discard its ill-typed block.
+	const relational = "let a = {t 1 t} in let b = {t 2 t} in " +
+		"{s if a < b then (if b < a then {t 1 + true t} else 1) else 2 s}"
 
 	for _, symb := range []bool{false, true} {
 		name := "typed"
@@ -27,8 +44,12 @@ func TestSearchCoresMatchOnGeneratedPrograms(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			gen := langgen.New(0xCDC1, langgen.DefaultConfig())
 			accepted, rejected := 0, 0
+			var direct, pooled atomic.Int64
+			progs := []lang.Expr{lang.MustParse(relational)}
 			for i := 0; i < programs; i++ {
-				prog := gen.Closed()
+				progs = append(progs, gen.Closed())
+			}
+			for _, prog := range progs {
 				check := func(opts Options) (types.Type, error) {
 					c := New(opts)
 					if symb {
@@ -37,28 +58,26 @@ func TestSearchCoresMatchOnGeneratedPrograms(t *testing.T) {
 					return c.Check(types.EmptyEnv(), prog)
 				}
 				wantTy, wantErr := check(Options{})
-				for _, a := range algos {
-					gotTy, gotErr := check(Options{Solver: solver.Config{Algo: a}})
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("program %s: verdict diverges under %v: default err=%v, got err=%v",
-							prog, a, wantErr, gotErr)
-					}
-					if wantErr == nil && !types.Equal(wantTy, gotTy) {
-						t.Fatalf("program %s: type diverges under %v: %s vs %s",
-							prog, a, wantTy, gotTy)
-					}
+				gotTy, gotErr := check(Options{NewSolver: countingReference(&direct)})
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("program %s: verdict diverges under dpll: cdcl err=%v, dpll err=%v",
+						prog, wantErr, gotErr)
+				}
+				if wantErr == nil && !types.Equal(wantTy, gotTy) {
+					t.Fatalf("program %s: type diverges under dpll: %s vs %s",
+						prog, wantTy, gotTy)
+				}
 
-					eng := engine.New(engine.Options{Workers: 2, SolverAlgo: a})
-					gotTy, gotErr = check(Options{Engine: eng})
-					eng.Close()
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("program %s: engine verdict diverges under %v: default err=%v, got err=%v",
-							prog, a, wantErr, gotErr)
-					}
-					if wantErr == nil && !types.Equal(wantTy, gotTy) {
-						t.Fatalf("program %s: engine type diverges under %v: %s vs %s",
-							prog, a, wantTy, gotTy)
-					}
+				eng := engine.New(engine.Options{Workers: 2, NewSolver: countingReference(&pooled)})
+				gotTy, gotErr = check(Options{Engine: eng})
+				eng.Close()
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("program %s: engine verdict diverges under dpll: cdcl err=%v, dpll err=%v",
+						prog, wantErr, gotErr)
+				}
+				if wantErr == nil && !types.Equal(wantTy, gotTy) {
+					t.Fatalf("program %s: engine type diverges under dpll: %s vs %s",
+						prog, wantTy, gotTy)
 				}
 				if wantErr == nil {
 					accepted++
@@ -68,6 +87,10 @@ func TestSearchCoresMatchOnGeneratedPrograms(t *testing.T) {
 			}
 			if accepted == 0 || rejected == 0 {
 				t.Fatalf("degenerate distribution: %d accepted, %d rejected", accepted, rejected)
+			}
+			if direct.Load() == 0 || pooled.Load() == 0 {
+				t.Fatalf("the reference seam never ran: %d direct, %d pooled solvers built",
+					direct.Load(), pooled.Load())
 			}
 		})
 	}

@@ -27,12 +27,6 @@ type CacheOptions struct {
 	// cache, PC ids — is dropped and rebuilt warm from subsequent
 	// traffic. 0 = default (262144 nodes).
 	ConsLimit int
-	// NewSolver builds the pooled per-worker solver instances
-	// (nil = solver.New). Engines sharing this Cache inherit the
-	// factory, so every borrower sees identical resource bounds —
-	// memoized "unknown" verdicts are only deterministic for fixed
-	// bounds.
-	NewSolver func() *solver.Solver
 	// Dir, when non-empty, backs the cache with a persistent tier
 	// (diskcache.go): definite verdicts and counterexample models are
 	// loaded from dir at construction and written back on Persist.
@@ -113,15 +107,11 @@ func NewCache(o CacheOptions) *Cache {
 	if limit <= 0 {
 		limit = defaultConsLimit
 	}
-	factory := o.NewSolver
-	if factory == nil {
-		factory = solver.New
-	}
 	c := &Cache{
 		memoSize:  size,
 		shardCap:  (size + memoShards - 1) / memoShards,
 		consLimit: limit,
-		solvers:   sync.Pool{New: func() any { return factory() }},
+		solvers:   sync.Pool{New: func() any { return solver.New() }},
 	}
 	if o.Dir != "" {
 		disk, err := openDiskStore(o.Dir)
@@ -181,7 +171,7 @@ func (c *Cache) Flush() {
 // maybeEvict flushes the cache when the current generation's intern
 // table has outgrown the limit. Called once per query on the slow
 // path, so the size probe (one mutex acquisition) is amortized against
-// a DPLL solve or memo lookup.
+// a search or memo lookup.
 func (c *Cache) maybeEvict() {
 	if c == nil {
 		return

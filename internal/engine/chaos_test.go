@@ -107,39 +107,6 @@ func TestChaosFaultClassesDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosDegradationUniformAcrossSearchCores: an injected mid-run
-// solver fault must produce the same degraded-but-sound verdict no
-// matter which search core is racing underneath — a mid-CDCL abort,
-// a mid-DPLL abort, and a portfolio race where both racers are
-// canceled all collapse to the same explicit imprecision, never a
-// certificate and never a hang.
-func TestChaosDegradationUniformAcrossSearchCores(t *testing.T) {
-	var verdicts []chaosVerdict
-	for _, algo := range []string{"cdcl", "dpll", "portfolio"} {
-		t.Run(algo, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				v, res := runLadderChaos(t, workers, func(c *mix.Config) {
-					c.Solver = algo
-					c.FaultInjector = fault.NewInjector(1).
-						Plan(fault.PreSolve, fault.Plan{Class: fault.SolverLimit})
-				})
-				if res.Err != nil {
-					t.Fatalf("workers=%d: fault must degrade, not reject: %v", workers, res.Err)
-				}
-				if !v.degraded || v.class != "solver-limit" || v.typ != "" {
-					t.Fatalf("workers=%d: want a solver-limit degradation with no certificate, got %+v", workers, v)
-				}
-				verdicts = append(verdicts, v)
-			}
-		})
-	}
-	for i := 1; i < len(verdicts); i++ {
-		if verdicts[i] != verdicts[0] {
-			t.Fatalf("degraded verdict varies across cores/workers: %+v vs %+v", verdicts[0], verdicts[i])
-		}
-	}
-}
-
 // TestExpiredDeadlineTerminatesPromptly is the acceptance criterion in
 // the small: an already-expired deadline must stop a 1024-path run at
 // its first cooperative poll and return a degraded verdict — never a

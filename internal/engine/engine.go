@@ -75,17 +75,16 @@ type Options struct {
 	// Close does not touch it. MemoSize is ignored when set (the
 	// cache was sized at NewCache).
 	Cache *Cache
-	// NewSolver builds the per-worker solver instances; nil means
-	// solver.New. Use it to propagate non-default resource bounds.
+	// NewSolver is a test seam: it builds the per-worker solver
+	// instances in place of solver.New, so a test can run the pool on
+	// solver.NewReference or on tightened resource bounds. It must not
+	// be combined with a shared Cache: the memo stores resource-limit
+	// unknowns, which hold only for fixed bounds.
 	NewSolver func() *solver.Solver
-	// SolverAlgo selects the search core of every pooled solver (CDCL,
-	// the legacy DPLL oracle, or a portfolio racing both). It is applied
-	// per borrowed query, so runs with different algorithms can share
-	// one warm Cache.
-	SolverAlgo solver.Algo
 	// Context, when non-nil, governs the whole run: cancellation and
 	// deadline expiry are observed cooperatively at fork charges and
-	// inside the DPLL loop, classified as fault.Canceled/fault.Timeout.
+	// inside the solver's decision loop, classified as
+	// fault.Canceled/fault.Timeout.
 	Context context.Context
 	// Deadline, when > 0, caps the run's wall-clock time by deriving a
 	// deadline context from Context (or Background).
@@ -122,7 +121,7 @@ type Stats struct {
 	Faults        fault.Snapshot // classified degradation events absorbed this run
 
 	QuickDecided   int64 // queries/components decided by the interval fast path
-	Slices         int64 // independence components that reached memo/DPLL
+	Slices         int64 // independence components that reached memo/search
 	SliceConjuncts int64 // total conjuncts across those components
 	MaxSlice       int64 // largest component, in conjuncts
 	CexHits        int64 // components satisfied by a cached model

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"mix/internal/solver"
@@ -21,26 +22,6 @@ func capturePool(t *testing.T, opts Options) (*Engine, *[]*solver.Solver) {
 	e := New(opts)
 	t.Cleanup(e.Close)
 	return e, captured
-}
-
-// TestPoolAppliesAlgo: the pool must stamp the run's search core onto
-// every borrowed solver, so one warm shared cache can serve runs with
-// different -solver settings.
-func TestPoolAppliesAlgo(t *testing.T) {
-	e, captured := capturePool(t, Options{SolverAlgo: solver.AlgoDPLL})
-	p := e.Pool()
-
-	if _, _, err := p.solve([]solver.Formula{vle("a", "b")}, false); err != nil {
-		t.Fatal(err)
-	}
-	if len(*captured) == 0 {
-		t.Fatal("the solve never constructed a pooled solver")
-	}
-	for i, s := range *captured {
-		if s.Algo != solver.AlgoDPLL {
-			t.Fatalf("pooled solver %d: Algo = %v, want dpll", i, s.Algo)
-		}
-	}
 }
 
 // TestPoolFlushResetsSolvers: pooled solvers keep incremental CDCL
@@ -88,9 +69,12 @@ func TestPoolFlushResetsSolvers(t *testing.T) {
 	}
 }
 
-// TestPoolAlgoVerdictsAgree: the same queries through engines running
-// different search cores must produce identical verdicts — the
-// behavioral half of the -solver=dpll differential oracle.
+// TestPoolAlgoVerdictsAgree: the same queries through the default
+// CDCL pool, through a pool running the chronological DPLL reference
+// (solver.NewReference), and on a direct reference solver must produce
+// identical verdicts. The pooled reference leg counts the solvers its
+// seam builds, so a pool that silently falls back to solver.New cannot
+// pass; the direct leg calls NewReference itself.
 func TestPoolAlgoVerdictsAgree(t *testing.T) {
 	queries := []solver.Formula{
 		vle("a", "b"),
@@ -98,19 +82,32 @@ func TestPoolAlgoVerdictsAgree(t *testing.T) {
 		solver.NewAnd(bvar("p"), solver.NewNot(bvar("p"))),
 		solver.NewOr(bvar("p"), solver.Eq{X: solver.IntVar{Name: "x"}, Y: solver.IntConst{Val: 3}}),
 	}
+	var built atomic.Int64
+	reference := func() *solver.Solver {
+		built.Add(1)
+		return solver.NewReference()
+	}
 	for qi, q := range queries {
 		var verdicts []bool
-		for _, a := range []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL, solver.AlgoPortfolio} {
-			e := New(Options{Workers: 1, SolverAlgo: a})
+		for _, o := range []Options{{Workers: 1}, {Workers: 1, NewSolver: reference}} {
+			e := New(o)
 			sat, err := e.Sat(q)
 			e.Close()
 			if err != nil {
-				t.Fatalf("query %d under %v: %v", qi, a, err)
+				t.Fatalf("query %d (pool, reference=%v): %v", qi, o.NewSolver != nil, err)
 			}
 			verdicts = append(verdicts, sat)
 		}
-		if verdicts[0] != verdicts[1] || verdicts[0] != verdicts[2] {
-			t.Fatalf("query %d: verdicts diverge across algos: %v", qi, verdicts)
+		sat, err := solver.NewReference().Sat(q)
+		if err != nil {
+			t.Fatalf("query %d (direct reference): %v", qi, err)
 		}
+		verdicts = append(verdicts, sat)
+		if verdicts[0] != verdicts[1] || verdicts[0] != verdicts[2] {
+			t.Fatalf("query %d: verdicts diverge (cdcl pool, dpll pool, dpll direct): %v", qi, verdicts)
+		}
+	}
+	if built.Load() == 0 {
+		t.Fatal("the pool never built a reference solver")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // iffChain builds Iff(v0,v1) ∧ Iff(v1,v2) ∧ ... — a single entangled
 // component (every conjunct shares a variable with the next) that the
 // interval fast path cannot decide and slicing cannot split, so it is
-// guaranteed to reach DPLL with roughly one decision per variable.
+// guaranteed to reach the search with roughly one decision per variable.
 func iffChain(n int) solver.Formula {
 	vars := make([]solver.Formula, n+1)
 	for i := range vars {
@@ -35,8 +35,7 @@ func iffChain(n int) solver.Formula {
 // orChain builds (y0∨z0∨w0) ∧ (¬w0∨y1∨z1∨w1) ∧ ... — a single
 // entangled component (each clause shares w with the next) where unit
 // propagation stalls: every clause needs two decisions before it
-// propagates, under chronological DPLL and CDCL alike, so n links cost
-// at least 2n decisions in either core.
+// propagates, so n links cost at least 2n decisions.
 func orChain(n int) solver.Formula {
 	v := func(p string, i int) solver.Formula {
 		return solver.BoolVar{Name: p + string(rune('a'+i%26)) + string(rune('0'+i/26))}
@@ -106,7 +105,7 @@ func TestDecisionBudgetMapsToErrLimit(t *testing.T) {
 	}
 }
 
-// TestAtomGateMapsToErrLimit: the pre-DPLL atom gate is a distinct
+// TestAtomGateMapsToErrLimit: the pre-search atom gate is a distinct
 // pipeline stage; its exhaustion must classify identically.
 func TestAtomGateMapsToErrLimit(t *testing.T) {
 	eng := tightEngine(t, 1, 0)
@@ -178,33 +177,31 @@ func TestSolverTimeoutClassifiesTimeout(t *testing.T) {
 	}
 }
 
-// TestMidDPLLInjectionReachesDecisionLoop: the mid-DPLL injection site
-// sits on the decision-loop poll (every 32 decisions; the CDCL core
-// and the portfolio racers poll the same fault.MidDPLL site); a long
-// entangled chain must trip it under every search core and surface the
-// planned fault class.
-func TestMidDPLLInjectionReachesDecisionLoop(t *testing.T) {
-	for _, algo := range []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL, solver.AlgoPortfolio} {
-		t.Run(algo.String(), func(t *testing.T) {
-			inj := fault.NewInjector(1).Plan(fault.MidDPLL, fault.Plan{Class: fault.SolverLimit})
-			eng := engine.New(engine.Options{Workers: 1, FaultInjector: inj, SolverAlgo: algo})
-			defer eng.Close()
+// TestMidSearchInjectionReachesDecisionLoop: the mid-search injection
+// site sits on the CDCL decision-loop poll (every 32 decisions or
+// conflicts); a long entangled chain must trip it and surface the
+// planned fault class. CDCL is the one search core, so it is the one
+// subtest.
+func TestMidSearchInjectionReachesDecisionLoop(t *testing.T) {
+	t.Run("cdcl", func(t *testing.T) {
+		inj := fault.NewInjector(1).Plan(fault.MidSearch, fault.Plan{Class: fault.SolverLimit})
+		eng := engine.New(engine.Options{Workers: 1, FaultInjector: inj})
+		defer eng.Close()
 
-			// ~80 decisions (two per link): comfortably past the
-			// 32-decision poll cadence of both cores.
-			_, err := eng.Sat(orChain(40))
-			if got := fault.ClassOf(err); got != fault.SolverLimit {
-				t.Fatalf("fault class = %v (err %v), want the injected solver-limit", got, err)
-			}
-			if fault.Of(err) == nil {
-				t.Fatalf("injected faults are transient and must not be memoizable: %v", err)
-			}
-			if n := inj.Counters().Snapshot().Of(fault.SolverLimit); n == 0 {
-				t.Fatal("the mid-DPLL site never fired")
-			}
-			if hits := eng.Snapshot().MemoHits; hits != 0 {
-				t.Fatalf("injected faults must never be memoized, got %d hits", hits)
-			}
-		})
-	}
+		// ~80 decisions (two per link): comfortably past the
+		// 32-decision poll cadence.
+		_, err := eng.Sat(orChain(40))
+		if got := fault.ClassOf(err); got != fault.SolverLimit {
+			t.Fatalf("fault class = %v (err %v), want the injected solver-limit", got, err)
+		}
+		if fault.Of(err) == nil {
+			t.Fatalf("injected faults are transient and must not be memoizable: %v", err)
+		}
+		if n := inj.Counters().Snapshot().Of(fault.SolverLimit); n == 0 {
+			t.Fatal("the mid-search site never fired")
+		}
+		if hits := eng.Snapshot().MemoHits; hits != 0 {
+			t.Fatalf("injected faults must never be memoized, got %d hits", hits)
+		}
+	})
 }

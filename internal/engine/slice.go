@@ -131,7 +131,7 @@ const (
 // cexCache is a bounded ring of recent satisfying models. A model
 // proving one branch guard satisfiable frequently satisfies the next
 // dozen guards on sibling paths verbatim; Eval-checking a candidate
-// model is far cheaper than a DPLL run, and a model is only trusted
+// model is far cheaper than a search, and a model is only trusted
 // for a query after Eval confirms it satisfies that exact query, so
 // hits are sound by construction.
 type cexCache struct {

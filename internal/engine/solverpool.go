@@ -30,11 +30,10 @@ const cexCacheSize = 64
 //	simplify → interval fast path → independence slicing →
 //	per-component memo → counterexample cache → CDCL search
 //
-// (CDCL is the default search core; Options.SolverAlgo can select the
-// legacy DPLL core or the portfolio instead.) Path conditions arrive
-// as *solver.PC cons lists, so the pipeline sees pre-simplified
-// conjuncts with cached support tokens and interval state, and only
-// ever pays per-conjunct costs once per PC node, not once per query.
+// Path conditions arrive as *solver.PC cons lists, so the pipeline
+// sees pre-simplified conjuncts with cached support tokens and
+// interval state, and only ever pays per-conjunct costs once per PC
+// node, not once per query.
 // Trivial conjunctions (boolean literals and single-variable interval
 // guards — the overwhelming majority of branch feasibility checks) are
 // decided from the interval state cached on the path condition's
@@ -54,7 +53,6 @@ type SolverPool struct {
 	// fault injector; nil only in direct-pool unit tests.
 	eng     *Engine
 	timeout time.Duration // per-query solver timeout (0 = none)
-	algo    solver.Algo   // search core applied to every borrowed solver
 	solvers *sync.Pool
 	// cache holds the memo/hash-cons/model state; nil when memoization
 	// is disabled (Options.NoMemo).
@@ -95,7 +93,6 @@ func newSolverPool(e *Engine, o Options) *SolverPool {
 	p := &SolverPool{
 		eng:       e,
 		timeout:   o.SolverTimeout,
-		algo:      o.SolverAlgo,
 		queryHist: o.Metrics.Histogram("solver.query.ns"),
 		dpllHist:  o.Metrics.Histogram("solver.dpll.ns"),
 	}
@@ -106,12 +103,10 @@ func newSolverPool(e *Engine, o Options) *SolverPool {
 	case o.Cache != nil:
 		p.cache, p.shared = o.Cache, true
 	default:
-		p.cache = NewCache(CacheOptions{MemoSize: o.MemoSize, NewSolver: o.NewSolver})
+		p.cache = NewCache(CacheOptions{MemoSize: o.MemoSize})
 	}
-	// A shared cache owns the warm per-worker solver instances —
-	// unless this run wants non-default solver bounds, in which case
-	// it must keep private instances (and should not be sharing a
-	// cache either; see CacheOptions.NewSolver).
+	// The cache owns the warm per-worker solver instances, unless a
+	// test substitutes its own through Options.NewSolver.
 	if p.cache != nil && o.NewSolver == nil {
 		p.solvers = &p.cache.solvers
 	} else {
@@ -355,7 +350,7 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 	}
 	sat, model, err := p.solve(sub, small && g != nil)
 	if sp != nil {
-		sp.Stage("dpll", verdictOf(sat, err), tr.Now()-ts)
+		sp.Stage("search", verdictOf(sat, err), tr.Now()-ts)
 	}
 	// Memoize definite answers and plain resource exhaustion — both are
 	// deterministic for fixed bounds. Never memoize faults (timeouts,
@@ -422,7 +417,6 @@ func (p *SolverPool) memoStore(sh *memoShard, key uint64, sat bool, err error) {
 // new conjunct.
 func (p *SolverPool) solve(sub []solver.Formula, wantModel bool) (bool, *solver.Model, error) {
 	s := p.solvers.Get().(*solver.Solver)
-	s.Algo = p.algo
 	// A pooled instance retains learned clauses and encodings across
 	// queries (that is the point), but never across cache generations:
 	// a flush marks "start over", and the solver follows it.

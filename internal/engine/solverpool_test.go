@@ -12,7 +12,7 @@ import (
 func bvar(name string) solver.Formula { return solver.BoolVar{Name: name} }
 
 // vle builds a two-variable inequality — the simplest shape the
-// interval fast path cannot decide, so it reaches the memo/DPLL stage.
+// interval fast path cannot decide, so it reaches the memo/search stage.
 func vle(a, b string) solver.Formula {
 	return solver.Le{X: solver.IntVar{Name: a}, Y: solver.IntVar{Name: b}}
 }
@@ -120,7 +120,7 @@ func TestPoolCexCache(t *testing.T) {
 		t.Fatalf("seed query = %v, %v", sat, err)
 	}
 	// Any model of a<=b<=c satisfies a<=c: distinct memo key, but the
-	// cached model short-circuits DPLL.
+	// cached model short-circuits the search.
 	if sat, err := e.Sat(vle("a", "c")); err != nil || !sat {
 		t.Fatalf("cex query = %v, %v", sat, err)
 	}

@@ -121,7 +121,7 @@ type Fault struct {
 	// Class is the taxonomy bucket.
 	Class Class
 	// Op names the component and operation that tripped, e.g.
-	// "engine.fork" or "solver.dpll".
+	// "engine.fork" or "solver.search".
 	Op string
 	// Budget names the budget that tripped, e.g. "deadline=50ms" or
 	// "max-paths=64". Empty when no budget applies (panics).

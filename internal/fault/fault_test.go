@@ -148,15 +148,15 @@ func TestInjectorPlanDeterminism(t *testing.T) {
 }
 
 func TestInjectorClassAndBudgetNamed(t *testing.T) {
-	in := NewInjector(1).Plan(MidDPLL, Plan{Class: Timeout})
-	err := in.At(MidDPLL)
+	in := NewInjector(1).Plan(MidSearch, Plan{Class: Timeout})
+	err := in.At(MidSearch)
 	if err == nil {
 		t.Fatal("armed point must inject on first visit")
 	}
 	if ClassOf(err) != Timeout {
 		t.Fatalf("class = %v", ClassOf(err))
 	}
-	if !strings.Contains(err.Error(), "mid-dpll") || !strings.Contains(err.Error(), "injected") {
+	if !strings.Contains(err.Error(), "mid-search") || !strings.Contains(err.Error(), "injected") {
 		t.Fatalf("injected fault must name its point and budget: %q", err.Error())
 	}
 }

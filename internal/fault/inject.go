@@ -18,8 +18,9 @@ const (
 	// PreSolve fires in the solver pool at query entry, before the
 	// interval/memo fast paths, so a planned fault reaches every query.
 	PreSolve
-	// MidDPLL fires inside the DPLL decision loop.
-	MidDPLL
+	// MidSearch fires inside the solver's decision loop, on the same
+	// cadence as its context poll.
+	MidSearch
 	// FixpointIter fires at the top of each MIXY fixed-point iteration.
 	FixpointIter
 	// ShardItem fires in the shard coordinator before each work-item
@@ -32,7 +33,7 @@ const (
 	numPoints = int(ShardItem) + 1
 )
 
-var pointNames = [numPoints]string{"pre-fork", "pre-solve", "mid-dpll", "fixpoint-iter", "shard-item"}
+var pointNames = [numPoints]string{"pre-fork", "pre-solve", "mid-search", "fixpoint-iter", "shard-item"}
 
 func (p Point) String() string {
 	if int(p) < len(pointNames) {

@@ -74,11 +74,11 @@ type Options struct {
 	// used, so a CLI -trace captures MIXY structure with no extra
 	// wiring; with neither, tracing is off.
 	Tracer *obs.Tracer
-	// Solver selects the search core and resource bounds of the
-	// per-block executor's own solver (used when Engine is nil; with
-	// an engine, the pool's solvers are configured by the engine's
-	// own options). The zero value is the default CDCL core.
-	Solver solver.Config
+	// NewSolver is a test seam: it builds the per-block executor's own
+	// solver (used when Engine is nil) in place of solver.New, so the
+	// differential tests can run it on solver.NewReference. With an
+	// engine, the pool's solvers come from engine.Options.NewSolver.
+	NewSolver func() *solver.Solver
 }
 
 // Warning is an analysis finding.
@@ -167,7 +167,9 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 	// it in deterministic program order.
 	m.span = tr.Root("mixy.fixpoint")
 	m.Exec = symexec.New(prog, m.PA)
-	opts.Solver.Apply(m.Exec.Solv)
+	if opts.NewSolver != nil {
+		m.Exec.Solv = opts.NewSolver()
+	}
 	m.Exec.InitCell = m.initCell
 	m.Exec.TypedCall = m.typedCall
 	m.Exec.MergeMode = opts.Merge

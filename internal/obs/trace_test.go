@@ -21,7 +21,7 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 	s.Fork(2)
 	s.Join()
 	s.Solve("sat", 10)
-	s.Stage("dpll", "sat", 10)
+	s.Stage("search", "sat", 10)
 	s.MemoHit()
 	s.CexHit()
 	s.Degrade("timeout", "x")
@@ -117,7 +117,7 @@ func TestDeterministicModeSuppressesScheduleDependentKinds(t *testing.T) {
 	s := tr.Root("f")
 	s.MemoHit()
 	s.CexHit()
-	s.Stage("dpll", "sat", 100)
+	s.Stage("search", "sat", 100)
 	s.Solve("sat", 0)
 	for _, e := range tr.Events() {
 		switch e.Kind {
@@ -130,7 +130,7 @@ func TestDeterministicModeSuppressesScheduleDependentKinds(t *testing.T) {
 func TestTimingModeRecordsClockAndStages(t *testing.T) {
 	tr := NewTracer(TraceOptions{})
 	s := tr.Root("f")
-	s.Stage("dpll", "sat", 1234)
+	s.Stage("search", "sat", 1234)
 	s.MemoHit()
 	s.Solve("sat", 5678)
 	evs := tr.Events()
@@ -145,7 +145,7 @@ func TestTimingModeRecordsClockAndStages(t *testing.T) {
 		switch e.Kind {
 		case KindStage:
 			sawStage = true
-			if e.DurNs != 1234 || e.Detail != "dpll" {
+			if e.DurNs != 1234 || e.Detail != "search" {
 				t.Fatalf("stage event wrong: %+v", e)
 			}
 		case KindMemoHit:

@@ -368,6 +368,13 @@ func TestBadRequests(t *testing.T) {
 		{"bad merge", "/check", `{"source":"1 + 2","merge":"sometimes"}`, "bad Merge mode"},
 		{"orphan merge cap", "/analyze", `{"source":"int main() { return 0; }","merge_cap":4}`, "without a Merge mode"},
 		{"negative workers", "/check", `{"source":"1 + 2","workers":-1}`, "negative Workers"},
+		// The search-core selector and the solver bound overrides are
+		// gone; a request that still carries one is rejected, not
+		// silently run at the fixed configuration.
+		{"removed solver", "/check", `{"source":"1 + 2","solver":"dpll"}`, "unknown field"},
+		{"removed max_atoms", "/analyze", `{"source":"int main() { return 0; }","max_atoms":2}`, "unknown field"},
+		{"removed max_decisions", "/check", `{"source":"1 + 2","max_decisions":1}`, "unknown field"},
+		{"removed max_learned", "/analyze", `{"source":"int main() { return 0; }","max_learned":8}`, "unknown field"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,16 +1,11 @@
 package solver
 
-import (
-	"context"
-	"errors"
-	"sync"
-)
-
 // This file is the incremental front door of the solver: an assumption
 // stack mirroring the engine's path conditions, the SatAssuming entry
 // points that decide a query as a set of conjuncts instead of one flat
-// conjunction, and the dispatch between the CDCL core, the legacy DPLL
-// oracle, and the portfolio racing both.
+// conjunction, and the dispatch to the CDCL core (or, on a solver built
+// by NewReference, to the chronological DPLL search the tests compare
+// it against).
 //
 // Keeping the conjuncts separate is what makes the CDCL core
 // incremental: each conjunct encodes to one root literal, memoized for
@@ -68,14 +63,10 @@ func (s *Solver) satAssuming(wantModel bool, fs []Formula) (bool, *Model, error)
 		all = append(all, s.stack...)
 		all = append(all, fs...)
 	}
-	switch s.Algo {
-	case AlgoDPLL:
+	if s.reference {
 		return s.satDPLL(Conj(all...), wantModel)
-	case AlgoPortfolio:
-		return s.satPortfolio(all, wantModel)
-	default:
-		return s.satCDCL(all, wantModel)
 	}
+	return s.satCDCL(all, wantModel)
 }
 
 // satCDCL answers through the persistent CDCL core, creating it on
@@ -85,75 +76,4 @@ func (s *Solver) satCDCL(fs []Formula, wantModel bool) (bool, *Model, error) {
 		s.d = newCDCL(s)
 	}
 	return s.d.solve(fs, wantModel)
-}
-
-// satPortfolio races the CDCL core against a scratch DPLL solver on
-// the same query; the first definite answer wins and cancels the
-// loser. Both cores are sound and complete modulo resource bounds, so
-// whichever finishes first the verdict is the same — the race only
-// decides how fast it arrives, which keeps portfolio mode inside the
-// engine's determinism contract (verdicts, not stats).
-func (s *Solver) satPortfolio(fs []Formula, wantModel bool) (bool, *Model, error) {
-	base := s.Ctx
-	if base == nil {
-		base = context.Background()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-
-	scratch := &Solver{
-		Algo:         AlgoDPLL,
-		MaxAtoms:     s.MaxAtoms,
-		MaxDecisions: s.MaxDecisions,
-		MaxLearned:   s.MaxLearned,
-		Ctx:          ctx,
-		Injector:     s.Injector,
-	}
-
-	type res struct {
-		ok  bool
-		m   *Model
-		err error
-	}
-	var dpll res
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dpll.ok, dpll.m, dpll.err = scratch.satDPLL(Conj(fs...), wantModel)
-		if dpll.err == nil {
-			cancel()
-		}
-	}()
-
-	// The CDCL side runs in this goroutine against s itself, so its
-	// learned clauses persist for the next query; only the context is
-	// swapped for the race.
-	oldCtx := s.Ctx
-	s.Ctx = ctx
-	var c res
-	c.ok, c.m, c.err = s.satCDCL(fs, wantModel)
-	if c.err == nil {
-		cancel()
-	}
-	wg.Wait()
-	s.Ctx = oldCtx
-	s.Stats.TheoryChecks += scratch.Stats.TheoryChecks
-	s.Stats.Decisions += scratch.Stats.Decisions
-	s.Stats.Atoms += scratch.Stats.Atoms
-
-	if c.err == nil {
-		return c.ok, c.m, nil
-	}
-	if dpll.err == nil {
-		return dpll.ok, dpll.m, nil
-	}
-	// Both failed. Prefer a classified fault over a plain resource
-	// limit: the engine memoizes ErrLimit as a permanent unknown, and
-	// a query one core merely never finished (timeout, cancellation)
-	// must not be recorded as forever-undecidable.
-	if errors.Is(c.err, ErrLimit) && !errors.Is(dpll.err, ErrLimit) {
-		return false, nil, dpll.err
-	}
-	return false, nil, c.err
 }

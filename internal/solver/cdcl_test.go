@@ -7,13 +7,6 @@ import (
 	"testing"
 )
 
-// withAlgo returns a fresh solver running the given search core.
-func withAlgo(a Algo) *Solver {
-	s := New()
-	s.Algo = a
-	return s
-}
-
 // hardMix builds busy(n) ∧ contra: a satisfiable or-chain prefix over
 // 3(n+1) fresh booleans followed by an unsatisfiable 2-CNF core over
 // two more variables that appear last in decision order. Chronological
@@ -68,7 +61,7 @@ func pigeonhole(n int) Formula {
 }
 
 // TestDifferentialAlgorithms: on a seeded stream of random formulas,
-// CDCL, DPLL, and portfolio must return the same verdict, and that
+// CDCL and the DPLL reference must return the same verdict, and that
 // verdict must agree with the brute-force small-domain reference
 // whenever brute finds a model (solver "unsat" must never contradict
 // an existing model; solver "sat" must never contradict brute-unsat,
@@ -78,19 +71,18 @@ func TestDifferentialAlgorithms(t *testing.T) {
 	r := rand.New(rand.NewSource(2010)) // PLDI 2010
 	for i := 0; i < 600; i++ {
 		f := genFormula(r, 3)
-		got := make(map[Algo]bool, 3)
-		for _, a := range []Algo{AlgoCDCL, AlgoDPLL, AlgoPortfolio} {
-			sat, err := withAlgo(a).Sat(f)
-			if err != nil {
-				t.Fatalf("#%d %s under %s: %v", i, f, a, err)
-			}
-			got[a] = sat
+		cdcl, err := New().Sat(f)
+		if err != nil {
+			t.Fatalf("#%d %s under cdcl: %v", i, f, err)
 		}
-		if got[AlgoCDCL] != got[AlgoDPLL] || got[AlgoCDCL] != got[AlgoPortfolio] {
-			t.Fatalf("#%d %s: cdcl=%v dpll=%v portfolio=%v",
-				i, f, got[AlgoCDCL], got[AlgoDPLL], got[AlgoPortfolio])
+		dpll, err := NewReference().Sat(f)
+		if err != nil {
+			t.Fatalf("#%d %s under dpll: %v", i, f, err)
 		}
-		if bruteSat(f) && !got[AlgoCDCL] {
+		if cdcl != dpll {
+			t.Fatalf("#%d %s: cdcl=%v dpll=%v", i, f, cdcl, dpll)
+		}
+		if bruteSat(f) && !cdcl {
 			t.Fatalf("#%d %s: brute found a model but solver says unsat", i, f)
 		}
 	}
@@ -103,7 +95,7 @@ func TestCDCLModelsSatisfyFormula(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for i := 0; i < 400; i++ {
 		f := genFormula(r, 3)
-		sat, m, err := withAlgo(AlgoCDCL).SatModel(f)
+		sat, m, err := New().SatModel(f)
 		if err != nil || !sat {
 			continue
 		}
@@ -132,7 +124,7 @@ func TestCDCLDeterministic(t *testing.T) {
 		}
 		var first run
 		for rep := 0; rep < 3; rep++ {
-			s := withAlgo(AlgoCDCL)
+			s := New()
 			sat, m, err := s.SatModel(f)
 			if err != nil {
 				t.Fatalf("#%d %s: %v", i, f, err)
@@ -158,12 +150,12 @@ func TestCDCLDeterministic(t *testing.T) {
 func TestHardFamilySeparation(t *testing.T) {
 	f := hardMix(6)
 
-	cd := withAlgo(AlgoCDCL)
+	cd := New()
 	sat, err := cd.Sat(f)
 	if err != nil || sat {
 		t.Fatalf("cdcl on hardMix: sat=%v err=%v, want unsat", sat, err)
 	}
-	dp := withAlgo(AlgoDPLL)
+	dp := NewReference()
 	sat, err = dp.Sat(f)
 	if err != nil || sat {
 		t.Fatalf("dpll on hardMix: sat=%v err=%v, want unsat", sat, err)
@@ -177,48 +169,11 @@ func TestHardFamilySeparation(t *testing.T) {
 	}
 }
 
-// TestPortfolioRacesPastDPLLBudget: give both racers a decision budget
-// that chronological DPLL must exhaust on hardMix but CDCL barely
-// touches. The portfolio must return CDCL's definite verdict, not
-// DPLL's exhaustion.
-func TestPortfolioRacesPastDPLLBudget(t *testing.T) {
-	f := hardMix(8)
-
-	// Confirm the budget really separates the two cores.
-	dp := withAlgo(AlgoDPLL)
-	dp.MaxDecisions = 200
-	if _, err := dp.Sat(f); !errors.Is(err, ErrLimit) {
-		t.Fatalf("dpll under budget 200: err=%v, want ErrLimit", err)
-	}
-
-	pf := withAlgo(AlgoPortfolio)
-	pf.MaxDecisions = 200
-	sat, err := pf.Sat(f)
-	if err != nil {
-		t.Fatalf("portfolio must win via cdcl, got err=%v", err)
-	}
-	if sat {
-		t.Fatal("hardMix is unsat")
-	}
-}
-
-// TestPortfolioBothExhausted: when both cores run out of budget the
-// portfolio must surface ErrLimit (a deterministic, memoizable
-// unknown), not hang or invent a verdict.
-func TestPortfolioBothExhausted(t *testing.T) {
-	pf := withAlgo(AlgoPortfolio)
-	pf.MaxDecisions = 1
-	f := NewAnd(NewOr(BoolVar{"p"}, BoolVar{"q"}), NewOr(BoolVar{"r"}, BoolVar{"s"}))
-	if _, err := pf.Sat(f); !errors.Is(err, ErrLimit) {
-		t.Fatalf("err=%v, want ErrLimit", err)
-	}
-}
-
 // TestReduceDBForgets: with a tiny learned-clause cap, a conflict-heavy
 // run must trigger activity-based forgetting without changing the
 // verdict.
 func TestReduceDBForgets(t *testing.T) {
-	s := withAlgo(AlgoCDCL)
+	s := New()
 	s.MaxLearned = 8
 	s.MaxDecisions = 1 << 22
 	sat, err := s.Sat(pigeonhole(5))
@@ -242,7 +197,7 @@ func TestReduceDBForgets(t *testing.T) {
 // only, so no pop can unsoundly constrain a later query.
 func TestAssumptionPushPopPinning(t *testing.T) {
 	r := rand.New(rand.NewSource(1317))
-	s := withAlgo(AlgoCDCL) // one long-lived incremental solver
+	s := New() // one long-lived incremental solver
 	for i := 0; i < 150; i++ {
 		f1 := genFormula(r, 2)
 		f2 := genFormula(r, 2)
@@ -291,7 +246,7 @@ func TestAssumptionPushPopPinning(t *testing.T) {
 // shared incremental solver and fresh ones.
 func TestSatAssumingMatchesConjunction(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
-	s := withAlgo(AlgoCDCL)
+	s := New()
 	for i := 0; i < 200; i++ {
 		fs := []Formula{genFormula(r, 2), genFormula(r, 2), genFormula(r, 2)}
 		got, err := s.SatAssuming(fs...)
@@ -314,7 +269,7 @@ func TestSatAssumingModelValid(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	for i := 0; i < 200; i++ {
 		fs := []Formula{genFormula(r, 2), genFormula(r, 2)}
-		s := withAlgo(AlgoCDCL)
+		s := New()
 		sat, m, err := s.SatAssumingModel(fs...)
 		if err != nil || !sat {
 			continue
@@ -336,7 +291,7 @@ func TestSatAssumingModelValid(t *testing.T) {
 // not need more decisions than the first, and the permanent clause
 // count must not grow (the root is cached by formula string).
 func TestIncrementalReuseKeepsClauses(t *testing.T) {
-	s := withAlgo(AlgoCDCL)
+	s := New()
 	f := hardMix(6)
 	if sat, err := s.Sat(f); err != nil || sat {
 		t.Fatalf("first solve: sat=%v err=%v", sat, err)
@@ -355,7 +310,7 @@ func TestIncrementalReuseKeepsClauses(t *testing.T) {
 // blank slate — same verdicts, fresh statistics baseline semantics —
 // so pooled solvers can follow cache flushes.
 func TestResetDropsIncrementalState(t *testing.T) {
-	s := withAlgo(AlgoCDCL)
+	s := New()
 	f := hardMix(4)
 	if sat, err := s.Sat(f); err != nil || sat {
 		t.Fatalf("pre-reset: sat=%v err=%v", sat, err)
@@ -377,7 +332,7 @@ func TestResetDropsIncrementalState(t *testing.T) {
 // Luby restart schedule at least once, and restarting must not change
 // the verdict.
 func TestRestartsFire(t *testing.T) {
-	s := withAlgo(AlgoCDCL)
+	s := New()
 	s.MaxDecisions = 1 << 22
 	sat, err := s.Sat(pigeonhole(5))
 	if err != nil || sat {
@@ -391,39 +346,11 @@ func TestRestartsFire(t *testing.T) {
 	}
 }
 
-// TestParseAlgo pins the CLI surface: accepted spellings, the default,
-// and the error text for junk.
-func TestParseAlgo(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Algo
-		ok   bool
-	}{
-		{"", AlgoCDCL, true},
-		{"cdcl", AlgoCDCL, true},
-		{"dpll", AlgoDPLL, true},
-		{"portfolio", AlgoPortfolio, true},
-		{"minisat", AlgoCDCL, false},
-	}
-	for _, c := range cases {
-		got, err := ParseAlgo(c.in)
-		if c.ok != (err == nil) || (c.ok && got != c.want) {
-			t.Fatalf("ParseAlgo(%q) = %v, %v; want %v ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	for _, a := range []Algo{AlgoCDCL, AlgoDPLL, AlgoPortfolio} {
-		rt, err := ParseAlgo(a.String())
-		if err != nil || rt != a {
-			t.Fatalf("round trip %v: got %v, %v", a, rt, err)
-		}
-	}
-}
-
 // TestTheoryConflictsIncremental: theory reasoning must hold across
 // the assumption stack — integer constraints pushed as assumptions
 // must participate in conflicts with the query's own atoms.
 func TestTheoryConflictsIncremental(t *testing.T) {
-	s := withAlgo(AlgoCDCL)
+	s := New()
 	s.Push(Lt{x(), c(0)})
 	sat, err := s.Sat(Gt(x(), c(0)))
 	if err != nil {
@@ -442,7 +369,7 @@ func TestTheoryConflictsIncremental(t *testing.T) {
 // TestCDCLNilAndUnknownInputs: the CDCL front end must reject the
 // same malformed inputs as the DPLL path, with the same messages.
 func TestCDCLNilAndUnknownInputs(t *testing.T) {
-	s := withAlgo(AlgoCDCL)
+	s := New()
 	if _, err := s.Sat(nil); err == nil {
 		t.Fatal("nil formula must error, not panic")
 	}
@@ -454,7 +381,7 @@ func TestCDCLNilAndUnknownInputs(t *testing.T) {
 // TestCDCLMaxAtomsGate: the atom budget applies to the union of root
 // closures with the same error shape as DPLL.
 func TestCDCLMaxAtomsGate(t *testing.T) {
-	s := withAlgo(AlgoCDCL)
+	s := New()
 	s.MaxAtoms = 2
 	f := Conj(BoolVar{"a"}, BoolVar{"b"}, BoolVar{"c"})
 	_, err := s.Sat(f)

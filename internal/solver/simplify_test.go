@@ -135,7 +135,7 @@ func TestSimplifyIff(t *testing.T) {
 
 // TestSimplifyConsensus pins the (A ∧ x) ∨ (A ∧ ¬x) → A rule and its
 // iterated form: the complete guard tree of k fork decisions collapses
-// to true without DPLL.
+// to true without any search.
 func TestSimplifyConsensus(t *testing.T) {
 	p, b := BoolVar{"p"}, BoolVar{"b"}
 	or := NewOr(NewAnd(p, b), NewAnd(p, Not{X: b}))

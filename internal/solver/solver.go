@@ -31,9 +31,6 @@ type Stats struct {
 // Solver decides satisfiability and validity. The zero value is not
 // ready; use New.
 type Solver struct {
-	// Algo selects the search core: CDCL (the zero value), the legacy
-	// DPLL kept as a differential oracle, or a portfolio racing both.
-	Algo Algo
 	// MaxAtoms bounds the number of decision atoms per query; queries
 	// above the bound return an error rather than running away.
 	MaxAtoms int
@@ -48,8 +45,8 @@ type Solver struct {
 	// with a classified fault wrapping ctx.Err(), so a deadline cuts
 	// even a single runaway query short.
 	Ctx context.Context
-	// Injector, when non-nil, is visited at the fault.MidDPLL point on
-	// the same cadence as the ctx poll (chaos tests only).
+	// Injector, when non-nil, is visited at the fault.MidSearch point
+	// on the same cadence as the ctx poll (chaos tests only).
 	Injector *fault.Injector
 	// Gen is an opaque generation tag for pool owners: the engine
 	// compares it against its cache's flush epoch and calls Reset when
@@ -58,13 +55,24 @@ type Solver struct {
 	Gen   uint64
 	Stats Stats
 
-	d     *cdcl     // persistent CDCL state, created on first use
-	stack []Formula // assumption stack (Push/Pop)
+	d         *cdcl     // persistent CDCL state, created on first use
+	stack     []Formula // assumption stack (Push/Pop)
+	reference bool      // answer with satDPLL instead of the CDCL core
 }
 
 // New returns a Solver with default resource bounds.
 func New() *Solver {
 	return &Solver{MaxAtoms: 256, MaxDecisions: 1 << 20}
+}
+
+// NewReference returns a Solver with New's bounds that answers every
+// query with the chronological DPLL search (satDPLL) instead of the
+// CDCL core. It is the reference the differential tests and X12's
+// hard-family row compare CDCL against; analyses never use it.
+func NewReference() *Solver {
+	s := New()
+	s.reference = true
+	return s
 }
 
 // ErrLimit is the sentinel wrapped by every resource-exhaustion error
@@ -91,7 +99,7 @@ func (e ErrResource) FaultClass() fault.Class { return fault.SolverLimit }
 // Sat reports whether f is satisfiable (over the rationals for the
 // arithmetic part; see the package comment for the conservativity
 // argument). Formulas are canonicalized by Simplify first, so
-// trivially true/false guards never reach the DPLL search.
+// trivially true/false guards never reach the search.
 func (s *Solver) Sat(f Formula) (bool, error) {
 	ok, _, err := s.sat(f, false)
 	return ok, err
@@ -120,24 +128,23 @@ func (s *Solver) ctxErr(op string) error {
 }
 
 // poll is the cooperative interruption point of both search loops: it
-// checks the context and visits the mid-search injection site (named
-// MidDPLL for historical reasons; the CDCL core polls it too).
+// checks the context and visits the mid-search injection site.
 func (s *Solver) poll() error {
-	if err := s.ctxErr("solver.dpll"); err != nil {
+	if err := s.ctxErr("solver.search"); err != nil {
 		return err
 	}
-	return s.Injector.At(fault.MidDPLL)
+	return s.Injector.At(fault.MidSearch)
 }
 
 // sat answers one query through the dispatch in assume.go, so plain
-// Sat/SatModel calls see the assumption stack and the configured
-// search core exactly like SatAssuming does.
+// Sat/SatModel calls see the assumption stack exactly like
+// SatAssuming does.
 func (s *Solver) sat(f Formula, wantModel bool) (bool, *Model, error) {
 	return s.satAssuming(wantModel, []Formula{f})
 }
 
-// satDPLL is the legacy chronological search, kept verbatim as the
-// differential oracle for the CDCL core (-solver=dpll).
+// satDPLL is the chronological search the seed shipped with, kept
+// verbatim as the reference for the CDCL core (NewReference).
 func (s *Solver) satDPLL(f Formula, wantModel bool) (bool, *Model, error) {
 	f = Simplify(f)
 	// Lower guarded (Ite) terms to fresh variables with defining

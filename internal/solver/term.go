@@ -7,7 +7,7 @@
 // uninterpreted function terms (used for reads from arbitrary symbolic
 // memories). The architecture is a small lazy-SMT loop: formulas are
 // normalized to negation normal form with canonical arithmetic atoms, a
-// DPLL-style search assigns atoms, and a theory solver decides
+// CDCL search assigns atoms, and a theory solver decides
 // conjunctions of linear constraints by Gaussian elimination of
 // equalities followed by Fourier–Motzkin elimination of inequalities.
 //
@@ -60,7 +60,7 @@ type App struct {
 
 // Ite is a guarded term: the value of X when G holds, of Y otherwise.
 // It is what state merging produces for a memory cell that diverges
-// across the two arms of a conditional. The DPLL core never sees an
+// across the two arms of a conditional. The search never sees an
 // Ite: Sat lowers each one to a fresh variable with two guarded
 // defining clauses (see elimIte), which keeps the theory core linear.
 // Construct with NewIte so trivial guards fold away at build time.

@@ -31,7 +31,6 @@ import (
 	"mix/internal/microc"
 	"mix/internal/mixy"
 	"mix/internal/obs"
-	"mix/internal/solver"
 	"mix/internal/summary"
 	"mix/internal/sym"
 	"mix/internal/symexec"
@@ -101,19 +100,6 @@ type Config struct {
 	// earlier process proved. Ignored when Cache is provided — a shared
 	// cache carries its own Dir (engine.CacheOptions.Dir).
 	CacheDir string
-	// Solver selects the search core for every solver in the run:
-	// "cdcl" (the default — conflict-driven clause learning with
-	// incremental assumption stacks), "dpll" (the legacy chronological
-	// core, kept as a differential oracle), or "portfolio" (racing both
-	// per query, first definite answer wins). Empty means cdcl.
-	Solver string
-	// MaxAtoms, MaxDecisions, and MaxLearned override the per-query
-	// solver resource bounds: decision atoms per query, branch
-	// decisions per query, and learned clauses retained by the CDCL
-	// core. 0 keeps each solver default (256, 2^20, 10000).
-	MaxAtoms     int
-	MaxDecisions int
-	MaxLearned   int
 	// Deadline bounds the whole check's wall-clock time (0 = none).
 	// An expired deadline degrades the result instead of hanging or
 	// failing: exploration stops cooperatively and the check reports
@@ -174,7 +160,7 @@ type Result struct {
 	SolverTime time.Duration
 	// Solver-pipeline statistics (zero without Workers): queries decided
 	// by the constant-time interval fast path, independence components
-	// that reached the memo/DPLL stage, the largest such component (in
+	// that reached the memo/search stage, the largest such component (in
 	// conjuncts), and components satisfied by a cached counterexample.
 	QuickDecided int
 	Slices       int
@@ -234,15 +220,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("mix: negative Deadline %v (0 means none)", cfg.Deadline)
 	case cfg.SolverTimeout < 0:
 		return fmt.Errorf("mix: negative SolverTimeout %v (0 means none)", cfg.SolverTimeout)
-	case cfg.MaxAtoms < 0:
-		return fmt.Errorf("mix: negative MaxAtoms %d (0 means the solver default)", cfg.MaxAtoms)
-	case cfg.MaxDecisions < 0:
-		return fmt.Errorf("mix: negative MaxDecisions %d (0 means the solver default)", cfg.MaxDecisions)
-	case cfg.MaxLearned < 0:
-		return fmt.Errorf("mix: negative MaxLearned %d (0 means the solver default)", cfg.MaxLearned)
-	}
-	if _, err := solver.ParseAlgo(cfg.Solver); err != nil {
-		return fmt.Errorf("mix: %w", err)
 	}
 	if cfg.Merge != "" {
 		if _, err := engine.ParseMergeMode(cfg.Merge); err != nil {
@@ -258,19 +235,6 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// solverConfig bundles the solver knobs shared by Config and CConfig.
-// Validate has already vetted the algorithm name, so parse errors here
-// fall back to the default core rather than panicking.
-func solverConfig(algo string, maxAtoms, maxDecisions, maxLearned int) solver.Config {
-	a, _ := solver.ParseAlgo(algo)
-	return solver.Config{
-		Algo:         a,
-		MaxAtoms:     maxAtoms,
-		MaxDecisions: maxDecisions,
-		MaxLearned:   maxLearned,
-	}
-}
-
 // wantsEngine mirrors CheckExpr's engine-construction condition.
 func (cfg Config) wantsEngine() bool {
 	return cfg.Workers > 0 || cfg.MaxPaths > 0 || cfg.Deadline > 0 ||
@@ -284,13 +248,11 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 	if err := cfg.Validate(); err != nil {
 		return Result{Err: err}
 	}
-	scfg := solverConfig(cfg.Solver, cfg.MaxAtoms, cfg.MaxDecisions, cfg.MaxLearned)
 	opts := core.Options{
 		Unsound:      cfg.Unsound,
 		SolverAddrEq: cfg.SolverAddrEq,
 		EffectAware:  cfg.EffectAware,
 		ShardPrefix:  cfg.ShardPrefix,
-		Solver:       scfg,
 	}
 	if cfg.DeferConditionals {
 		opts.IfMode = sym.DeferIf
@@ -311,7 +273,7 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 			cache = engine.NewCache(engine.CacheOptions{Dir: cfg.CacheDir})
 			defer cache.Persist()
 		}
-		eopts := engine.Options{
+		eng = engine.New(engine.Options{
 			// Workers 0 with an engine another option forces explores
 			// sequentially, not on engine.Options' GOMAXPROCS default.
 			Workers:       max(cfg.Workers, 1),
@@ -324,14 +286,7 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 			FaultInjector: cfg.FaultInjector,
 			Tracer:        cfg.Tracer,
 			Metrics:       cfg.Metrics,
-			SolverAlgo:    scfg.Algo,
-		}
-		if scfg.CustomBounds() {
-			// Non-default bounds need private pooled instances; a shared
-			// cache's warm solvers carry the default bounds.
-			eopts.NewSolver = scfg.NewSolver
-		}
-		eng = engine.New(eopts)
+		})
 		defer eng.Close()
 		opts.Engine = eng
 	}
@@ -472,13 +427,6 @@ type CConfig struct {
 	// nil, this run's solver memo and counterexample models; see
 	// Config.CacheDir.
 	CacheDir string
-	// Solver selects the search core ("cdcl", "dpll", "portfolio";
-	// empty = cdcl) and MaxAtoms / MaxDecisions / MaxLearned override
-	// the per-query solver bounds; see Config.Solver.
-	Solver       string
-	MaxAtoms     int
-	MaxDecisions int
-	MaxLearned   int
 	// Deadline bounds the analysis' wall-clock time (0 = none). An
 	// expired deadline stops the fixed point and pessimizes the
 	// frontier (sound over-approximation) instead of hanging.
@@ -576,15 +524,6 @@ func (cfg CConfig) Validate() error {
 		return fmt.Errorf("mix: SummaryCap %d set without Summaries — the cap only applies to summary construction (set Summaries)", cfg.SummaryCap)
 	case cfg.SummaryStore != nil && !cfg.Summaries:
 		return fmt.Errorf("mix: SummaryStore set without Summaries — the store is only consulted when summaries are enabled")
-	case cfg.MaxAtoms < 0:
-		return fmt.Errorf("mix: negative MaxAtoms %d (0 means the solver default)", cfg.MaxAtoms)
-	case cfg.MaxDecisions < 0:
-		return fmt.Errorf("mix: negative MaxDecisions %d (0 means the solver default)", cfg.MaxDecisions)
-	case cfg.MaxLearned < 0:
-		return fmt.Errorf("mix: negative MaxLearned %d (0 means the solver default)", cfg.MaxLearned)
-	}
-	if _, err := solver.ParseAlgo(cfg.Solver); err != nil {
-		return fmt.Errorf("mix: %w", err)
 	}
 	if cfg.Merge != "" {
 		if _, err := engine.ParseMergeMode(cfg.Merge); err != nil {
@@ -617,7 +556,6 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 	if err != nil {
 		return CResult{}, err
 	}
-	scfg := solverConfig(cfg.Solver, cfg.MaxAtoms, cfg.MaxDecisions, cfg.MaxLearned)
 	var eng *engine.Engine
 	if cfg.wantsEngine() {
 		cache := cfg.Cache
@@ -625,7 +563,7 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 			cache = engine.NewCache(engine.CacheOptions{Dir: cfg.CacheDir})
 			defer cache.Persist()
 		}
-		eopts := engine.Options{
+		eng = engine.New(engine.Options{
 			Workers:       max(cfg.Workers, 1), // as in CheckExpr
 			NoMemo:        cfg.NoMemo,
 			Cache:         cache,
@@ -635,12 +573,7 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 			FaultInjector: cfg.FaultInjector,
 			Tracer:        cfg.Tracer,
 			Metrics:       cfg.Metrics,
-			SolverAlgo:    scfg.Algo,
-		}
-		if scfg.CustomBounds() {
-			eopts.NewSolver = scfg.NewSolver
-		}
-		eng = engine.New(eopts)
+		})
 		defer eng.Close()
 	}
 	var mergeMode engine.MergeMode
@@ -673,7 +606,6 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 		MergeCap:          cfg.MergeCap,
 		Engine:            eng,
 		Tracer:            cfg.Tracer,
-		Solver:            scfg,
 	}
 	if sums != nil {
 		mopts.Summaries = sums

@@ -192,19 +192,23 @@ func ladderInput(n int) (string, map[string]string) {
 // solver.Simplify takes on one flat disjunction. Its guards' factored
 // disjunction still collapses level by level, so the block's one
 // exhaustiveness query is decided on the quick path, with no slice
-// left for the search core.
+// left for the search core. Ladder-10 and ladder-12 are held to the
+// same count, so easy workloads never depend on the search core;
+// perfbench's core-explore times them.
 func TestLadder13ExhaustivenessDecidedQuick(t *testing.T) {
-	src, env := ladderInput(13)
-	res := Check(src, Config{Mode: StartSymbolic, Env: env, Workers: 1})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Type != "int" || res.Paths != 1<<13 {
-		t.Fatalf("type %s over %d paths, want int over %d", res.Type, res.Paths, 1<<13)
-	}
-	if res.QuickDecided != 1 || res.Slices != 0 {
-		t.Fatalf("QuickDecided = %d, Slices = %d; want the exhaustiveness query quick-decided (1, 0)",
-			res.QuickDecided, res.Slices)
+	for _, n := range []int{10, 12, 13} {
+		src, env := ladderInput(n)
+		res := Check(src, Config{Mode: StartSymbolic, Env: env, Workers: 1})
+		if res.Err != nil {
+			t.Fatalf("ladder-%d: %v", n, res.Err)
+		}
+		if res.Type != "int" || res.Paths != 1<<n {
+			t.Fatalf("ladder-%d: type %s over %d paths, want int over %d", n, res.Type, res.Paths, 1<<n)
+		}
+		if res.QuickDecided != 1 || res.Slices != 0 {
+			t.Fatalf("ladder-%d: QuickDecided = %d, Slices = %d; want the exhaustiveness query quick-decided (1, 0)",
+				n, res.QuickDecided, res.Slices)
+		}
 	}
 }
 
