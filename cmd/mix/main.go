@@ -37,15 +37,6 @@
 // imprecision report naming the fault class and exits 0, because a
 // truncated exploration certifies nothing and refutes nothing.
 //
-// -shards n distributes exploration across n worker processes
-// (DESIGN.md section 15): the path tree splits at its first
-// -shard-depth fork decisions into 2^depth subtree work items, workers
-// heartbeat while exploring, and a worker that crashes or stalls is
-// killed, respawned, and its item retried (-shard-attempts, with
-// jittered exponential backoff) before the subtree is declared lost
-// and the verdict degrades to explicit imprecision. The merged output
-// is byte-identical at any shard count.
-//
 // Observability (see README "Stats and metrics schema" and DESIGN.md
 // section 11): -stats prints the run's metrics registry as sorted
 // "name value" lines — the same schema mixy -stats uses; -metrics
@@ -68,17 +59,13 @@ import (
 	"mix/internal/cliflags"
 	"mix/internal/obs"
 	"mix/internal/profiling"
-	"mix/internal/shard"
 )
 
 func main() {
-	shard.WorkerMain() // no-op unless re-executed as a shard worker
 	var a cliflags.Analysis
 	var o cliflags.Obs
-	var sh cliflags.Sharding
 	a.Register(flag.CommandLine, cliflags.Core)
 	o.Register(flag.CommandLine)
-	sh.Register(flag.CommandLine)
 	verbose := flag.Bool("v", false, "print discarded reports and statistics")
 	flag.Parse()
 
@@ -124,18 +111,7 @@ func main() {
 		human = os.Stderr
 	}
 
-	var res mix.Result
-	if sh.Shards > 0 {
-		sopts := shard.FromFlags(sh)
-		sopts.Tracer, sopts.Metrics = cfg.Tracer, cfg.Metrics
-		res, err = shard.ExploreCore(src, a, sopts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	} else {
-		res = mix.Check(src, cfg)
-	}
+	res := mix.Check(src, cfg)
 	if cfg.Tracer != nil {
 		if err := cliflags.WriteTrace(o.TraceFile, cfg.Tracer); err != nil {
 			fmt.Fprintln(os.Stderr, "mix: trace:", err)

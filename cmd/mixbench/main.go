@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	mixbench [-table E1..E8|X1..X12|all] [-cpuprofile f] [-memprofile f]
+//	mixbench [-table E1..E8|X1..X9|X11|X12|all] [-cpuprofile f] [-memprofile f]
 //	mixbench -diff old.json new.json
 //
-// The X4..X11 tables also write machine-readable BENCH_*.json
+// The X4..X9, X11 and X12 tables also write machine-readable BENCH_*.json
 // artifacts, all sharing one envelope:
 // {"schema_version": 1, "cpus": N, "gomaxprocs": N, "rows": [...]}.
 //
@@ -22,19 +22,15 @@
 // vsftpd workload. X9 measures compositional function summaries
 // (inline vs summaries vs summaries warm from disk) on the
 // shared-helper family; under MIXBENCH_ENFORCE=1 it exits 1 unless
-// summaries are at least 2x faster than inlining. X10 measures
-// distributed sharded exploration (DESIGN.md section 15) at 1 vs more
-// shards; under MIXBENCH_ENFORCE=1 on a multi-cpu host it exits 1
-// unless some sharded row beats the 1-shard coordinator. X11 measures
-// fleet observability (DESIGN.md section 16): cross-process metric and
-// trace aggregation on sharded ladder-10, per-request serving RED +
-// flight-recorder cost, Prometheus render and snapshot-merge micro
-// rows; under MIXBENCH_ENFORCE=1 it exits 1 if fleet metrics cost more
-// than 5% over a telemetry-off sharded run. X12 measures the CDCL
-// search core (DESIGN.md section 17) against the chronological DPLL
-// reference (solver.NewReference) on a hard conflict-driven family;
-// under MIXBENCH_ENFORCE=1 it exits 1 unless CDCL with pooled
-// assumption reuse is at least 2x faster than DPLL there.
+// summaries are at least 2x faster than inlining. X11 measures the
+// serving layer's operator telemetry (DESIGN.md section 16): the cost
+// of the per-request flight recorder on warm requests, and one
+// Prometheus render of a busy daemon's registry; it has no gate. X12
+// measures the CDCL search core (DESIGN.md section 17) against the
+// chronological DPLL reference (solver.NewReference) on a hard
+// conflict-driven family; under MIXBENCH_ENFORCE=1 it exits 1 unless
+// CDCL with pooled assumption reuse is at least 2x faster than DPLL
+// there.
 //
 // -diff old.json new.json joins two BENCH_*.json artifacts by row
 // name and prints per-row speedups. It exits 1 when a deterministic
@@ -63,7 +59,6 @@ import (
 	"mix"
 	"mix/internal/cexec"
 	"mix/internal/cgen"
-	"mix/internal/cliflags"
 	"mix/internal/concrete"
 	"mix/internal/core"
 	"mix/internal/corpus"
@@ -76,7 +71,6 @@ import (
 	"mix/internal/pointer"
 	"mix/internal/profiling"
 	"mix/internal/serve"
-	"mix/internal/shard"
 	"mix/internal/signs"
 	"mix/internal/solver"
 	"mix/internal/summary"
@@ -86,8 +80,7 @@ import (
 )
 
 func main() {
-	shard.WorkerMain() // X10's worker processes re-exec this binary
-	table := flag.String("table", "all", "experiment to run (E1..E8, X1..X12, or all)")
+	table := flag.String("table", "all", "experiment to run (E1..E8, X1..X9, X11, X12, or all)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected tables to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	diff := flag.Bool("diff", false, "compare two BENCH_*.json artifacts: mixbench -diff old.json new.json")
@@ -120,10 +113,10 @@ func runTables(table string) {
 		"E5": tableE5, "E6": tableE6, "E7": tableE7, "E8": tableE8,
 		"X1": tableX1, "X2": tableX2, "X3": tableX3, "X4": tableX4,
 		"X5": tableX5, "X6": tableX6, "X7": tableX7, "X8": tableX8,
-		"X9": tableX9, "X10": tableX10, "X11": tableX11, "X12": tableX12,
+		"X9": tableX9, "X11": tableX11, "X12": tableX12,
 	}
 	if table == "all" {
-		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "X1", "X2", "X3", "X4", "X5", "X6", "X7", "X8", "X9", "X10", "X11", "X12"} {
+		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "X1", "X2", "X3", "X4", "X5", "X6", "X7", "X8", "X9", "X11", "X12"} {
 			tables[id]()
 			fmt.Println()
 		}
@@ -1259,122 +1252,22 @@ func tableX9() {
 	writeBench("BENCH_summaries.json", rows)
 }
 
-// tableX10 — distributed sharded exploration (DESIGN.md section 15):
-// wall-clock on the unmerged ladder family with the path tree split
-// into 2^depth prefix subtrees dispatched to worker processes, best
-// of three per shard count. The 1-shard row pays the full coordinator
-// and process-spawn overhead with zero parallelism, so it is the
-// honest baseline; speedup is that row's time over each wider run.
-// Verdicts must agree across every shard count (the determinism
-// contract), and with MIXBENCH_ENFORCE=1 on a multi-cpu host the run
-// exits 1 unless some sharded row beats 1 shard.
-func tableX10() {
-	fmt.Println("X10 — sharded exploration: 1 vs N worker processes on ladder (depth 2, best of 3)")
-	fmt.Println("claims: prefix subtrees are independent, so worker processes scale exploration; verdicts are shard-count-invariant")
-
-	type row struct {
-		Bench   string  `json:"bench"`
-		Shards  int     `json:"shards"`
-		Depth   int     `json:"depth"`
-		Paths   int     `json:"paths"`
-		TimeNS  int64   `json:"time_ns"`
-		Speedup float64 `json:"speedup,omitempty"` // 1-shard time / this time, same bench
-	}
-	var rows []row
-	w := newTab()
-	fmt.Fprintln(w, "bench\tshards\tpaths\ttime\tvs 1 shard")
-
-	const reps = 3
-	enforce := os.Getenv("MIXBENCH_ENFORCE") == "1"
-	shardCounts := []int{1, 2, 4}
-	sped := false
-
-	for _, n := range []int{12, 14} {
-		name := fmt.Sprintf("ladder-%d", n)
-		src, envPairs := corpus.Ladder(n)
-		req := cliflags.Analysis{Symbolic: true, Merge: "off", Env: envMap(envPairs)}
-
-		var oneShard time.Duration
-		var verdict string
-		for _, shards := range shardCounts {
-			var best time.Duration
-			var r row
-			for rep := 0; rep < reps; rep++ {
-				opts := shard.Options{Shards: shards, Depth: 2}
-				start := time.Now()
-				res, err := shard.ExploreCore(src, req, opts)
-				dur := time.Since(start)
-				must(err)
-				if res.Degraded || res.Err != nil {
-					must(fmt.Errorf("X10 %s at %d shards did not complete clean: %v %s", name, shards, res.Err, res.FaultDetail))
-				}
-				got := fmt.Sprintf("%s %v", res.Type, res.Reports)
-				if shards == shardCounts[0] && rep == 0 {
-					verdict = got
-				} else if got != verdict {
-					must(fmt.Errorf("X10 %s verdict drift at %d shards: %q vs %q", name, shards, got, verdict))
-				}
-				if rep == 0 || dur < best {
-					best = dur
-					r = row{Bench: name, Shards: shards, Depth: 2, Paths: res.Paths}
-				}
-			}
-			r.TimeNS = best.Nanoseconds()
-			vs := "-"
-			if shards == 1 {
-				oneShard = best
-			} else {
-				r.Speedup = float64(oneShard) / float64(best)
-				vs = fmt.Sprintf("%.1fx", r.Speedup)
-				if r.Speedup > 1 {
-					sped = true
-				}
-			}
-			rows = append(rows, r)
-			fmt.Fprintf(w, "%s\t%d\t%d\t%v\t%s\n",
-				name, shards, r.Paths, best.Round(time.Microsecond), vs)
-		}
-	}
-	w.Flush()
-	writeBench("BENCH_shard.json", rows)
-
-	// A single-cpu host serializes the worker processes, so scaling is
-	// only a claim where there is hardware to scale onto.
-	if enforce {
-		if runtime.NumCPU() <= 1 {
-			fmt.Println("MIXBENCH_ENFORCE: single-cpu host, shard scaling not enforced")
-		} else if !sped {
-			fmt.Fprintln(os.Stderr, "mixbench: X10: no sharded row beat the 1-shard baseline on a multi-cpu host")
-			os.Exit(1)
-		} else {
-			fmt.Println("MIXBENCH_ENFORCE: sharded exploration beat the 1-shard baseline: ok")
-		}
-	}
-}
-
-// tableX11 — fleet-wide observability (DESIGN.md section 16): what
-// carrying telemetry across process boundaries costs. (a) Sharded
-// ladder-10 with fleet telemetry off vs metrics vs metrics+trace —
-// workers snapshot their registries into result frames and stream
-// heartbeat deltas, so the metrics row prices the whole aggregation
-// path; with MIXBENCH_ENFORCE=1 it may cost at most 5% over off.
-// (b) The serving layer's always-on per-request observability (tenant
+// tableX11 — the serving layer's operator telemetry (DESIGN.md
+// section 16). (a) The always-on per-request observability (tenant
 // RED + flight recorder) on warm verdict-cached requests through the
-// full HTTP handler, flight recorder off vs on. (c) Micro rows: one
-// Prometheus text-exposition render of a fleet-sized registry, and
-// one worker-snapshot merge into a parent registry.
+// full HTTP handler, flight recorder off vs on. (b) One Prometheus
+// text-exposition render of a busy daemon's registry. No gate: the
+// rows are for -diff against an earlier run.
 func tableX11() {
-	fmt.Println("X11 — fleet observability: cross-process aggregation, serving RED + flight, scrape cost")
-	fmt.Println("claims: fleet telemetry rides the existing shard frames (<=5% median paired overhead on sharded ladder-10); per-request serving obs, scrape rendering, and snapshot merging stay cheap")
+	fmt.Println("X11 — serving telemetry: per-request RED + flight recorder, scrape cost")
+	fmt.Println("claims: the always-on flight recorder adds little to a warm request; a Prometheus scrape of a busy registry stays cheap")
 
 	type row struct {
 		Bench       string  `json:"bench"`
 		Mode        string  `json:"mode,omitempty"`
-		Shards      int     `json:"shards,omitempty"`
 		TimeNS      int64   `json:"time_ns"`
 		BaselineNS  int64   `json:"baseline_ns,omitempty"`
 		OverheadPct float64 `json:"overhead_pct"`
-		Events      int     `json:"events,omitempty"`
 		Series      int     `json:"series,omitempty"`
 		Bytes       int     `json:"bytes,omitempty"`
 		NSPerOp     float64 `json:"ns_per_op,omitempty"`
@@ -1382,100 +1275,8 @@ func tableX11() {
 	var rows []row
 	w := newTab()
 	fmt.Fprintln(w, "bench\tmode\ttime\tvs off\tdetail")
-	enforce := os.Getenv("MIXBENCH_ENFORCE") == "1"
 
-	// (a) Cross-process aggregation on the X10 workload shape:
-	// ladder-10 split across 2 worker processes at depth 2. The off row
-	// spawns the same workers with telemetry disabled, so the delta is
-	// exactly the fleet-obs machinery: worker-side instrumentation,
-	// per-heartbeat metric deltas, final snapshot + trace splice.
-	{
-		src, envPairs := corpus.Ladder(10)
-		req := cliflags.Analysis{Symbolic: true, Merge: "off", Env: envMap(envPairs)}
-		modes := []string{"off", "metrics", "metrics+trace"}
-		// Interleave the modes within each rep rather than running N
-		// of one then N of the next, and gate on the *median of the
-		// per-rep paired ratios* rather than a ratio of across-rep
-		// minima. A sharded run spawns worker processes, so its
-		// wall-clock drifts ±10% with machine load over the benchmark's
-		// lifetime — far more than the few-percent delta the gate
-		// measures. Within one rep the modes run back-to-back, so the
-		// drift hits them equally and the paired ratio cancels it; the
-		// median discards reps where a spawn hit a bad scheduling
-		// window mid-pair.
-		const reps = 11
-		bestOf := map[string]time.Duration{}
-		eventsOf := map[string]int{}
-		ratios := map[string][]float64{}
-		for rep := 0; rep < reps; rep++ {
-			durs := map[string]time.Duration{}
-			for _, mode := range modes {
-				opts := shard.Options{Shards: 2, Depth: 2}
-				switch mode {
-				case "metrics":
-					opts.Metrics = obs.NewRegistry()
-				case "metrics+trace":
-					opts.Metrics = obs.NewRegistry()
-					opts.Tracer = obs.NewTracer(obs.TraceOptions{})
-				}
-				start := time.Now()
-				res, err := shard.ExploreCore(src, req, opts)
-				dur := time.Since(start)
-				must(err)
-				if res.Degraded || res.Err != nil {
-					must(fmt.Errorf("X11 sharded ladder-10 (%s) did not complete clean: %v %s", mode, res.Err, res.FaultDetail))
-				}
-				durs[mode] = dur
-				if b, ok := bestOf[mode]; !ok || dur < b {
-					bestOf[mode] = dur
-					if opts.Tracer != nil {
-						eventsOf[mode] = len(opts.Tracer.Events())
-					}
-				}
-			}
-			for _, mode := range modes[1:] {
-				ratios[mode] = append(ratios[mode],
-					100*(float64(durs[mode])-float64(durs["off"]))/float64(durs["off"]))
-			}
-		}
-		medianPct := func(v []float64) float64 {
-			s := append([]float64(nil), v...)
-			sort.Float64s(s)
-			return s[len(s)/2]
-		}
-		var offNS int64
-		for _, mode := range modes {
-			best, events := bestOf[mode], eventsOf[mode]
-			r := row{Bench: "shard-ladder-10", Mode: mode, Shards: 2, TimeNS: best.Nanoseconds(), Events: events}
-			vs := "-"
-			if mode == "off" {
-				offNS = best.Nanoseconds()
-			} else {
-				r.BaselineNS = offNS
-				r.OverheadPct = medianPct(ratios[mode])
-				vs = fmt.Sprintf("%+.1f%%", r.OverheadPct)
-			}
-			rows = append(rows, r)
-			detail := "-"
-			if events > 0 {
-				detail = fmt.Sprintf("%d events", events)
-			}
-			fmt.Fprintf(w, "shard-ladder-10\t%s\t%v\t%s\t%s\n",
-				mode, best.Round(time.Microsecond), vs, detail)
-			if mode == "metrics" && enforce && r.OverheadPct > 5 {
-				w.Flush()
-				fmt.Fprintf(os.Stderr,
-					"mixbench: X11 fleet-obs overhead %.1f%% (median paired, %d reps) exceeds 5%% gate on sharded ladder-10 (best metrics=%v off=%v)\n",
-					r.OverheadPct, reps, best, time.Duration(offNS))
-				os.Exit(1)
-			}
-		}
-		if enforce {
-			fmt.Println("MIXBENCH_ENFORCE: fleet metrics aggregation within 5% of telemetry-off: ok")
-		}
-	}
-
-	// (b) Per-request serving observability: warm verdict-cached
+	// (a) Per-request serving observability: warm verdict-cached
 	// ladder-10 requests through the full handler. Flight-off vs on
 	// isolates the recorder; the tenant RED series are charged in both
 	// (they are always on — that is the point of RED).
@@ -1535,7 +1336,7 @@ func tableX11() {
 		}
 	}
 
-	// (c) Prometheus exposition render of a fleet-sized registry: a few
+	// (b) Prometheus exposition render of a busy registry: a few
 	// dozen engine series plus 256 tenants' RED series, the shape a
 	// scraper sees on a busy daemon.
 	{
@@ -1570,35 +1371,6 @@ func tableX11() {
 			dur.Round(time.Microsecond), r.Series, nbytes, r.NSPerOp)
 	}
 
-	// (d) Worker-snapshot merge: the coordinator-side cost of folding
-	// one worker's final registry into the parent, at a realistic
-	// worker series count.
-	{
-		worker := obs.NewRegistry()
-		for i := 0; i < 32; i++ {
-			worker.Counter(fmt.Sprintf("engine.counter.%02d", i)).Add(int64(i + 1))
-			worker.Gauge(fmt.Sprintf("engine.gauge.%02d", i)).Set(int64(i))
-		}
-		for i := 0; i < 8; i++ {
-			worker.Histogram(fmt.Sprintf("solver.hist.%02d", i)).Observe(int64(i) << 10)
-		}
-		snap := worker.Snapshot()
-		parent := obs.NewRegistry()
-		const iters = 4096
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			parent.Merge(snap)
-		}
-		dur := time.Since(start)
-		r := row{
-			Bench: "registry-merge", TimeNS: dur.Nanoseconds(),
-			Series:  len(snap.Metrics),
-			NSPerOp: float64(dur.Nanoseconds()) / iters,
-		}
-		rows = append(rows, r)
-		fmt.Fprintf(w, "registry-merge\t-\t%v\t-\t%d series, %.0f ns/op\n",
-			dur.Round(time.Microsecond), r.Series, r.NSPerOp)
-	}
 	w.Flush()
 
 	writeBench("BENCH_obsfleet.json", rows)

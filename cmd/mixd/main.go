@@ -5,8 +5,7 @@
 //	mixd [-addr host:port] [-rate n] [-burst n] [-max-inflight n]
 //	     [-default-deadline d] [-max-deadline d]
 //	     [-memo-size n] [-cons-limit n] [-respcache-size n]
-//	     [-cache-dir dir] [-shards n] [-shard-depth d]
-//	     [-flight n] [-drain-timeout d] [-pprof addr]
+//	     [-cache-dir dir] [-flight n] [-drain-timeout d] [-pprof addr]
 //
 // Endpoints: POST /check (core language), POST /analyze (MicroC),
 // POST /flush (drop in-memory caches), GET /metrics (obs JSON, or
@@ -40,11 +39,9 @@ import (
 	"mix/internal/obs"
 	"mix/internal/profiling"
 	"mix/internal/serve"
-	"mix/internal/shard"
 )
 
 func main() {
-	shard.WorkerMain() // no-op unless re-executed as a shard worker
 	var (
 		addr            = flag.String("addr", "localhost:7090", "listen address")
 		rate            = flag.Float64("rate", 0, "per-tenant admission rate in requests/sec (0 = unlimited)")
@@ -56,8 +53,6 @@ func main() {
 		consLimit       = flag.Int("cons-limit", 0, "hash-cons table soft limit (0 = default)")
 		respCacheSize   = flag.Int("respcache-size", 0, "verdict cache capacity in entries (0 = default)")
 		cacheDir        = flag.String("cache-dir", "", "persist caches (summaries, solver memo, models) under this directory across restarts")
-		shards          = flag.Int("shards", 0, "run core checks through n shard worker processes (0 = in-process)")
-		shardDepth      = flag.Int("shard-depth", 0, "fork-prefix depth for sharded checks (0 = default, 2)")
 		flightSize      = flag.Int("flight", 0, "flight-recorder capacity in requests (0 = 1024, -1 = off)")
 		drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")
 		pprofAddr       = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -84,8 +79,6 @@ func main() {
 		ConsLimit:         *consLimit,
 		ResponseCacheSize: *respCacheSize,
 		CacheDir:          *cacheDir,
-		Shards:            *shards,
-		ShardDepth:        *shardDepth,
 		FlightSize:        *flightSize,
 		Registry:          reg,
 	})

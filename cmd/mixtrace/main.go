@@ -212,10 +212,9 @@ func runValidate(args []string) {
 			if kind == obs.KindRoot {
 				roots[path] = true
 			}
-			// Merge, summary, and shard events happen on a live path:
-			// their path IDs must extend a root already declared in the
-			// trace.
-			if kind == obs.KindMerge || kind == obs.KindSummary || kind == obs.KindShard {
+			// Merge and summary events happen on a live path: their
+			// path IDs must extend a root already declared in the trace.
+			if kind == obs.KindMerge || kind == obs.KindSummary {
 				root, _, _ := strings.Cut(path, ".")
 				if !roots[root] {
 					report(line, fmt.Sprintf("%s event path %q is not under a live root", kind, path))

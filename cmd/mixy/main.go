@@ -42,14 +42,6 @@
 // qualifiers are pessimized to null, so warnings over-approximate
 // instead of silently missing.
 //
-// -shards n supervises the analysis in a worker process (DESIGN.md
-// section 15). MIXY's qualifier fixpoint flows facts across the whole
-// program, so the analysis is not partitioned; sharding buys fault
-// tolerance: a worker that crashes or stalls is killed and the whole
-// analysis failed over to a fresh worker (-shard-attempts times, with
-// jittered exponential backoff) before the run is declared lost and
-// degrades to explicit imprecision.
-//
 // Observability (see README "Stats and metrics schema" and DESIGN.md
 // section 11): -stats prints the run's metrics registry as sorted
 // "name value" lines — the same schema mix -stats uses; -metrics
@@ -71,17 +63,13 @@ import (
 	"mix/internal/cliflags"
 	"mix/internal/obs"
 	"mix/internal/profiling"
-	"mix/internal/shard"
 )
 
 func main() {
-	shard.WorkerMain() // no-op unless re-executed as a shard worker
 	var a cliflags.Analysis
 	var o cliflags.Obs
-	var sh cliflags.Sharding
 	a.Register(flag.CommandLine, cliflags.MicroC)
 	o.Register(flag.CommandLine)
-	sh.Register(flag.CommandLine)
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -116,14 +104,7 @@ func main() {
 		cfg.Tracer = obs.NewTracer(obs.TraceOptions{Deterministic: o.TraceDet})
 	}
 
-	var res mix.CResult
-	if sh.Shards > 0 {
-		sopts := shard.FromFlags(sh)
-		sopts.Tracer, sopts.Metrics = cfg.Tracer, cfg.Metrics
-		res, err = shard.ExploreMicroC(src, a, sopts)
-	} else {
-		res, err = mix.AnalyzeC(src, cfg)
-	}
+	res, err := mix.AnalyzeC(src, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mixy:", err)
 		os.Exit(2)

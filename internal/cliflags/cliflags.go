@@ -243,30 +243,6 @@ func (a Analysis) CConfig() mix.CConfig {
 	}
 }
 
-// Sharding carries the distributed-exploration flags shared by mix,
-// mixy, mixshard, and mixd (internal/shard; DESIGN.md section 15).
-// Like CacheDir, these are CLI / daemon-config only and deliberately
-// absent from the request schema: an HTTP client must not be able to
-// make the server spawn processes.
-type Sharding struct {
-	Shards      int
-	Depth       int
-	Attempts    int
-	Heartbeat   Duration
-	ItemTimeout Duration
-	Seed        int64
-}
-
-// Register binds the sharding flags on fs.
-func (s *Sharding) Register(fs *flag.FlagSet) {
-	fs.IntVar(&s.Shards, "shards", 0, "distribute exploration across n worker processes (0 = in-process)")
-	fs.IntVar(&s.Depth, "shard-depth", 0, "fork-prefix depth: the analysis splits into 2^depth work items (0 = default, 2)")
-	fs.IntVar(&s.Attempts, "shard-attempts", 0, "dispatch attempts per work item before its subtree is declared lost (0 = default, 3)")
-	fs.Var(&s.Heartbeat, "shard-heartbeat", "worker heartbeat period (0 = default, 100ms)")
-	fs.Var(&s.ItemTimeout, "shard-timeout", "max worker silence before a shard is declared lost (0 = default, 10x heartbeat)")
-	fs.Int64Var(&s.Seed, "shard-seed", 0, "seed for retry-backoff jitter (timing only, never output)")
-}
-
 // Obs carries the CLI-only observability flags (the daemon exposes the
 // same data over HTTP instead).
 type Obs struct {

@@ -72,15 +72,6 @@ type Options struct {
 	// side queries) in place of solver.New, so the differential tests
 	// can run it on solver.NewReference.
 	NewSolver func() *solver.Solver
-	// ShardPrefix, when non-empty, restricts every top-level symbolic
-	// block to the subtree selected by forcing its first
-	// len(ShardPrefix) fork decisions (false = then, true = else); the
-	// pruned siblings' guards keep the exhaustiveness check sound per
-	// shard, and BlockTypes records each block's agreed type so the
-	// shard coordinator can detect cross-shard type disagreement the
-	// restricted runs cannot see locally (DESIGN.md section 15). Only
-	// meaningful in ForkIf mode.
-	ShardPrefix []bool
 }
 
 // Report records one symbolic-execution finding and whether its path
@@ -112,18 +103,6 @@ type Checker struct {
 	// nested typed blocks concurrently.
 	mu      sync.Mutex
 	Reports []Report
-	// BlockTypes records, under a non-empty Options.ShardPrefix, one
-	// "pos type" line per successfully checked top-level symbolic block
-	// in program order. Every shard sees every top-level block, so the
-	// lists are positionally comparable across shards; a mismatch at
-	// some index is the sharded rendering of the unsharded "paths
-	// disagree on type" rejection, which no single restricted run can
-	// observe when the disagreeing paths land in different shards.
-	BlockTypes []string
-	// suppress, while positive, drops addReport findings: the vacuous-
-	// block retype re-explores subtrees whose findings belong to other
-	// shards.
-	suppress int
 }
 
 // New builds a mixed checker: a standard type checker and a standard
@@ -147,7 +126,6 @@ func New(opts Options) *Checker {
 	c.exec.TypBlock = c.seTypBlock
 	c.exec.MemCheck = c.memOK
 	c.exec.Engine = opts.Engine
-	c.exec.Prefix = opts.ShardPrefix
 	return c
 }
 
@@ -179,24 +157,8 @@ func (c *Checker) CheckSymbolic(env *types.Env, e lang.Expr) (types.Type, error)
 	return c.tSymBlock(env, e)
 }
 
-// tSymBlock is the TSYMBLOCK rule. Under a shard prefix it also
-// fingerprints each top-level block's agreed type into BlockTypes for
-// the coordinator's cross-shard agreement check.
+// tSymBlock is the TSYMBLOCK rule.
 func (c *Checker) tSymBlock(env *types.Env, e lang.Expr) (types.Type, error) {
-	fingerprint := len(c.opts.ShardPrefix) > 0 && !c.exec.RunActive()
-	ty, err := c.symBlock(env, e)
-	if err != nil {
-		return nil, err
-	}
-	if fingerprint {
-		c.mu.Lock()
-		c.BlockTypes = append(c.BlockTypes, fmt.Sprintf("%s %s", e.Pos(), ty))
-		c.mu.Unlock()
-	}
-	return ty, nil
-}
-
-func (c *Checker) symBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 	// Σ(x) = α_x : Γ(x) for all x ∈ dom(Γ).
 	senv := sym.EmptyEnv()
 	for _, name := range env.Names() {
@@ -212,20 +174,8 @@ func (c *Checker) symBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 	}
 	degraded := c.exec.ImprecisionCount() > before
 
-	// Pruned results are another shard's paths: their guards count
-	// toward exhaustiveness, ghosts (pruned with a value) additionally
-	// toward type agreement, and nothing else — the owning shard does
-	// the reporting and the memory checks.
-	var okResults, ghosts []sym.Result
-	var prunedGuards []sym.Val
+	var okResults []sym.Result
 	for _, r := range results {
-		if r.Pruned {
-			prunedGuards = append(prunedGuards, r.State.Guard)
-			if !r.Val.IsZero() {
-				ghosts = append(ghosts, r)
-			}
-			continue
-		}
 		if r.Err == nil {
 			okResults = append(okResults, r)
 			continue
@@ -264,26 +214,13 @@ func (c *Checker) symBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 		return nil, fmt.Errorf("core: %s: symbolic block exploration truncated, cannot certify: %w",
 			e.Pos(), cause)
 	}
-	if len(okResults) == 0 && len(ghosts) == 0 {
-		if len(prunedGuards) > 0 {
-			// Sharded, and every leaf inside this shard's slice erred
-			// infeasibly (surviving or ghost leaves would carry a
-			// type), so the slice cannot type the block. Re-run it
-			// unrestricted purely to recover the type the full tree
-			// agrees on: findings are suppressed — each leaf's
-			// canonical shard reports them — but a feasible error
-			// still rejects, exactly as it does in the owning shard.
-			return c.retypeFull(env, e)
-		}
+	if len(okResults) == 0 {
 		return nil, &types.Error{Pos: e.Pos(), Msg: "symbolic block has no surviving execution paths"}
 	}
 
-	// All paths must produce one type τ and a consistent memory; ghost
-	// leaves count toward agreement (their canonical shard holds the
-	// identical value).
-	typed := append(okResults[:len(okResults):len(okResults)], ghosts...)
-	ty := typed[0].Val.T
-	for _, r := range typed[1:] {
+	// All paths must produce one type τ and a consistent memory.
+	ty := okResults[0].Val.T
+	for _, r := range okResults[1:] {
 		if !types.Equal(r.Val.T, ty) {
 			return nil, &types.Error{Pos: e.Pos(),
 				Msg: fmt.Sprintf("symbolic block paths disagree on type: %s vs %s", ty, r.Val.T)}
@@ -312,18 +249,12 @@ func (c *Checker) symBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 		}
 	}
 
-	// exhaustive(g(S_1), ..., g(S_n)). Pruned guards stand in for the
-	// subtrees other shards explore: a shard's own leaves plus its
-	// pruned roots cover the full tree, so every shard's check passes
-	// exactly when the unsharded check would — a shard that lost a
-	// path inside its own slice still fails, because the pruned roots
-	// are disjoint from its slice.
+	// exhaustive(g(S_1), ..., g(S_n)).
 	if !c.opts.Unsound {
-		guards := make([]sym.Val, 0, len(okResults)+len(prunedGuards))
-		for _, r := range okResults {
-			guards = append(guards, r.State.Guard)
+		guards := make([]sym.Val, len(okResults))
+		for i, r := range okResults {
+			guards[i] = r.State.Guard
 		}
-		guards = append(guards, prunedGuards...)
 		// Valid(g1 ∨ ... ∨ gn) given the side constraints: check that
 		// ¬(g1 ∨ ... ∨ gn) ∧ sides is unsatisfiable.
 		tr := sym.NewTranslator()
@@ -341,25 +272,6 @@ func (c *Checker) symBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 		}
 	}
 	return ty, nil
-}
-
-// retypeFull re-checks a symbolic block with the shard prefix lifted,
-// purely to recover its type. Top-level blocks are checked
-// sequentially (the type checker is a sequential walker and the
-// executor has no Run in flight here), so swapping the prefix out and
-// back is unobserved by any concurrent reader.
-func (c *Checker) retypeFull(env *types.Env, e lang.Expr) (types.Type, error) {
-	c.mu.Lock()
-	c.suppress++
-	c.mu.Unlock()
-	prefix := c.exec.Prefix
-	c.exec.Prefix = nil
-	ty, err := c.symBlock(env, e)
-	c.exec.Prefix = prefix
-	c.mu.Lock()
-	c.suppress--
-	c.mu.Unlock()
-	return ty, err
 }
 
 // seTypBlock is the SETYPBLOCK rule.
@@ -480,13 +392,10 @@ func unknownSat(err error) bool {
 	return errors.Is(err, solver.ErrLimit) && fault.Of(err) == nil
 }
 
-// addReport appends a finding under the report lock (dropped during a
-// retypeFull re-exploration, whose findings belong to other shards).
+// addReport appends a finding under the report lock.
 func (c *Checker) addReport(r Report) {
 	c.mu.Lock()
-	if c.suppress == 0 {
-		c.Reports = append(c.Reports, r)
-	}
+	c.Reports = append(c.Reports, r)
 	c.mu.Unlock()
 }
 

@@ -89,8 +89,8 @@ func reversed(guards []sym.Val) []sym.Val {
 }
 
 // blockGuards runs e as a top-level symbolic block of c under env and
-// returns the guards symBlock's exhaustiveness check sees: those of
-// surviving and of pruned (including ghost) results, in run order.
+// returns the guards tSymBlock's exhaustiveness check sees: those of
+// the surviving results, in run order.
 func blockGuards(t *testing.T, c *Checker, env *types.Env, e lang.Expr) []sym.Val {
 	t.Helper()
 	senv := sym.EmptyEnv()
@@ -104,11 +104,19 @@ func blockGuards(t *testing.T, c *Checker, env *types.Env, e lang.Expr) []sym.Va
 	}
 	var guards []sym.Val
 	for _, r := range rs {
-		if r.Pruned || r.Err == nil {
+		if r.Err == nil {
 			guards = append(guards, r.State.Guard)
 		}
 	}
 	return guards
+}
+
+func boolEnv(names ...string) *types.Env {
+	env := types.EmptyEnv()
+	for _, n := range names {
+		env = env.Extend(n, types.Bool)
+	}
+	return env
 }
 
 // corpusEnv builds a typing environment from corpus name/type pairs.
@@ -152,17 +160,20 @@ func checkRunGuards(t *testing.T, name string, guards []sym.Val, accepted, allFe
 	}
 }
 
+// exhaustiveModes are the exploration modes whose block guards the
+// factored form must agree with the flat form on.
+var exhaustiveModes = []struct {
+	name string
+	opts Options
+}{
+	{"fork-merge-off", Options{}},
+	{"fork-merge-joins", Options{Merge: engine.MergeJoins}},
+	{"fork-merge-aggressive", Options{Merge: engine.MergeAggressive}},
+	{"defer", Options{IfMode: sym.DeferIf}},
+}
+
 func TestFactoredExhaustivenessMatchesFlatOnLadders(t *testing.T) {
-	modes := []struct {
-		name string
-		opts Options
-	}{
-		{"fork-merge-off", Options{}},
-		{"fork-merge-joins", Options{Merge: engine.MergeJoins}},
-		{"fork-merge-aggressive", Options{Merge: engine.MergeAggressive}},
-		{"defer", Options{IfMode: sym.DeferIf}},
-	}
-	for _, m := range modes {
+	for _, m := range exhaustiveModes {
 		for n := 1; n <= 8; n++ {
 			src, env := corpus.Ladder(n)
 			c := New(m.opts)
@@ -183,7 +194,9 @@ func TestFactoredExhaustivenessMatchesFlatOnLadders(t *testing.T) {
 	}
 }
 
-func TestFactoredExhaustivenessMatchesFlatUnderShardPrefixes(t *testing.T) {
+func TestFactoredExhaustivenessMatchesFlatOnHandWrittenTrees(t *testing.T) {
+	// A balanced two-fork block, a single fork, ladder-3, and a forked
+	// let whose body forks again on other variables.
 	programs := []struct {
 		src   string
 		names []string
@@ -193,14 +206,11 @@ func TestFactoredExhaustivenessMatchesFlatUnderShardPrefixes(t *testing.T) {
 		{corpusLadderSrc(3), []string{"b0", "b1", "b2"}},
 		{"let t = (if a then 1 else 2) in if b then t else (if c then 3 else 4)", []string{"a", "b", "c"}},
 	}
-	for pi, p := range programs {
-		// Depths past the tree's own leave ghost leaves.
-		for depth := 1; depth <= 4; depth++ {
-			for i, prefix := range shardPrefixes(depth) {
-				c := New(Options{ShardPrefix: prefix})
-				guards := blockGuards(t, c, boolEnv(p.names...), lang.MustParse(p.src))
-				checkRunGuards(t, fmt.Sprintf("program-%d/depth-%d/item-%d", pi, depth, i), guards, true, true)
-			}
+	for _, m := range exhaustiveModes {
+		for pi, p := range programs {
+			c := New(m.opts)
+			guards := blockGuards(t, c, boolEnv(p.names...), lang.MustParse(p.src))
+			checkRunGuards(t, fmt.Sprintf("%s/program-%d", m.name, pi), guards, true, true)
 		}
 	}
 }

@@ -50,29 +50,14 @@ const (
 	// integrity or version check; the entry is discarded and the work
 	// recomputed (degraded-to-recompute, never a wrong answer).
 	CacheCorrupt
-	// ShardLost is a distributed-exploration worker process that died
-	// (crashed, was killed, or garbled its protocol stream) while a
-	// subtree work item was in flight; the item is retried elsewhere
-	// and, if permanently lost, its subtree degrades to explicit
-	// imprecision.
-	ShardLost
-	// ShardTimeout is a worker that stopped heartbeating past its
-	// deadline while holding a work item; the coordinator kills and
-	// replaces it and retries the item.
-	ShardTimeout
-	// ShardPoison is a work item quarantined after killing more than
-	// one worker in a row: retrying it would only keep killing shards,
-	// so its subtree degrades immediately instead.
-	ShardPoison
 
 	// NumClasses is the number of classes, for counter arrays.
-	NumClasses = int(ShardPoison) + 1
+	NumClasses = int(CacheCorrupt) + 1
 )
 
 var classNames = [NumClasses]string{
 	"none", "timeout", "canceled", "path-budget", "step-budget",
 	"solver-limit", "worker-panic", "cache-corrupt",
-	"shard-lost", "shard-timeout", "shard-poison",
 }
 
 func (c Class) String() string {
@@ -85,24 +70,20 @@ func (c Class) String() string {
 // Classes lists every real class (excluding None), for tests that
 // sweep the taxonomy.
 func Classes() []Class {
-	return []Class{Timeout, Canceled, PathBudget, StepBudget, SolverLimit, WorkerPanic, CacheCorrupt,
-		ShardLost, ShardTimeout, ShardPoison}
+	return []Class{Timeout, Canceled, PathBudget, StepBudget, SolverLimit, WorkerPanic, CacheCorrupt}
 }
 
 // Transient reports whether a degradation of this class is tied to the
 // circumstances of one request rather than to the program under
 // analysis: retrying the identical request with a longer deadline (or
 // after load subsides) can genuinely succeed. Deadline expiries,
-// cancellations, recovered panics, and lost or stalled shards are
-// transient; budget and solver resource exhaustion are deterministic
-// for a fixed configuration, so a retry without a config change would
-// only rediscover them — and so is a poison item, which killed every
-// shard that touched it. The serving layer surfaces this as the
-// response's "retryable" hint, and the shard coordinator's retry loop
-// keys its bounded backoff off the same predicate.
+// cancellations, and recovered panics are transient; budget and solver
+// resource exhaustion are deterministic for a fixed configuration, so
+// a retry without a config change would only rediscover them. The
+// serving layer surfaces this as the response's "retryable" hint.
 func (c Class) Transient() bool {
 	switch c {
-	case Timeout, Canceled, WorkerPanic, ShardLost, ShardTimeout:
+	case Timeout, Canceled, WorkerPanic:
 		return true
 	}
 	return false

@@ -224,12 +224,6 @@ func TestTransient(t *testing.T) {
 		SolverLimit:  false,
 		CacheCorrupt: false,
 		None:         false,
-		// A lost or stalled shard is a scheduling accident — the same
-		// item can succeed on a healthy worker; a poison item killed
-		// every shard that touched it, so retrying cannot help.
-		ShardLost:    true,
-		ShardTimeout: true,
-		ShardPoison:  false,
 	}
 	for c, w := range want {
 		if got := c.Transient(); got != w {

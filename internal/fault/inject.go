@@ -23,17 +23,11 @@ const (
 	MidSearch
 	// FixpointIter fires at the top of each MIXY fixed-point iteration.
 	FixpointIter
-	// ShardItem fires in the shard coordinator before each work-item
-	// dispatch; an injected ShardLost/ShardTimeout fault simulates the
-	// loss of the shard holding that item without spawning and killing
-	// a real process, so the retry/backoff/quarantine machinery is
-	// testable in-process under -race.
-	ShardItem
 
-	numPoints = int(ShardItem) + 1
+	numPoints = int(FixpointIter) + 1
 )
 
-var pointNames = [numPoints]string{"pre-fork", "pre-solve", "mid-search", "fixpoint-iter", "shard-item"}
+var pointNames = [numPoints]string{"pre-fork", "pre-solve", "mid-search", "fixpoint-iter"}
 
 func (p Point) String() string {
 	if int(p) < len(pointNames) {

@@ -82,9 +82,6 @@ func WriteChrome(w io.Writer, events []Event) error {
 		if e.N != 0 {
 			args["n"] = e.N
 		}
-		if e.Item != 0 {
-			args["item"] = e.Item
-		}
 		ce.Args = args
 		out = append(out, ce)
 	}

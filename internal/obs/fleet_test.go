@@ -7,83 +7,12 @@ import (
 	"testing"
 )
 
-// The fleet suite pins the primitives cross-process aggregation is
-// built on: Delta's edge cases (the heartbeat protocol's unit),
-// Merge's commutativity (the coordinator folds worker registries in
-// whatever order results land), and the Prometheus exposition
-// rendering.
+// This suite pins the registry primitives behind aggregation and
+// exposition: Merge's commutativity (a harness folds per-check
+// registries in whatever order it gets them), RemovePrefix, and the
+// Prometheus exposition rendering.
 
-func TestDeltaMetricOnlyInNewerPassesThrough(t *testing.T) {
-	r := NewRegistry()
-	prev := r.Snapshot()
-	r.Counter("born.counter").Add(4)
-	r.Histogram("born.hist").Observe(100)
-	r.Gauge("born.gauge").Set(9)
-	d := r.Snapshot().Delta(prev)
-	byName := map[string]Metric{}
-	for _, m := range d.Metrics {
-		byName[m.Name] = m
-	}
-	if m := byName["born.counter"]; m.Value != 4 {
-		t.Fatalf("counter new in the window = %+v, want value 4", m)
-	}
-	if m := byName["born.hist"]; m.Count != 1 || m.Sum != 100 {
-		t.Fatalf("histogram new in the window = %+v, want count 1 sum 100", m)
-	}
-	if m := byName["born.gauge"]; m.Value != 9 {
-		t.Fatalf("gauge new in the window = %+v, want value 9", m)
-	}
-}
-
-func TestDeltaMetricOnlyInOlderIsAbsent(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("doomed.counter").Add(4)
-	r.Histogram("doomed.hist").Observe(100)
-	prev := r.Snapshot()
-	if n := r.RemovePrefix("doomed."); n != 2 {
-		t.Fatalf("RemovePrefix removed %d, want 2", n)
-	}
-	r.Counter("alive").Inc()
-	d := r.Snapshot().Delta(prev)
-	if len(d.Metrics) != 1 || d.Metrics[0].Name != "alive" {
-		t.Fatalf("delta after eviction = %+v, want only the live counter", d.Metrics)
-	}
-}
-
-func TestDeltaHistogramBucketwise(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat")
-	h.Observe(10)   // bucket 0
-	h.Observe(2000) // bucket 3
-	prev := r.Snapshot()
-	h.Observe(10)  // bucket 0 again
-	h.Observe(300) // bucket 1
-	d := r.Snapshot().Delta(prev)
-	if len(d.Metrics) != 1 {
-		t.Fatalf("delta = %+v, want one histogram", d.Metrics)
-	}
-	m := d.Metrics[0]
-	// Bucket 3 is unchanged, so the trailing zeroes must be trimmed
-	// down to the last active bucket.
-	if m.Count != 2 || m.Sum != 310 || !reflect.DeepEqual(m.Buckets, []int64{1, 1}) {
-		t.Fatalf("histogram delta = %+v, want count 2 sum 310 buckets [1 1]", m)
-	}
-}
-
-func TestDeltaIgnoresTypeCollision(t *testing.T) {
-	// A name that changes type between snapshots (possible after an
-	// eviction + re-registration) must not subtract across types.
-	old := NewRegistry()
-	old.Gauge("x").Set(100)
-	cur := NewRegistry()
-	cur.Counter("x").Add(3)
-	d := cur.Snapshot().Delta(old.Snapshot())
-	if len(d.Metrics) != 1 || d.Metrics[0].Value != 3 {
-		t.Fatalf("cross-type delta = %+v, want the raw counter value 3", d.Metrics)
-	}
-}
-
-// fleetSnapshots builds two overlapping worker-style snapshots.
+// fleetSnapshots builds two overlapping per-check snapshots.
 func fleetSnapshots() (MetricsSnapshot, MetricsSnapshot) {
 	a := NewRegistry()
 	a.Counter("shared.counter").Add(3)
@@ -126,7 +55,7 @@ func TestMergeAddsEveryKind(t *testing.T) {
 		t.Fatalf("only.a = %d, want 1", v)
 	}
 	// Gauges sum under merge: every published gauge is a run total, so
-	// the fleet reading is the sum of local + worker readings.
+	// the merged reading is the sum of every registry's.
 	if v := r.Gauge("shared.gauge").Value(); v != 5+10+32 {
 		t.Fatalf("shared.gauge = %d, want 5+10+32", v)
 	}
@@ -195,7 +124,7 @@ func TestPromNameSanitization(t *testing.T) {
 
 func TestWritePromExpositionFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("shard.retries").Add(3)
+	r.Counter("serve.rejected").Add(3)
 	r.Gauge("engine.paths").Set(12)
 	h := r.Histogram("solver.query.ns")
 	h.Observe(100)  // bucket 0
@@ -220,14 +149,14 @@ func TestWritePromExpositionFormat(t *testing.T) {
 			}
 		}
 	}
-	want := []string{"engine_paths", "shard_retries", "solver_query_ns"}
+	want := []string{"engine_paths", "serve_rejected", "solver_query_ns"}
 	if !reflect.DeepEqual(families, want) {
 		t.Fatalf("families = %v, want sorted %v", families, want)
 	}
 
 	for _, mustHave := range []string{
-		"# TYPE shard_retries counter\n",
-		"shard_retries 3\n",
+		"# TYPE serve_rejected counter\n",
+		"serve_rejected 3\n",
 		"# TYPE engine_paths gauge\n",
 		"engine_paths 12\n",
 		"# TYPE solver_query_ns histogram\n",
@@ -252,95 +181,5 @@ func TestWritePromExpositionFormat(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("two renderings of the same state differ")
-	}
-}
-
-func TestSpliceDeterministicDedupsSharedSpine(t *testing.T) {
-	// Two "workers" replay the same fork spine (root + fork at the same
-	// (path, pseq)) and then explore different children — exactly what
-	// forced-fork prefix replay produces.
-	worker := func(child int) []Event {
-		tr := NewTracer(TraceOptions{Deterministic: true})
-		root := tr.Root("sym.run")
-		root.Fork(2)
-		c0, c1 := root.Child(), root.Child()
-		if child == 0 {
-			c0.Merge("then-side", 1, 0)
-		} else {
-			c1.Merge("else-side", 1, 0)
-		}
-		root.Join()
-		return tr.Events()
-	}
-	tr := NewTracer(TraceOptions{Deterministic: true})
-	tr.Splice(0, worker(0))
-	tr.Splice(1, worker(1))
-	events := tr.Events()
-	// One root, one fork, one join (spine deduped), two merges.
-	kinds := map[string]int{}
-	for _, e := range events {
-		kinds[e.Kind]++
-		if e.Item != 0 {
-			t.Fatalf("deterministic splice must not tag items: %+v", e)
-		}
-	}
-	if kinds[KindRoot] != 1 || kinds[KindFork] != 1 || kinds[KindJoin] != 1 || kinds[KindMerge] != 2 {
-		t.Fatalf("kind counts = %v, want deduped spine + both children", kinds)
-	}
-	for i, e := range events {
-		if e.Seq != int64(i) {
-			t.Fatalf("seq not renumbered densely after dedup: %+v at %d", e, i)
-		}
-	}
-	// A root opened after the splice numbers past the spliced ones.
-	late := tr.Root("shard.coordinator")
-	if late.Path() != rootID(1) {
-		t.Fatalf("post-splice root = %s, want %s", late.Path(), rootID(1))
-	}
-}
-
-func TestSpliceTimedRenumbersAndTags(t *testing.T) {
-	wt := NewTracer(TraceOptions{})
-	root := wt.Root("sym.run")
-	root.Fork(1)
-	child := root.Child()
-	child.Merge("site", 2, 1)
-
-	tr := NewTracer(TraceOptions{})
-	own := tr.Root("shard.coordinator")
-	own.ShardEvent("dispatch item=3 attempt=1", "")
-	tr.Splice(2, wt.Events())
-
-	events := tr.Events()
-	var spliced []Event
-	for _, e := range events {
-		if e.Item != 0 {
-			if e.Item != 3 {
-				t.Fatalf("item tag = %d, want 3 (1-based)", e.Item)
-			}
-			spliced = append(spliced, e)
-		}
-	}
-	if len(spliced) != 3 {
-		t.Fatalf("spliced %d events, want 3 (root, fork, merge)", len(spliced))
-	}
-	// The worker's r00000 collides with the coordinator's own root, so
-	// the splice must have moved it to a fresh root.
-	if spliced[0].Path == own.Path() {
-		t.Fatalf("worker root not renumbered away from the local %s", own.Path())
-	}
-	// Order and structure survive: root, fork on the root, merge under
-	// a child whose parent is the renumbered root.
-	if spliced[0].Kind != KindRoot || spliced[1].Kind != KindFork || spliced[2].Kind != KindMerge {
-		t.Fatalf("spliced order = %v %v %v, want root fork merge", spliced[0].Kind, spliced[1].Kind, spliced[2].Kind)
-	}
-	if spliced[2].Parent != spliced[0].Path {
-		t.Fatalf("child parent = %q, want the renumbered root %q", spliced[2].Parent, spliced[0].Path)
-	}
-	// Global seq is strictly increasing across native + spliced events.
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq <= events[i-1].Seq {
-			t.Fatalf("seq not strictly increasing at %d: %+v", i, events[i])
-		}
 	}
 }

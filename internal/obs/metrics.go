@@ -72,9 +72,9 @@ func (g *Gauge) Set(v int64) {
 }
 
 // Add increments the gauge by n. Gauges are last-write-wins for
-// owners that Set them; Add exists for the fleet-merge path, where a
-// gauge that records a run total (paths explored, forks charged) must
-// accumulate across worker registries.
+// owners that Set them; Add exists for Registry.Merge, where a gauge
+// that records a run total (paths explored, forks charged) must
+// accumulate across the merged registries.
 func (g *Gauge) Add(n int64) {
 	if g != nil {
 		g.v.Add(n)
@@ -233,15 +233,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Merge folds a snapshot from another registry (typically a shard
-// worker's) into this one: counters and histograms (counts, sums,
-// buckets) add, and gauges add too — every gauge the analysis stack
-// publishes is a run total (paths, forks, solver query time), so
-// summing worker readings reconstructs the fleet-wide total. Adding
-// is commutative and associative, so merging worker snapshots in any
-// order yields the same registry state; the serving layer and the
-// shard coordinator rely on that to merge results as they arrive.
-// A nil registry ignores the merge.
+// Merge folds a snapshot from another registry (typically one check's)
+// into this one: counters and histograms (counts, sums, buckets) add,
+// and gauges add too — every gauge the analysis stack publishes is a
+// run total (paths, forks, solver query time), so summing per-check
+// readings reconstructs the total over all of them. Adding is
+// commutative and associative, so merging snapshots in any order
+// yields the same registry state; a benchmark harness relies on that
+// to sum the registries of many checks. A nil registry ignores the
+// merge.
 func (r *Registry) Merge(s MetricsSnapshot) {
 	if r == nil {
 		return
@@ -351,55 +351,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	r.mu.Unlock()
 	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
 	return s
-}
-
-// Delta subtracts an earlier snapshot of the same registry from this
-// one, yielding the activity of the window between them: counter
-// values, histogram counts/sums/buckets become differences, while
-// gauges (instantaneous readings) keep this snapshot's value. Metrics
-// absent from prev pass through unchanged; metrics that show no
-// activity in the window are dropped, so a quiet window is an empty
-// delta. This is how the serving layer turns one long-lived registry
-// into per-request and per-phase readings without allocating a
-// registry per request.
-func (s MetricsSnapshot) Delta(prev MetricsSnapshot) MetricsSnapshot {
-	prevByName := make(map[string]Metric, len(prev.Metrics))
-	for _, m := range prev.Metrics {
-		prevByName[m.Name] = m
-	}
-	out := MetricsSnapshot{SchemaVersion: s.SchemaVersion}
-	for _, m := range s.Metrics {
-		p, ok := prevByName[m.Name]
-		if ok && p.Type == m.Type {
-			switch m.Type {
-			case "counter":
-				m.Value -= p.Value
-			case "histogram":
-				m.Count -= p.Count
-				m.Sum -= p.Sum
-				for i := range m.Buckets {
-					if i < len(p.Buckets) {
-						m.Buckets[i] -= p.Buckets[i]
-					}
-				}
-				for len(m.Buckets) > 0 && m.Buckets[len(m.Buckets)-1] == 0 {
-					m.Buckets = m.Buckets[:len(m.Buckets)-1]
-				}
-			}
-		}
-		switch m.Type {
-		case "counter":
-			if m.Value == 0 {
-				continue
-			}
-		case "histogram":
-			if m.Count == 0 && m.Sum == 0 {
-				continue
-			}
-		}
-		out.Metrics = append(out.Metrics, m)
-	}
-	return out
 }
 
 // WriteJSON writes the snapshot as indented JSON (sorted by name, so

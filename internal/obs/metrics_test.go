@@ -159,49 +159,3 @@ func TestConcurrentRecording(t *testing.T) {
 		t.Fatalf("hist count = %d, want 8000", got)
 	}
 }
-
-// TestSnapshotDelta pins the windowed-reading semantics the serving
-// layer uses for per-request metrics: counters and histograms subtract,
-// gauges read through, idle metrics vanish.
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("reqs").Add(5)
-	r.Counter("idle").Add(3)
-	r.Gauge("inflight").Set(2)
-	r.Histogram("lat").Observe(300)
-	prev := r.Snapshot()
-
-	r.Counter("reqs").Add(2)
-	r.Gauge("inflight").Set(7)
-	r.Histogram("lat").Observe(300)
-	r.Histogram("lat").Observe(100000)
-	r.Counter("fresh").Inc()
-	d := r.Snapshot().Delta(prev)
-
-	byName := map[string]Metric{}
-	for _, m := range d.Metrics {
-		byName[m.Name] = m
-	}
-	if m := byName["reqs"]; m.Value != 2 {
-		t.Fatalf("reqs delta = %+v, want value 2", m)
-	}
-	if _, ok := byName["idle"]; ok {
-		t.Fatal("idle counter should be dropped from the delta")
-	}
-	if m := byName["inflight"]; m.Value != 7 {
-		t.Fatalf("gauge should read through: %+v", m)
-	}
-	if m := byName["lat"]; m.Count != 2 || m.Sum != 300+100000 {
-		t.Fatalf("lat delta = %+v, want count 2 sum %d", m, 300+100000)
-	}
-	if m := byName["fresh"]; m.Value != 1 {
-		t.Fatalf("metric new in the window should pass through: %+v", m)
-	}
-	// A quiet window deltas to nothing but the gauges.
-	d = r.Snapshot().Delta(r.Snapshot())
-	for _, m := range d.Metrics {
-		if m.Type != "gauge" {
-			t.Fatalf("quiet window still reports %+v", m)
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,9 +13,9 @@ import (
 
 // TraceSchemaVersion stamps the JSONL event schema; the checked-in
 // validator (cmd/mixtrace, testdata/trace_schema.json) pins it.
-// Version 2 added the optional worker-origin "item" field carried by
-// events spliced from shard workers into a timing-mode trace.
-const TraceSchemaVersion = 2
+// Version 3 dropped the distributed-exploration event kind, its fault
+// classes and the worker-origin "item" field of version 2.
+const TraceSchemaVersion = 3
 
 // Event is one structured trace event, serialized as a single JSONL
 // line. Field presence varies by kind and mode:
@@ -44,12 +43,6 @@ type Event struct {
 	N2      int64  `json:"n2,omitempty"`
 	TNs     int64  `json:"t_ns,omitempty"`
 	DurNs   int64  `json:"dur_ns,omitempty"`
-	// Item is the 1-based shard work item the event originated from,
-	// stamped when a timing-mode trace splices worker events (0 = not
-	// from a worker). Deterministic traces never carry it: a spliced
-	// deterministic trace is byte-identical to the unsharded one, and
-	// worker provenance would break that.
-	Item int64 `json:"item,omitempty"`
 }
 
 // Event kinds. Kinds marked (timing-only) depend on scheduling —
@@ -71,7 +64,6 @@ const (
 	KindCacheMiss = "cache-miss" // MIXY block-summary cache miss; detail = block key
 	KindBlock     = "block"      // MIXY symbolic block analyzed; detail = block key
 	KindSummary   = "summary"    // function-summary use at a call site; detail = "instantiate fn" (n = arms) or "fallback fn: reason"
-	KindShard     = "shard"      // (timing-only) shard coordinator lifecycle; detail = step ("dispatch item=3 attempt=2"), class = fault class on failures
 )
 
 // traceShards is the number of event-buffer shards. Spans hash to a
@@ -100,9 +92,9 @@ const DefaultTraceCap = 1 << 20
 // geometrically up to max, a monotone write count, and
 // oldest-overwrite once the array is at max. Growing lazily instead
 // of preallocating max matters operationally: a tracer's cap defaults
-// to ~1M events (tens of MB of pointer-ful structs), and a freshly
-// spawned shard worker that pays the page-in and GC-scan cost of that
-// slab up front spends more time faulting memory than analyzing.
+// to ~1M events (tens of MB of pointer-ful structs), and a short check
+// that pays the page-in and GC-scan cost of that slab up front spends
+// more time faulting memory than analyzing.
 // Which events survive is unchanged — both shapes keep the newest max
 // events.
 type traceShard struct {
@@ -346,126 +338,12 @@ func (s *Span) Degrade(class, detail string) {
 	}
 }
 
-// ShardEvent records one shard-coordinator lifecycle step (dispatch,
-// heartbeat timeout, retry, respawn, quarantine). Which attempt of an
-// item succeeds depends on real process scheduling and wall-clock
-// heartbeats, so shard events are timing-mode only; the deterministic
-// record of a permanently lost subtree is its Degrade event.
-func (s *Span) ShardEvent(detail, class string) {
-	if s == nil || s.t.det {
-		return
-	}
-	s.emit(Event{Kind: KindShard, Detail: detail, Class: class})
-}
-
 // Emit records an arbitrary event on this span, for kinds without a
 // dedicated helper (iter, cache-hit, cache-miss, block). Path, seq,
 // and timing fields are stamped by the span.
 func (s *Span) Emit(e Event) {
 	if s != nil {
 		s.emit(e)
-	}
-}
-
-// insert appends a fully-stamped event to the shard ring its path
-// hashes to — the same placement emit uses, so spliced and native
-// events of one path share a ring.
-func (t *Tracer) insert(e Event) {
-	h := fnv.New32a()
-	io.WriteString(h, e.Path)
-	t.shards[h.Sum32()%traceShards].put(e, &t.dropped)
-}
-
-// parseRootID extracts the numeric root ID from a path ("r00012" or
-// "r00012.3.1" → 12).
-func parseRootID(path string) (int64, bool) {
-	if len(path) < 6 || path[0] != 'r' {
-		return 0, false
-	}
-	var n int64
-	for i := 1; i < 6; i++ {
-		c := path[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(c-'0')
-	}
-	return n, true
-}
-
-// reserveRoots raises the root counter to at least n, so the next
-// Root call returns an ID strictly after every spliced root.
-func (t *Tracer) reserveRoots(n int64) {
-	for {
-		cur := t.roots.Load()
-		if n <= cur || t.roots.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Splice injects events recorded by another tracer — a shard worker's
-// — into this one, making a sharded run's trace read like an
-// unsharded one. The two modes differ because their determinism
-// contracts differ:
-//
-// Deterministic mode keeps worker events verbatim. Worker paths are
-// already the paths the unsharded run would have used: every item
-// replays the shared fork spine (forced forks emit the same fork /
-// join events at the same (path, pseq) as real forks), so spine
-// events arrive once per item and the exact-duplicate dedup in
-// Events() collapses them. The root counter advances past every
-// spliced root, so a root opened after the splice (the coordinator's
-// degrade root) sorts strictly after all worker subtrees. item is
-// ignored — worker provenance would break byte-identity with the
-// unsharded trace.
-//
-// Timing mode renumbers: each distinct worker root becomes a fresh
-// root of this tracer, paths are rewritten under it, events are
-// tagged with their 1-based item of origin and given fresh seq
-// numbers preserving worker order. t_ns stays worker-relative (each
-// worker process has its own clock origin).
-//
-// Callers must splice from one goroutine at a time per tracer (the
-// shard coordinator splices post-barrier, in item order).
-func (t *Tracer) Splice(item int, events []Event) {
-	if t == nil || len(events) == 0 {
-		return
-	}
-	if t.det {
-		maxRoot := int64(-1)
-		for _, e := range events {
-			if id, ok := parseRootID(e.Path); ok && id > maxRoot {
-				maxRoot = id
-			}
-			t.insert(e)
-		}
-		t.reserveRoots(maxRoot + 1)
-		return
-	}
-	sorted := make([]Event, len(events))
-	copy(sorted, events)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
-	remap := map[string]string{}
-	for _, e := range sorted {
-		root := e.Path
-		if i := strings.IndexByte(root, '.'); i >= 0 {
-			root = root[:i]
-		}
-		nr, ok := remap[root]
-		if !ok {
-			nr = rootID(t.roots.Add(1) - 1)
-			remap[root] = nr
-		}
-		// Roots are fixed-width ("rNNNNN"), so the parent shares the
-		// path's root prefix byte-for-byte.
-		e.Path = nr + e.Path[len(root):]
-		if e.Parent != "" {
-			e.Parent = nr + e.Parent[len(root):]
-		}
-		e.Item = int64(item) + 1
-		e.Seq = t.seq.Add(1) - 1
-		t.insert(e)
 	}
 }
 
@@ -496,28 +374,8 @@ func (t *Tracer) Events() []Event {
 			if a.Path != b.Path {
 				return a.Path < b.Path
 			}
-			if a.PSeq != b.PSeq {
-				return a.PSeq < b.PSeq
-			}
-			// (path, pseq) collides only for splice-delivered spine
-			// duplicates, which are identical events; the tiebreak just
-			// pins the order of pathological near-duplicates.
-			if a.Kind != b.Kind {
-				return a.Kind < b.Kind
-			}
-			return a.Detail < b.Detail
+			return a.PSeq < b.PSeq
 		})
-		// Splicing worker subtraces re-delivers the shared fork spine
-		// once per item; collapse exact (path, pseq) duplicates. An
-		// unspliced trace never has any (pseq is per-span monotone).
-		dedup := all[:0]
-		for i, e := range all {
-			if i > 0 && e.Path == all[i-1].Path && e.PSeq == all[i-1].PSeq {
-				continue
-			}
-			dedup = append(dedup, e)
-		}
-		all = dedup
 		for i := range all {
 			all[i].Seq = int64(i)
 		}

@@ -9,7 +9,7 @@ import (
 // FlightEntry is one request's summary in the flight recorder: enough
 // to reconstruct what the daemon was doing in its last moments (or
 // minutes) without a tracing run — who asked, what came back, how
-// long it took, and what the fault/retry machinery did along the way.
+// long it took, and which fault class degraded it.
 type FlightEntry struct {
 	// TNs is the request's arrival time (unix nanoseconds).
 	TNs int64 `json:"t_unix_ns"`
@@ -28,8 +28,6 @@ type FlightEntry struct {
 	Fault string `json:"fault,omitempty"`
 	// Cached reports a verdict-cache hit.
 	Cached bool `json:"cached,omitempty"`
-	// ShardRetries counts coordinator retries during a sharded check.
-	ShardRetries int64 `json:"shard_retries,omitempty"`
 	// LatencyNS is the server-side processing time.
 	LatencyNS int64 `json:"latency_ns"`
 }

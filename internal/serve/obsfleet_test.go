@@ -5,23 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"mix/internal/obs"
-	"mix/internal/shard"
 )
-
-// TestMain lets the sharded-serving tests spawn real worker processes:
-// the shard process dialer re-executes this test binary, and
-// WorkerMain turns that re-execution into a serving worker.
-func TestMain(m *testing.M) {
-	shard.WorkerMain()
-	os.Exit(m.Run())
-}
 
 func getBody(t *testing.T, url string) (*http.Response, string) {
 	t.Helper()
@@ -244,36 +234,5 @@ func TestScrapesSurviveDrain(t *testing.T) {
 	fl, fbody := getBody(t, ts.URL+"/debug/flight")
 	if fl.StatusCode != 200 || !strings.Contains(fbody, `"tenant":"acme"`) {
 		t.Fatalf("flight dump during drain = %d:\n%s", fl.StatusCode, fbody)
-	}
-}
-
-// TestShardedServeMergesWorkerMetrics pins satellite aggregation end
-// to end through the daemon: a sharded check's worker-side analysis
-// counters (engine paths, solver queries) land in the server registry
-// — scrape-visible and part of the final drain flush — and the
-// request itself lands in the flight recorder.
-func TestShardedServeMergesWorkerMetrics(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Shards: 2})
-	req := ladderRequest(3)
-	req.Tenant = "fleet"
-	resp, body := post(t, ts.URL+"/check", req)
-	if resp.StatusCode != 200 {
-		t.Fatalf("sharded /check = %d: %s", resp.StatusCode, body)
-	}
-	if r := decode(t, body); r.Check == nil || r.Check.Degraded || r.Check.Type != "int" {
-		t.Fatalf("sharded verdict: %s", body)
-	}
-	if v := srv.reg.Gauge("engine.paths").Value(); v <= 0 {
-		t.Fatalf("engine.paths = %d in the server registry: worker metrics were not merged", v)
-	}
-	if v := srv.reg.Gauge("solver.queries").Value(); v <= 0 {
-		t.Fatalf("solver.queries = %d: worker metrics were not merged", v)
-	}
-	if v := srv.reg.Counter("shard.items_done").Value(); v <= 0 {
-		t.Fatalf("shard.items_done = %d: coordinator counters were not merged", v)
-	}
-	_, fbody := getBody(t, ts.URL+"/debug/flight")
-	if !strings.Contains(fbody, `"tenant":"fleet"`) {
-		t.Fatalf("sharded request missing from flight: %s", fbody)
 	}
 }

@@ -49,7 +49,6 @@ import (
 	"mix/internal/fault"
 	"mix/internal/obs"
 	"mix/internal/profiling"
-	"mix/internal/shard"
 	"mix/internal/summary"
 )
 
@@ -87,17 +86,6 @@ type Options struct {
 	// drops only the in-memory generations. Server-side configuration
 	// only — requests cannot name filesystem paths.
 	CacheDir string
-	// Shards > 0 runs core-language checks through the sharded
-	// exploration coordinator (internal/shard, DESIGN.md section 15):
-	// each check splits into 2^ShardDepth subtree work items
-	// dispatched to that many worker processes, with heartbeat
-	// supervision, retry, and graceful degradation of lost subtrees.
-	// Server-side configuration only — requests cannot spawn
-	// processes. MicroC requests stay in-process either way: their
-	// value from the daemon is cache warmth, which worker processes
-	// cannot share. ShardDepth 0 means the coordinator default (2).
-	Shards     int
-	ShardDepth int
 	// Registry receives the server's own metrics (request counts,
 	// rejections, latency, cache gauges, per-tenant RED series). Nil
 	// creates a private one; it is exposed at GET /metrics either way
@@ -463,7 +451,7 @@ func (s *Server) analysisHandler(kind string) http.Handler {
 		}
 
 		s.requests.Inc()
-		resp, code, errMsg := s.run(kind, &req, &fe)
+		resp, code, errMsg := s.run(kind, &req)
 		elapsed := time.Since(t0)
 		s.latency.Observe(int64(elapsed))
 		if code != http.StatusOK {
@@ -522,9 +510,8 @@ func (s *Server) deadline(req *Request) time.Duration {
 }
 
 // run executes one admitted request. It returns the response (code
-// 200), or a non-200 code and message. fe receives the fields only
-// the run can know (shard retry counts).
-func (s *Server) run(kind string, req *Request, fe *FlightEntry) (*Response, int, string) {
+// 200), or a non-200 code and message.
+func (s *Server) run(kind string, req *Request) (*Response, int, string) {
 	resp := &Response{Kind: kind}
 
 	// Parse errors are 400s — the client sent a program the language
@@ -570,40 +557,7 @@ func (s *Server) run(kind string, req *Request, fe *FlightEntry) (*Response, int
 		if err := cfg.Validate(); err != nil {
 			return nil, http.StatusBadRequest, err.Error()
 		}
-		var res mix.Result
-		if s.opts.Shards > 0 {
-			// The sharded path trades the daemon's warm caches for
-			// process isolation; the request's deadline still binds each
-			// worker's analysis. It always runs with a registry — the
-			// request's own when it asked for metrics, a scratch one
-			// otherwise — because the coordinator merges worker-side
-			// counters into it, and those belong in the server's fleet
-			// totals either way.
-			sreg := reg
-			if sreg == nil {
-				sreg = obs.NewRegistry()
-			}
-			sreq := req.Analysis
-			sreq.Deadline = cliflags.Duration(cfg.Deadline)
-			var serr error
-			res, serr = shard.ExploreCore(req.Source, sreq, shard.Options{
-				Shards:  s.opts.Shards,
-				Depth:   s.opts.ShardDepth,
-				Metrics: sreg,
-				Tracer:  tr,
-			})
-			if serr != nil {
-				return nil, http.StatusBadRequest, serr.Error()
-			}
-			// Fold the run's counters — coordinator bookkeeping and the
-			// worker registries it merged — into the server registry, so
-			// /metrics scrapes and the final drain flush account sharded
-			// work like in-process work.
-			s.reg.Merge(sreg.Snapshot())
-			fe.ShardRetries = sreg.Counter("shard.retries").Value()
-		} else {
-			res = mix.Check(req.Source, cfg)
-		}
+		res := mix.Check(req.Source, cfg)
 		cr := &CheckResult{
 			Type:          res.Type,
 			Reports:       res.Reports,

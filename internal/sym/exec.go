@@ -45,14 +45,6 @@ type Result struct {
 	State State
 	Val   Val
 	Err   *PathError
-	// Pruned marks a result that stands in for paths another shard
-	// explores (DESIGN.md section 15). Its guard covers the pruned
-	// subtree and must count toward the exhaustiveness disjunction; a
-	// nonzero Val (a ghost of a leaf whose canonical copy lives in
-	// another shard) additionally counts toward path type agreement.
-	// Pruned results carry no findings and skip the memory check — the
-	// owning shard performs both.
-	Pruned bool
 }
 
 // Stats counts executor work for the fork-vs-defer benchmarks.
@@ -110,21 +102,6 @@ type Executor struct {
 	// solver-backed variant that decides address equality under the
 	// current path condition.
 	MemCheck func(st State) error
-	// Prefix, when non-empty, restricts every top-level Run to the
-	// subtree selected by forcing its first len(Prefix) symbolic fork
-	// decisions (false takes the then arm, true the else arm). Each
-	// forced fork emits a Pruned complement result whose guard stands
-	// in for the entire unexplored sibling subtree, and leaves that
-	// complete before consuming every bit are canonicalized by
-	// dedupPrefix, so the work items of a sharded exploration partition
-	// the full path tree exactly (DESIGN.md section 15). Nested Runs —
-	// symbolic blocks reached through typed blocks during an outer Run
-	// — explore fully: their whole tree belongs to the shard owning the
-	// enclosing path. Only meaningful in ForkIf mode.
-	Prefix []bool
-	// running counts active Run invocations; it distinguishes the
-	// top-level Runs that consume Prefix from nested ones.
-	running atomic.Int32
 
 	// stopped flips when a classified fault truncates exploration; the
 	// remaining work unwinds promptly (run returns empty result sets,
@@ -180,11 +157,6 @@ func (x *Executor) Run(env *Env, st State, e lang.Expr) ([]Result, error) {
 		// order, so root IDs are deterministic.
 		st.span = x.Engine.Tracer().Root("sym.run")
 	}
-	topLevel := x.running.Add(1) == 1
-	defer x.running.Add(-1)
-	if topLevel && len(x.Prefix) > 0 {
-		st.prefixOn = true
-	}
 	x.steps.Store(int64(x.MaxSteps))
 	x.stopped.Store(false)
 	x.degradedMu.Lock()
@@ -194,66 +166,18 @@ func (x *Executor) Run(env *Env, st State, e lang.Expr) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.prefixOn {
-		rs = x.dedupPrefix(rs)
-	}
 	kept := rs[:0]
-	live := 0
 	for _, r := range rs {
 		if b, ok := r.State.Guard.U.(BoolConst); ok && !b.Val {
 			continue
 		}
 		kept = append(kept, r)
-		if !r.Pruned {
-			live++
-		}
 	}
 	x.statsMu.Lock()
-	x.Stats.Paths += live
+	x.Stats.Paths += len(kept)
 	x.statsMu.Unlock()
-	x.Engine.AddPaths(live)
+	x.Engine.AddPaths(len(kept))
 	return kept, nil
-}
-
-// RunActive reports whether a Run is in flight on this executor; the
-// mix layer uses it to tell top-level symbolic blocks (which consume
-// the shard Prefix) from nested ones reached during an outer Run.
-func (x *Executor) RunActive() bool { return x.running.Load() > 0 }
-
-// dedupPrefix canonicalizes the results of a prefix-restricted Run
-// whose paths completed before consuming every prefix bit. Such a
-// leaf is reached identically by every work item whose prefix agrees
-// on the bits the path did consume, so exactly one item of that group
-// — the one whose remaining bits are all false, the depth-first-first
-// — keeps it as a real result. In every other item it becomes a
-// ghost: a Pruned result contributing its guard to exhaustiveness and
-// its value's type to path agreement, but no findings; a ghost error
-// leaf is dropped outright (its canonical item reports it).
-func (x *Executor) dedupPrefix(rs []Result) []Result {
-	out := rs[:0]
-	for _, r := range rs {
-		if r.Pruned || !r.State.prefixOn || r.State.prefixPos >= len(x.Prefix) {
-			out = append(out, r)
-			continue
-		}
-		canonical := true
-		for _, bit := range x.Prefix[r.State.prefixPos:] {
-			if bit {
-				canonical = false
-				break
-			}
-		}
-		if canonical {
-			out = append(out, r)
-			continue
-		}
-		if r.Err != nil {
-			continue
-		}
-		r.Pruned = true
-		out = append(out, r)
-	}
-	return out
 }
 
 // protectedRun is the Run root with a panic boundary: a panic anywhere
@@ -315,13 +239,7 @@ func (x *Executor) seq(env *Env, st State, e lang.Expr, k func(State, Val) ([]Re
 	}
 	var out []Result
 	for _, r := range rs {
-		if r.Err != nil || r.Pruned {
-			// A pruned result's guard already summarizes every leaf of
-			// the sibling subtree it stands in for — including whatever
-			// the continuation would have computed, which the work item
-			// owning that subtree explores instead. Running k on its
-			// placeholder value would be wrong twice over: garbage data
-			// and double-counted paths.
+		if r.Err != nil {
 			out = append(out, r)
 			continue
 		}
@@ -697,9 +615,6 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 		}
 		switch x.Mode {
 		case ForkIf:
-			if s1.prefixOn && s1.prefixPos < len(x.Prefix) {
-				return x.forceBranch(env, s1, g1, e)
-			}
 			// SEIF-TRUE and SEIF-FALSE: fork, extending the path
 			// condition with the choice made. With an engine the two
 			// branches run as parallel tasks; the ordered join keeps
@@ -802,10 +717,8 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 					x.Stats.Merges++
 					x.statsMu.Unlock()
 					merged := State{
-						Guard:     Val{CondOp{g1, rt.State.Guard, re.State.Guard}, types.Bool},
-						Mem:       condMem(g1, rt.State.Mem, re.State.Mem),
-						prefixOn:  s1.prefixOn,
-						prefixPos: s1.prefixPos,
+						Guard: Val{CondOp{g1, rt.State.Guard, re.State.Guard}, types.Bool},
+						Mem:   condMem(g1, rt.State.Mem, re.State.Mem),
 					}
 					out = append(out, Result{State: merged, Val: Val{CondOp{g1, rt.Val, re.Val}, rt.Val.T}})
 				}
@@ -814,57 +727,6 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 		}
 		return nil, fmt.Errorf("sym: unknown if mode %d", x.Mode)
 	})
-}
-
-// forceBranch takes the branch selected by the executor's shard
-// prefix instead of forking: the chosen arm continues with one more
-// prefix bit consumed, and the unexplored sibling is summarized by a
-// Pruned result whose guard — the sibling subtree's root path
-// condition — stands in for every one of its leaves in the caller's
-// exhaustiveness disjunction. No fork is charged or counted: the fork
-// belongs to the work-item boundary, not to this shard's exploration.
-// It is traced, though, exactly as a real fork — same fork/child/join
-// events at the same (path, pseq) — so every work item replays the
-// shared fork spine identically and the coordinator's trace splice
-// dedups the spine while the per-item subtrees land on the paths the
-// unsharded run would have used. Results keep depth-first order (then
-// before else) with the pruned sibling in its subtree's place.
-func (x *Executor) forceBranch(env *Env, s1 State, g1 Val, e lang.If) ([]Result, error) {
-	bit := x.Prefix[s1.prefixPos]
-	taken := s1
-	taken.prefixPos++
-	taken.depth++
-	pruned := Result{Pruned: true}
-	pruned.State = s1
-	pruned.State.depth++
-	pruned.State.prefixPos = len(x.Prefix)
-	// Both children are created — child numbering encodes the branch
-	// (then = 0, else = 1) — but only the taken arm ever emits to its
-	// span; the sibling's events come from the item that owns it.
-	s1.span.Fork(2)
-	thenSpan := s1.span.Child()
-	elseSpan := s1.span.Child()
-	var arm lang.Expr
-	if !bit {
-		taken.Guard = MkAnd(s1.Guard, g1)
-		taken.span = thenSpan
-		pruned.State.Guard = MkAnd(s1.Guard, MkNot(g1))
-		arm = e.Then
-	} else {
-		taken.Guard = MkAnd(s1.Guard, MkNot(g1))
-		taken.span = elseSpan
-		pruned.State.Guard = MkAnd(s1.Guard, g1)
-		arm = e.Else
-	}
-	rs, err := x.run(env, taken, arm)
-	if err != nil {
-		return nil, err
-	}
-	s1.span.Join()
-	if !bit {
-		return append(rs, pruned), nil
-	}
-	return append([]Result{pruned}, rs...), nil
 }
 
 // condMem builds g ? m1 : m2, collapsing the trivial case.

@@ -94,13 +94,9 @@ func (x *Executor) mergeResults(s1 State, g1 Val, pos lang.Pos, thenRs, elseRs [
 		merged = acc
 	}
 	// The merged continuation proceeds on the parent span at the parent
-	// fork depth: the join undoes the fork. Shard-prefix progress is
-	// the fork state's — merging only happens below the prefix
-	// frontier, where both arms share it.
+	// fork depth: the join undoes the fork.
 	merged.State.depth = s1.depth
 	merged.State.span = s1.span
-	merged.State.prefixOn = s1.prefixOn
-	merged.State.prefixPos = s1.prefixPos
 
 	x.statsMu.Lock()
 	x.Stats.Merges++

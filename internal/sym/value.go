@@ -178,12 +178,6 @@ type State struct {
 	// span is this path's node in the trace tree (nil when tracing is
 	// off); fork sites hand each branch a child span.
 	span *obs.Span
-	// prefixOn marks states of a top-level Run restricted by the
-	// executor's shard Prefix (DESIGN.md section 15); prefixPos counts
-	// the fork decisions already forced along this path. Once prefixPos
-	// reaches len(Prefix), the path explores freely.
-	prefixOn  bool
-	prefixPos int
 }
 
 func (s State) String() string {

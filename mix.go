@@ -121,17 +121,6 @@ type Config struct {
 	// canonical dotted names once the check completes (plus live solver
 	// pipeline histograms during it).
 	Metrics *obs.Registry
-	// ShardPrefix, when non-empty, restricts every top-level symbolic
-	// block to the subtree reached by forcing its first
-	// len(ShardPrefix) fork decisions (false = then, true = else);
-	// pruned sibling guards keep the exhaustiveness check sound per
-	// shard, and Result.BlockTypes carries the per-block type
-	// fingerprints the shard coordinator compares across work items
-	// (DESIGN.md section 15). This is the shard-worker hook — use
-	// shard.ExploreCore (the -shards flag) rather than setting it
-	// directly. Incompatible with DeferConditionals, whose merged
-	// conditionals consume no fork decisions.
-	ShardPrefix []bool
 }
 
 // Result is the outcome of a mixed check.
@@ -180,11 +169,6 @@ type Result struct {
 	Timeouts        int64
 	PanicsRecovered int64
 	PathsTruncated  int64
-	// BlockTypes, under Config.ShardPrefix, fingerprints each top-level
-	// symbolic block's agreed type ("pos type", program order); the
-	// shard coordinator compares the lists across work items to catch
-	// type disagreements split across shards.
-	BlockTypes []string
 }
 
 // Parse parses a core-language program.
@@ -229,9 +213,6 @@ func (cfg Config) Validate() error {
 	if cfg.NoMemo && !cfg.wantsEngine() {
 		return fmt.Errorf("mix: NoMemo set with zero Workers and no other engine option — the memo only exists inside the engine (set Workers >= 1)")
 	}
-	if len(cfg.ShardPrefix) > 0 && cfg.DeferConditionals {
-		return fmt.Errorf("mix: ShardPrefix set with DeferConditionals — deferred conditionals merge instead of forking, so there are no fork decisions to shard on")
-	}
 	return nil
 }
 
@@ -252,7 +233,6 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 		Unsound:      cfg.Unsound,
 		SolverAddrEq: cfg.SolverAddrEq,
 		EffectAware:  cfg.EffectAware,
-		ShardPrefix:  cfg.ShardPrefix,
 	}
 	if cfg.DeferConditionals {
 		opts.IfMode = sym.DeferIf
@@ -364,7 +344,6 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 	for _, r := range checker.Reports {
 		res.Reports = append(res.Reports, r.String())
 	}
-	res.BlockTypes = checker.BlockTypes
 	if m := cfg.Metrics; m != nil {
 		eng.PublishMetrics()
 		m.Gauge("mix.paths").Set(int64(res.Paths))

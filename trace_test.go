@@ -8,6 +8,7 @@ package mix
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -38,6 +39,30 @@ func ladderTraceJSONL(t *testing.T, n, workers int) []byte {
 	return buf.Bytes()
 }
 
+// uniqueEvents fails the test unless every event of a JSONL trace has
+// its own (path, pseq) pair. Spans number their events, so a duplicate
+// means something emitted the same event twice; the deterministic
+// flush keeps it, and the test should say so instead of a changed trace.
+func uniqueEvents(t *testing.T, name string, jsonl []byte) {
+	t.Helper()
+	type key struct {
+		path string
+		pseq int64
+	}
+	seen := map[key]bool{}
+	for _, line := range bytes.Split(bytes.TrimSpace(jsonl), []byte("\n")) {
+		var e obs.Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("%s: %v in %s", name, err, line)
+		}
+		k := key{e.Path, e.PSeq}
+		if seen[k] {
+			t.Fatalf("%s: event (path %s, pseq %d) appears twice", name, e.Path, e.PSeq)
+		}
+		seen[k] = true
+	}
+}
+
 // TestTraceDeterministicAcrossWorkers is the headline acceptance
 // criterion: the deterministic-mode trace of a seeded run is
 // byte-identical whether exploration ran on one worker or four.
@@ -46,10 +71,12 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("sequential run produced an empty trace")
 	}
+	uniqueEvents(t, "workers=1", want)
 	// Several parallel rounds: a schedule-dependent trace would only
 	// flake, so give it chances to.
 	for round := 0; round < 3; round++ {
 		got := ladderTraceJSONL(t, 8, 4)
+		uniqueEvents(t, "workers=4", got)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: workers=4 trace differs from workers=1 (%d vs %d bytes)",
 				round, len(got), len(want))
@@ -77,7 +104,10 @@ func TestTraceDeterministicMixy(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("sequential run produced an empty trace")
 	}
-	if got := run(4); !bytes.Equal(got, want) {
+	uniqueEvents(t, "workers=1", want)
+	got := run(4)
+	uniqueEvents(t, "workers=4", got)
+	if !bytes.Equal(got, want) {
 		t.Fatalf("workers=4 MIXY trace differs from workers=1 (%d vs %d bytes)", len(got), len(want))
 	}
 }
