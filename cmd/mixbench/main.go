@@ -5,53 +5,31 @@
 //
 // Usage:
 //
-//	mixbench [-table E1..E8|X1..X9|X11|X12|all] [-cpuprofile f] [-memprofile f]
-//	mixbench -diff old.json new.json
+//	mixbench [-table E1..E8|X1|X2|X3|X6|X8|X9|all] [-cpuprofile f] [-memprofile f]
 //
-// The X4..X9, X11 and X12 tables also write machine-readable BENCH_*.json
-// artifacts, all sharing one envelope:
-// {"schema_version": 1, "cpus": N, "gomaxprocs": N, "rows": [...]}.
+// Tables print to stdout and write no files. -cpuprofile/-memprofile
+// capture pprof profiles of the selected tables (view with `go tool
+// pprof`).
 //
-// -cpuprofile/-memprofile capture pprof profiles of the selected
-// tables (view with `go tool pprof`). X7 compares tracing-disabled
-// time against the ladder-10 baseline recorded in BENCH_engine.json;
-// with MIXBENCH_ENFORCE=1 in the environment it exits 1 when that
-// overhead exceeds 5%. X8 measures state merging (-merge off vs
-// joins); under MIXBENCH_ENFORCE=1 it exits 1 if joins is slower than
-// off on the ladder family or more than 5% slower on the branch-light
-// vsftpd workload. X9 measures compositional function summaries
-// (inline vs summaries vs summaries warm from disk) on the
-// shared-helper family; under MIXBENCH_ENFORCE=1 it exits 1 unless
-// summaries are at least 2x faster than inlining. X11 measures the
-// serving layer's operator telemetry (DESIGN.md section 16): the cost
-// of the per-request flight recorder on warm requests, and one
-// Prometheus render of a busy daemon's registry; it has no gate. X12
-// measures the CDCL search core (DESIGN.md section 17) against the
-// chronological DPLL reference (solver.NewReference) on a hard
-// conflict-driven family; under MIXBENCH_ENFORCE=1 it exits 1 unless
-// CDCL with pooled assumption reuse is at least 2x faster than DPLL
-// there.
-//
-// -diff old.json new.json joins two BENCH_*.json artifacts by row
-// name and prints per-row speedups. It exits 1 when a deterministic
-// count field (paths, merges) changed on a row without a deadline or
-// fault, or when any row's wall clock regressed by more than
-// -diff-max-regress (default 0.05, i.e. 5%; CI uses a looser value
-// because same-host back-to-back runs wobble well past 5%).
+// X8 (state merging: -merge off vs joins) and X9 (function summaries
+// vs inlining) time their claims with paired medians: each of 21 reps
+// runs every mode once, rotating which goes first, and the table
+// prints the quartiles of the per-rep time ratios. With
+// MIXBENCH_ENFORCE=1 in the environment the run exits 1 when a median
+// ratio breaks its claim: joins no slower than off on the ladders and
+// at most 5% slower on vsftpd-12x2; summaries, fresh or warm from
+// disk, at least 2x faster than inlining. The work behind the claims
+// (paths, merges, summaries computed) is pinned exactly by go tests.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -62,39 +40,22 @@ import (
 	"mix/internal/concrete"
 	"mix/internal/core"
 	"mix/internal/corpus"
-	"mix/internal/engine"
 	"mix/internal/lang"
 	"mix/internal/langgen"
 	"mix/internal/microc"
 	"mix/internal/mixy"
-	"mix/internal/obs"
-	"mix/internal/pointer"
 	"mix/internal/profiling"
-	"mix/internal/serve"
 	"mix/internal/signs"
-	"mix/internal/solver"
 	"mix/internal/summary"
 	"mix/internal/sym"
-	"mix/internal/symexec"
 	"mix/internal/types"
 )
 
 func main() {
-	table := flag.String("table", "all", "experiment to run (E1..E8, X1..X9, X11, X12, or all)")
+	table := flag.String("table", "all", "experiment to run (E1..E8, X1, X2, X3, X6, X8, X9, or all)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected tables to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	diff := flag.Bool("diff", false, "compare two BENCH_*.json artifacts: mixbench -diff old.json new.json")
-	diffMax := flag.Float64("diff-max-regress", 0.05, "-diff: fail on wall-clock regressions beyond this fraction")
 	flag.Parse()
-
-	if *diff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: mixbench -diff [-diff-max-regress f] old.json new.json")
-			os.Exit(2)
-		}
-		runDiff(flag.Arg(0), flag.Arg(1), *diffMax)
-		return
-	}
 
 	if *cpuprofile != "" {
 		stop, err := profiling.StartCPUProfile(*cpuprofile)
@@ -111,12 +72,11 @@ func runTables(table string) {
 	tables := map[string]func(){
 		"E1": tableE1, "E2": tableE2, "E3": tableE3, "E4": tableE4,
 		"E5": tableE5, "E6": tableE6, "E7": tableE7, "E8": tableE8,
-		"X1": tableX1, "X2": tableX2, "X3": tableX3, "X4": tableX4,
-		"X5": tableX5, "X6": tableX6, "X7": tableX7, "X8": tableX8,
-		"X9": tableX9, "X11": tableX11, "X12": tableX12,
+		"X1": tableX1, "X2": tableX2, "X3": tableX3, "X6": tableX6,
+		"X8": tableX8, "X9": tableX9,
 	}
 	if table == "all" {
-		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "X1", "X2", "X3", "X4", "X5", "X6", "X7", "X8", "X9", "X11", "X12"} {
+		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "X1", "X2", "X3", "X6", "X8", "X9"} {
 			tables[id]()
 			fmt.Println()
 		}
@@ -128,37 +88,6 @@ func runTables(table string) {
 		os.Exit(2)
 	}
 	run()
-}
-
-// benchSchemaVersion stamps every BENCH_*.json artifact. All the
-// files share one envelope:
-// {"schema_version": 1, "cpus": N, "gomaxprocs": N, "rows": [...]}.
-// gomaxprocs records the effective parallelism limit, which can be
-// lower than cpus (cgroup quota, GOMAXPROCS env) — timing rows from
-// machines that merely report the same cpus are not comparable if
-// their schedulers ran with different budgets.
-const benchSchemaVersion = 1
-
-// benchEnvelope is the common BENCH_*.json shape; Rows stays untyped
-// so each table keeps its own row schema.
-type benchEnvelope struct {
-	SchemaVersion int `json:"schema_version"`
-	CPUs          int `json:"cpus"`
-	GoMaxProcs    int `json:"gomaxprocs"`
-	Rows          any `json:"rows"`
-}
-
-// writeBench writes rows under the shared envelope.
-func writeBench(path string, rows any) {
-	out, err := json.MarshalIndent(benchEnvelope{
-		SchemaVersion: benchSchemaVersion,
-		CPUs:          runtime.NumCPU(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		Rows:          rows,
-	}, "", "  ")
-	must(err)
-	must(os.WriteFile(path, append(out, '\n'), 0o644))
-	fmt.Println("wrote", path)
 }
 
 func newTab() *tabwriter.Writer {
@@ -561,262 +490,6 @@ func tableX3() {
 	w.Flush()
 }
 
-// tableX4 — the parallel path-exploration engine: wall-clock scaling
-// with workers on a fork-heavy program, and solver-memo effectiveness
-// on the E6 cache corpus. Rows are also written to BENCH_engine.json.
-func tableX4() {
-	fmt.Println("X4 — parallel engine: workers scaling and solver memoization")
-	fmt.Println("claims: workers=N explores the same paths faster than workers=1; the memo eliminates repeated solver queries")
-
-	type row struct {
-		Bench         string `json:"bench"`
-		Workers       int    `json:"workers"`
-		Memo          bool   `json:"memo"`
-		TimeNS        int64  `json:"time_ns"`
-		Paths         int    `json:"paths"`
-		Forks         int    `json:"forks"`
-		Steals        int    `json:"steals"`
-		MemoHits      int    `json:"memo_hits"`
-		MemoMisses    int    `json:"memo_misses"`
-		SolverQueries int    `json:"solver_queries"`
-		QuickDecided  int    `json:"quick_decided"`
-		Slices        int    `json:"slices"`
-		CexHits       int    `json:"cex_hits"`
-	}
-	var rows []row
-
-	w := newTab()
-	fmt.Fprintln(w, "bench\tworkers\tmemo\tpaths\tforks\tsteals\tmemo hits\tmemo misses\tsolver queries\ttime")
-
-	// (a) Workers scaling: a 10-conditional ladder (1024 forked paths)
-	// explored symbolically, sequential vs parallel. Best of three runs
-	// to damp scheduler noise; on a single-CPU host the parallel row
-	// shows scheduler overhead (steals) rather than speedup.
-	parWorkers := runtime.GOMAXPROCS(0)
-	if parWorkers < 2 {
-		parWorkers = 2
-	}
-	src, env := corpus.Ladder(10)
-	em := envMap(env)
-	for _, workers := range []int{1, parWorkers} {
-		var best time.Duration
-		var res mix.Result
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			r := mix.Check(src, mix.Config{Mode: mix.StartSymbolic, Env: em, Workers: workers})
-			dur := time.Since(start)
-			must(r.Err)
-			if rep == 0 || dur < best {
-				best, res = dur, r
-			}
-		}
-		rows = append(rows, row{
-			Bench: "ladder-10", Workers: workers, Memo: true,
-			TimeNS: best.Nanoseconds(), Paths: res.Paths, Forks: res.Forks,
-			Steals: res.Steals, MemoHits: res.MemoHits, MemoMisses: res.MemoMisses,
-			SolverQueries: res.SolverQueries, QuickDecided: res.QuickDecided,
-			Slices: res.Slices, CexHits: res.CexHits,
-		})
-		fmt.Fprintf(w, "ladder-10\t%d\ton\t%d\t%d\t%d\t%d\t%d\t%d\t%v\n",
-			workers, res.Paths, res.Forks, res.Steals,
-			res.MemoHits, res.MemoMisses, res.SolverQueries, best.Round(time.Microsecond))
-	}
-
-	// (b) Memoization: the E3 synthetic-vsftpd corpus (12 functions, 2
-	// symbolic blocks) routed through MIXY's engine at one worker, memo
-	// off vs on. The fixpoint re-proves the same per-cell nullability
-	// formulas across iterations, which is exactly what the memo
-	// deduplicates.
-	memoSrc := corpus.SyntheticVsftpd(12, 2)
-	for _, memo := range []bool{false, true} {
-		var dur time.Duration
-		var res mix.CResult
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			r, err := mix.AnalyzeC(memoSrc, mix.CConfig{Workers: 1, NoMemo: !memo})
-			must(err)
-			d := time.Since(start)
-			if rep == 0 || d < dur {
-				dur, res = d, r
-			}
-		}
-		on := "off"
-		if memo {
-			on = "on"
-		}
-		rows = append(rows, row{
-			Bench: "vsftpd-12x2", Workers: 1, Memo: memo,
-			TimeNS: dur.Nanoseconds(), MemoHits: res.MemoHits,
-			MemoMisses: res.MemoMisses, SolverQueries: res.SolverQueries,
-			QuickDecided: res.QuickDecided, Slices: res.Slices, CexHits: res.CexHits,
-		})
-		fmt.Fprintf(w, "vsftpd-12x2\t%d\t%s\t-\t-\t-\t%d\t%d\t%d\t%v\n",
-			1, on, res.MemoHits, res.MemoMisses, res.SolverQueries, dur.Round(time.Microsecond))
-	}
-	w.Flush()
-
-	writeBench("BENCH_engine.json", rows)
-}
-
-// tableX5 — persistent symbolic state and the incremental solver
-// pipeline: fork cost under wide memories (O(1) structurally shared
-// clones vs the eager per-fork copy they replace), and path-condition
-// solving through simplify → interval fast path → independence slicing
-// → counterexample cache → memo. Rows are written to BENCH_solver.json.
-func tableX5() {
-	fmt.Println("X5 — O(1) forks: persistent state + incremental path-condition solving")
-	fmt.Println("claims: forks share memory cells instead of copying them; sliced incremental solving absorbs the shared PC prefix")
-
-	type row struct {
-		Bench         string `json:"bench"`
-		Workers       int    `json:"workers"`
-		TimeNS        int64  `json:"time_ns"`
-		Paths         int    `json:"paths"`
-		MemClones     int64  `json:"mem_clones"`
-		SharedCells   int64  `json:"shared_cells"`
-		MemWrites     int64  `json:"mem_writes"`
-		QuickDecided  int64  `json:"quick_decided"`
-		Slices        int64  `json:"slices"`
-		MaxSlice      int64  `json:"max_slice"`
-		CexHits       int64  `json:"cex_hits"`
-		MemoHits      int64  `json:"memo_hits"`
-		SolverQueries int64  `json:"solver_queries"`
-	}
-	var rows []row
-
-	w := newTab()
-	fmt.Fprintln(w, "bench\tpaths\tclones\tshared cells\twrites\tquick\tslices\tmax slice\tcex hits\tmemo hits\tqueries\ttime")
-
-	runBench := func(name, src string, maxPaths int) {
-		prog := parseC(src)
-		var best time.Duration
-		var snap engine.Stats
-		var clones, shared, writes int64
-		var paths int
-		for rep := 0; rep < 3; rep++ {
-			x := symexec.New(parseC(src), pointer.Analyze(prog))
-			if maxPaths > 0 {
-				x.MaxPaths = maxPaths
-			}
-			eng := engine.New(engine.Options{Workers: 1})
-			x.Engine = eng
-			c0, s0, wr0 := symexec.MemoryStats()
-			start := time.Now()
-			outs, err := x.Run("f")
-			dur := time.Since(start)
-			must(err)
-			c1, s1, wr1 := symexec.MemoryStats()
-			c, s, wr := c1-c0, s1-s0, wr1-wr0
-			if rep == 0 || dur < best {
-				best, snap, paths = dur, eng.Snapshot(), len(outs)
-				clones, shared, writes = c, s, wr
-			}
-		}
-		rows = append(rows, row{
-			Bench: name, Workers: 1, TimeNS: best.Nanoseconds(),
-			Paths: paths, MemClones: clones, SharedCells: shared, MemWrites: writes,
-			QuickDecided: snap.QuickDecided, Slices: snap.Slices,
-			MaxSlice: snap.MaxSlice, CexHits: snap.CexHits,
-			MemoHits: snap.MemoHits, SolverQueries: snap.SolverQueries,
-		})
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%v\n",
-			name, paths, clones, shared, writes,
-			snap.QuickDecided, snap.Slices, snap.MaxSlice, snap.CexHits,
-			snap.MemoHits, snap.SolverQueries, best.Round(time.Microsecond))
-	}
-
-	// (a) Fork cost: a conditional tree over a wide memory. Every fork
-	// clones the store; the seed's eager copy paid O(width) per fork,
-	// the persistent store pays O(1) and `shared cells` counts exactly
-	// the copies it avoided (clones × live cells).
-	for _, width := range []int{64, 256} {
-		runBench(fmt.Sprintf("wide-mem-%d", width), wideMemSrc(width, 6), 0)
-	}
-
-	// (b) Slicing: sequential two-variable guards over disjoint
-	// variable pairs. Every path condition splits into singleton
-	// independence components, so each distinct guard is proved once and
-	// memo-hit ever after — queries grow with path count, DPLL work
-	// with guard count.
-	runBench("pairs-10", pairsSrc(10), 4096)
-
-	// (c) The entangled worst case: chained guards x_i < x_{i+1} share
-	// variables, so the component grows with depth (max slice ≈ chain
-	// length) and slicing cannot split it — the honest upper bound on
-	// per-query cost.
-	runBench("chain-10", chainSrc(10), 4096)
-
-	w.Flush()
-
-	writeBench("BENCH_solver.json", rows)
-}
-
-// wideMemSrc builds a symbolic function that initializes `width` global
-// int cells and then forks down a complete conditional tree of the
-// given depth — the fork-cost microbenchmark.
-func wideMemSrc(width, depth int) string {
-	var b strings.Builder
-	for i := 0; i < width; i++ {
-		fmt.Fprintf(&b, "int g%d;\n", i)
-	}
-	for i := 0; i < 1<<depth-1; i++ {
-		fmt.Fprintf(&b, "int c%d;\n", i)
-	}
-	b.WriteString("int f(void) {\n")
-	for i := 0; i < width; i++ {
-		fmt.Fprintf(&b, "g%d = %d;\n", i, i)
-	}
-	leaf := 0
-	var emit func(node, d int)
-	emit = func(node, d int) {
-		if d == depth {
-			fmt.Fprintf(&b, "return %d;\n", leaf)
-			leaf++
-			return
-		}
-		fmt.Fprintf(&b, "if (c%d > 0) {\n", node)
-		emit(2*node+1, d+1)
-		b.WriteString("} else {\n")
-		emit(2*node+2, d+1)
-		b.WriteString("}\n")
-	}
-	emit(0, 0)
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// pairsSrc builds n sequential conditionals over disjoint variable
-// pairs (x_i < y_i): 2^n paths whose conditions slice into singleton
-// components.
-func pairsSrc(n int) string {
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "int x%d;\nint y%d;\n", i, i)
-	}
-	b.WriteString("int f(void) {\nint acc;\nacc = 0;\n")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "if (x%d < y%d) {\nacc = acc + 1;\n} else {\nacc = acc + 0;\n}\n", i, i)
-	}
-	b.WriteString("return acc;\n}\n")
-	return b.String()
-}
-
-// chainSrc builds n sequential conditionals whose guards chain through
-// shared variables (x_i < x_{i+1}), entangling every conjunct into one
-// independence component.
-func chainSrc(n int) string {
-	var b strings.Builder
-	for i := 0; i <= n; i++ {
-		fmt.Fprintf(&b, "int x%d;\n", i)
-	}
-	b.WriteString("int f(void) {\nint acc;\nacc = 0;\n")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "if (x%d < x%d) {\nacc = acc + 1;\n} else {\nacc = acc + 0;\n}\n", i, i+1)
-	}
-	b.WriteString("return acc;\n}\n")
-	return b.String()
-}
-
 func must(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mixbench:", err)
@@ -841,28 +514,12 @@ func tableX6() {
 	fmt.Println("X6 — graceful degradation: verdict quality vs. deadline")
 	fmt.Println("claims: expired budgets terminate promptly with an explicit imprecision verdict; generous budgets certify the same type as an unbounded run")
 
-	type row struct {
-		Bench       string `json:"bench"`
-		Deadline    string `json:"deadline"`
-		Verdict     string `json:"verdict"` // "certified <type>" or "degraded (<class>)"
-		Fault       string `json:"fault,omitempty"`
-		Paths       int    `json:"paths"`
-		Timeouts    int64  `json:"timeouts"`
-		Truncations int64  `json:"paths_truncated"`
-		TimeNS      int64  `json:"time_ns"`
-	}
-	var rows []row
-
-	src, envPairs := corpus.Ladder(12) // 4096 paths
-	env := map[string]string{}
-	for _, p := range envPairs {
-		env[p[0]] = p[1]
-	}
-
+	src, env := corpus.Ladder(12) // 4096 paths
+	em := envMap(env)
 	w := newTab()
 	fmt.Fprintln(w, "bench\tdeadline\tverdict\tpaths\ttimeouts\ttruncated\ttime")
 	for _, d := range []time.Duration{0, 10 * time.Second, 50 * time.Millisecond, time.Millisecond, time.Nanosecond} {
-		cfg := mix.Config{Mode: mix.StartSymbolic, Env: env, Workers: 4, Deadline: d}
+		cfg := mix.Config{Mode: mix.StartSymbolic, Env: em, Workers: 4, Deadline: d}
 		start := time.Now()
 		res := mix.Check(src, cfg)
 		dur := time.Since(start)
@@ -875,658 +532,181 @@ func tableX6() {
 		if d > 0 {
 			label = d.String()
 		}
-		rows = append(rows, row{
-			Bench: "ladder-12", Deadline: label, Verdict: verdict, Fault: res.Fault,
-			Paths: res.Paths, Timeouts: res.Timeouts, Truncations: res.PathsTruncated,
-			TimeNS: dur.Nanoseconds(),
-		})
 		fmt.Fprintf(w, "ladder-12\t%s\t%s\t%d\t%d\t%d\t%v\n",
 			label, verdict, res.Paths, res.Timeouts, res.PathsTruncated,
 			dur.Round(time.Microsecond))
 	}
 	w.Flush()
-
-	writeBench("BENCH_faults.json", rows)
 }
 
-// tableX7 — the observability layer's own cost: ladder-10 explored
-// with tracing off / deterministic / timed, raw tracer throughput,
-// and registry snapshot cost. The off row compares against the
-// ladder-10 workers=1 time recorded in BENCH_engine.json (X4, same
-// host): instrumentation behind nil checks must stay in the noise.
-// With MIXBENCH_ENFORCE=1, an off-row overhead above 5% fails the
-// run.
-func tableX7() {
-	fmt.Println("X7 — observability: tracing overhead, event throughput, snapshot cost")
-	fmt.Println("claims: disabled instrumentation is nil checks only (<=5% on ladder-10); enabled tracing and metric snapshots stay cheap")
+// pairs is the number of reps behind every timed claim.
+const pairs = 21
 
-	type row struct {
-		Bench        string  `json:"bench"`
-		Mode         string  `json:"mode,omitempty"` // off | det | timed
-		Workers      int     `json:"workers,omitempty"`
-		TimeNS       int64   `json:"time_ns"`
-		BaselineNS   int64   `json:"baseline_ns,omitempty"`
-		OverheadPct  float64 `json:"overhead_pct"`
-		Events       int     `json:"events,omitempty"`
-		EventsPerSec float64 `json:"events_per_sec,omitempty"`
-		NSPerOp      float64 `json:"ns_per_op,omitempty"`
-	}
-	var rows []row
-
-	w := newTab()
-	fmt.Fprintln(w, "bench\tmode\ttime\tvs baseline\tevents\tevents/sec")
-
-	// (a) End-to-end overhead on the X4 workload (ladder-10, workers=1,
-	// best of seven — the minimum is the only stable statistic on a
-	// noisy shared host, and the gate compares minima). The off mode
-	// exercises exactly the instrumented code paths with nil tracer
-	// and nil registry.
-	src, env := corpus.Ladder(10)
-	em := envMap(env)
-	baseline := ladder10Baseline()
-	for _, mode := range []string{"off", "det", "timed"} {
-		var best time.Duration
-		var events int
-		for rep := 0; rep < 7; rep++ {
-			cfg := mix.Config{Mode: mix.StartSymbolic, Env: em, Workers: 1}
-			switch mode {
-			case "det":
-				cfg.Tracer = obs.NewTracer(obs.TraceOptions{Deterministic: true})
-			case "timed":
-				cfg.Tracer = obs.NewTracer(obs.TraceOptions{})
-			}
+// paired runs every mode once per rep, rotating which mode goes first,
+// and returns each mode's wall-clock times by rep. A ratio of two
+// modes' times in the same rep cancels slow host drift (CPU frequency,
+// a neighbour's load) that separate best-of-n loops cannot. A
+// collection before each run keeps one mode's garbage from being
+// charged to the next.
+func paired(modes ...func()) [][]time.Duration {
+	times := make([][]time.Duration, len(modes))
+	for rep := 0; rep < pairs; rep++ {
+		for k := range modes {
+			i := (rep + k) % len(modes)
+			runtime.GC()
 			start := time.Now()
-			res := mix.Check(src, cfg)
-			dur := time.Since(start)
-			must(res.Err)
-			if rep == 0 || dur < best {
-				best = dur
-				events = len(cfg.Tracer.Events())
-			}
-		}
-		r := row{Bench: "ladder-10", Mode: mode, Workers: 1, TimeNS: best.Nanoseconds()}
-		vsBase := "-"
-		if mode == "off" && baseline > 0 {
-			r.BaselineNS = baseline
-			r.OverheadPct = 100 * (float64(best.Nanoseconds()) - float64(baseline)) / float64(baseline)
-			vsBase = fmt.Sprintf("%+.1f%%", r.OverheadPct)
-		}
-		if events > 0 {
-			r.Events = events
-			r.EventsPerSec = float64(events) / best.Seconds()
-		}
-		rows = append(rows, r)
-		ev := "-"
-		if events > 0 {
-			ev = fmt.Sprintf("%d", events)
-		}
-		eps := "-"
-		if r.EventsPerSec > 0 {
-			eps = fmt.Sprintf("%.0f", r.EventsPerSec)
-		}
-		fmt.Fprintf(w, "ladder-10\t%s\t%v\t%s\t%s\t%s\n",
-			mode, best.Round(time.Microsecond), vsBase, ev, eps)
-
-		if mode == "off" && os.Getenv("MIXBENCH_ENFORCE") == "1" &&
-			baseline > 0 && r.OverheadPct > 5 {
-			w.Flush()
-			fmt.Fprintf(os.Stderr,
-				"mixbench: X7 disabled-tracing overhead %.1f%% exceeds 5%% gate (off=%v baseline=%v)\n",
-				r.OverheadPct, best, time.Duration(baseline))
-			os.Exit(1)
+			modes[i]()
+			times[i] = append(times[i], time.Since(start))
 		}
 	}
-
-	// (b) Raw tracer throughput: one million solve events through a
-	// span tree, timed mode (the most expensive: clock read + global
-	// seq per event).
-	{
-		const emits = 1 << 20
-		tr := obs.NewTracer(obs.TraceOptions{Cap: emits})
-		sp := tr.Root("bench")
-		start := time.Now()
-		for i := 0; i < emits; i++ {
-			sp.Solve("sat", 1)
-		}
-		dur := time.Since(start)
-		eps := float64(emits) / dur.Seconds()
-		rows = append(rows, row{
-			Bench: "tracer-emit", TimeNS: dur.Nanoseconds(),
-			Events: emits, EventsPerSec: eps,
-			NSPerOp: float64(dur.Nanoseconds()) / emits,
-		})
-		fmt.Fprintf(w, "tracer-emit\ttimed\t%v\t-\t%d\t%.0f\n",
-			dur.Round(time.Microsecond), emits, eps)
-	}
-
-	// (c) Registry snapshot cost at a realistic metric count (the
-	// unified mix/mixy registry registers a few dozen series).
-	{
-		reg := obs.NewRegistry()
-		for i := 0; i < 48; i++ {
-			reg.Counter(fmt.Sprintf("bench.counter.%02d", i)).Add(int64(i))
-			reg.Gauge(fmt.Sprintf("bench.gauge.%02d", i)).Set(int64(i))
-		}
-		for i := 0; i < 8; i++ {
-			reg.Histogram(fmt.Sprintf("bench.hist.%02d", i)).Observe(int64(i) << 10)
-		}
-		const snaps = 2048
-		start := time.Now()
-		for i := 0; i < snaps; i++ {
-			_ = reg.Snapshot()
-		}
-		dur := time.Since(start)
-		rows = append(rows, row{
-			Bench: "registry-snapshot", TimeNS: dur.Nanoseconds(),
-			NSPerOp: float64(dur.Nanoseconds()) / snaps,
-		})
-		fmt.Fprintf(w, "registry-snapshot\t-\t%v\t-\t%d ops\t%.0f ns/op\n",
-			dur.Round(time.Microsecond), snaps, float64(dur.Nanoseconds())/snaps)
-	}
-	w.Flush()
-
-	writeBench("BENCH_obs.json", rows)
+	return times
 }
 
-// ladder10Baseline reads the ladder-10 workers=1 time from
-// BENCH_engine.json (written by X4, normally moments earlier on the
-// same host) via the shared envelope loader that also backs -diff.
-// 0 means no comparable baseline.
-func ladder10Baseline() int64 {
-	rows, _, err := loadBenchRows("BENCH_engine.json")
-	if err != nil {
-		return 0
+// ratios returns the per-rep ratios t/base.
+func ratios(t, base []time.Duration) []float64 {
+	r := make([]float64, len(t))
+	for i := range t {
+		r[i] = float64(t[i]) / float64(base[i])
 	}
-	for _, r := range rows {
-		if r["bench"] == "ladder-10" && r["workers"] == float64(1) {
-			if ns, ok := rowTimeNS(r); ok {
-				return ns
-			}
-		}
+	return r
+}
+
+// quartiles returns the 25th, 50th and 75th percentiles of xs.
+func quartiles[T float64 | time.Duration](xs []T) [3]T {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	return [3]T{s[n/4], s[n/2], s[3*n/4]}
+}
+
+// gate exits 1 under MIXBENCH_ENFORCE=1 when a median ratio exceeds
+// its bound.
+func gate(w *tabwriter.Writer, table, what string, median, bound float64) {
+	if os.Getenv("MIXBENCH_ENFORCE") == "1" && median > bound {
+		w.Flush()
+		fmt.Fprintf(os.Stderr, "mixbench: %s %s median %.3f exceeds %.2f\n", table, what, median, bound)
+		os.Exit(1)
 	}
-	return 0
 }
 
 // tableX8 — veritesting-style state merging (DESIGN.md section 12):
-// path counts and wall-clock with -merge off vs joins at workers=1,
-// best of seven. The ladder family is the worst case merging targets
-// (2^k forked paths collapse to one merged state per rung); the
-// synthetic vsftpd MIXY workload is branch-light, so merging must not
-// slow it down. With MIXBENCH_ENFORCE=1 the run exits 1 if joins is
-// slower than off on a ladder, or more than 5% slower on vsftpd-12x2.
+// -merge off vs joins at workers=1. The ladder family is the worst
+// case merging targets (2^k forked paths collapse to one merged state
+// per rung); the synthetic vsftpd MIXY workload is branch-light, so
+// merging must not slow it down. The median joins/off ratio must stay
+// at or below 1 on a ladder and 1.05 on vsftpd-12x2.
 func tableX8() {
-	fmt.Println("X8 — state merging: -merge off vs joins (workers=1, best of 7)")
+	fmt.Printf("X8 — state merging: -merge off vs joins (workers=1, %d paired reps)\n", pairs)
 	fmt.Println("claims: guarded joins collapse ladder-k from 2^k paths to O(1) with large speedups; branch-light code is unaffected (<=5%)")
-
-	type row struct {
-		Bench   string  `json:"bench"`
-		Merge   string  `json:"merge"`
-		Workers int     `json:"workers"`
-		Paths   int     `json:"paths,omitempty"`
-		Merges  int     `json:"merges"`
-		TimeNS  int64   `json:"time_ns"`
-		Speedup float64 `json:"speedup,omitempty"` // off time / this time, same bench
-	}
-	var rows []row
 	w := newTab()
-	fmt.Fprintln(w, "bench\tmerge\tpaths\tmerges\ttime\tvs off")
+	fmt.Fprintln(w, "bench\tmerge\tpaths\tmerges\tmedian time\tjoins/off median [quartiles]")
 
-	const reps = 7
-	enforce := os.Getenv("MIXBENCH_ENFORCE") == "1"
-	fail := func(format string, args ...any) {
-		w.Flush()
-		fmt.Fprintf(os.Stderr, format, args...)
-		os.Exit(1)
-	}
-
-	for _, n := range []int{10, 14} {
+	ladder := func(n int) func(string) (string, int) {
 		src, env := corpus.Ladder(n)
 		em := envMap(env)
-		name := fmt.Sprintf("ladder-%d", n)
-		var offBest time.Duration
-		for _, mode := range []string{"off", "joins"} {
-			var best time.Duration
-			var paths, merges int
-			for rep := 0; rep < reps; rep++ {
-				cfg := mix.Config{Mode: mix.StartSymbolic, Env: em, Workers: 1, Merge: mode}
-				start := time.Now()
-				res := mix.Check(src, cfg)
-				dur := time.Since(start)
-				must(res.Err)
-				if rep == 0 || dur < best {
-					best, paths, merges = dur, res.Paths, res.Merges
-				}
-			}
-			r := row{Bench: name, Merge: mode, Workers: 1, Paths: paths, Merges: merges, TimeNS: best.Nanoseconds()}
-			vs := "-"
-			if mode == "off" {
-				offBest = best
-			} else {
-				r.Speedup = float64(offBest) / float64(best)
-				vs = fmt.Sprintf("%.1fx", r.Speedup)
-			}
-			rows = append(rows, r)
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%v\t%s\n",
-				name, mode, paths, merges, best.Round(time.Microsecond), vs)
-			if enforce && mode == "joins" && best > offBest {
-				fail("mixbench: X8 %s joins (%v) slower than off (%v)\n", name, best, offBest)
-			}
+		return func(merge string) (string, int) {
+			res := mix.Check(src, mix.Config{Mode: mix.StartSymbolic, Env: em, Workers: 1, Merge: merge})
+			must(res.Err)
+			return strconv.Itoa(res.Paths), res.Merges
 		}
 	}
-
-	// Branch-light control: merging fires rarely, so its bookkeeping
-	// must stay in the noise.
-	{
-		src := corpus.SyntheticVsftpd(12, 2)
-		var offBest time.Duration
-		for _, mode := range []string{"off", "joins"} {
-			var best time.Duration
-			var merges int
-			for rep := 0; rep < reps; rep++ {
-				start := time.Now()
-				res, err := mix.AnalyzeC(src, mix.CConfig{Merge: mode})
-				dur := time.Since(start)
-				must(err)
-				if rep == 0 || dur < best {
-					best, merges = dur, res.Merges
-				}
-			}
-			r := row{Bench: "vsftpd-12x2", Merge: mode, Workers: 1, Merges: merges, TimeNS: best.Nanoseconds()}
-			vs := "-"
-			if mode == "off" {
-				offBest = best
-			} else {
-				r.Speedup = float64(offBest) / float64(best)
-				vs = fmt.Sprintf("%.2fx", r.Speedup)
-			}
-			rows = append(rows, r)
-			fmt.Fprintf(w, "vsftpd-12x2\t%s\t-\t%d\t%v\t%s\n",
-				mode, merges, best.Round(time.Microsecond), vs)
-			if enforce && mode == "joins" && float64(best) > float64(offBest)*1.05 {
-				fail("mixbench: X8 vsftpd-12x2 joins (%v) more than 5%% slower than off (%v)\n", best, offBest)
-			}
-		}
-	}
-	w.Flush()
-	writeBench("BENCH_merge.json", rows)
-}
-
-// tableX9 — compositional function summaries (DESIGN.md section 14):
-// wall-clock on the shared-helper family with calls inlined, answered
-// from freshly computed summaries, and answered from a disk-warm
-// summary store, best of seven. Inline cost compounds per call site
-// (every call re-explores its helper against an ever-larger path
-// condition); summaries pay each helper's exploration once. With
-// MIXBENCH_ENFORCE=1 the run exits 1 unless summaries beat inlining
-// by at least 2x on every row.
-func tableX9() {
-	fmt.Println("X9 — function summaries: inline vs summaries vs summaries warm from disk (best of 7)")
-	fmt.Println("claims: analyzing each shared helper once and instantiating its arms at call sites beats re-inlining by >=2x; a disk-warm store also skips the one-time summarization")
-
-	type row struct {
-		Bench        string  `json:"bench"`
-		Mode         string  `json:"mode"`
-		TimeNS       int64   `json:"time_ns"`
-		Speedup      float64 `json:"speedup,omitempty"` // inline time / this time, same bench
-		Computed     int     `json:"summaries_computed"`
-		DiskHits     int     `json:"summary_disk_hits"`
-		Instantiated int64   `json:"summary_instantiated"`
-	}
-	var rows []row
-	w := newTab()
-	fmt.Fprintln(w, "bench\tmode\tsummaries\tdisk hits\tinstantiated\ttime\tvs inline")
-
-	const reps = 7
-	enforce := os.Getenv("MIXBENCH_ENFORCE") == "1"
-
-	for _, p := range [][2]int{{2, 3}, {2, 4}} {
-		name := fmt.Sprintf("shared-%dx%d", p[0], p[1])
-		src := corpus.SharedHelpers(p[0], p[1])
-
-		// The warm-disk mode reads a store primed by an untimed run;
-		// each timed rep opens a fresh Store on the directory so it
-		// starts memory-cold and must load from disk.
-		dir, err := os.MkdirTemp("", "mixbench-x9-")
-		must(err)
-		defer os.RemoveAll(dir)
-		{
-			cfg := mix.CConfig{Entry: "entry", Merge: "joins", MergeCap: 8,
-				Summaries: true, SummaryStore: summary.NewStore(dir)}
-			_, err := mix.AnalyzeC(src, cfg)
-			must(err)
-		}
-
-		var inlineBest time.Duration
-		var warnings string
-		for _, mode := range []string{"inline", "summaries", "summaries-warm"} {
-			var best time.Duration
-			var r row
-			for rep := 0; rep < reps; rep++ {
-				cfg := mix.CConfig{Entry: "entry", Merge: "joins", MergeCap: 8}
-				switch mode {
-				case "summaries":
-					cfg.Summaries = true
-				case "summaries-warm":
-					cfg.Summaries = true
-					cfg.SummaryStore = summary.NewStore(dir)
-				}
-				start := time.Now()
-				res, err := mix.AnalyzeC(src, cfg)
-				dur := time.Since(start)
-				must(err)
-				if res.Degraded {
-					must(fmt.Errorf("X9 %s %s degraded: %s", name, mode, res.FaultDetail))
-				}
-				got := fmt.Sprint(res.Warnings)
-				if mode == "inline" && rep == 0 {
-					warnings = got
-				} else if got != warnings {
-					must(fmt.Errorf("X9 %s %s verdict drift: %q vs %q", name, mode, got, warnings))
-				}
-				if rep == 0 || dur < best {
-					best = dur
-					r = row{Bench: name, Mode: mode, Computed: res.SummaryComputed,
-						DiskHits: res.SummaryDiskHits, Instantiated: res.SummaryInstantiated}
-				}
-			}
-			r.TimeNS = best.Nanoseconds()
-			vs := "-"
-			if mode == "inline" {
-				inlineBest = best
-			} else {
-				r.Speedup = float64(inlineBest) / float64(best)
-				vs = fmt.Sprintf("%.1fx", r.Speedup)
-			}
-			rows = append(rows, r)
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%v\t%s\n",
-				name, mode, r.Computed, r.DiskHits, r.Instantiated, best.Round(time.Microsecond), vs)
-			if enforce && mode != "inline" && float64(inlineBest) < 2*float64(best) {
-				w.Flush()
-				fmt.Fprintf(os.Stderr, "mixbench: X9 %s %s (%v) not 2x faster than inline (%v)\n",
-					name, mode, best, inlineBest)
-				os.Exit(1)
-			}
-		}
-	}
-	w.Flush()
-	writeBench("BENCH_summaries.json", rows)
-}
-
-// tableX11 — the serving layer's operator telemetry (DESIGN.md
-// section 16). (a) The always-on per-request observability (tenant
-// RED + flight recorder) on warm verdict-cached requests through the
-// full HTTP handler, flight recorder off vs on. (b) One Prometheus
-// text-exposition render of a busy daemon's registry. No gate: the
-// rows are for -diff against an earlier run.
-func tableX11() {
-	fmt.Println("X11 — serving telemetry: per-request RED + flight recorder, scrape cost")
-	fmt.Println("claims: the always-on flight recorder adds little to a warm request; a Prometheus scrape of a busy registry stays cheap")
-
-	type row struct {
-		Bench       string  `json:"bench"`
-		Mode        string  `json:"mode,omitempty"`
-		TimeNS      int64   `json:"time_ns"`
-		BaselineNS  int64   `json:"baseline_ns,omitempty"`
-		OverheadPct float64 `json:"overhead_pct"`
-		Series      int     `json:"series,omitempty"`
-		Bytes       int     `json:"bytes,omitempty"`
-		NSPerOp     float64 `json:"ns_per_op,omitempty"`
-	}
-	var rows []row
-	w := newTab()
-	fmt.Fprintln(w, "bench\tmode\ttime\tvs off\tdetail")
-
-	// (a) Per-request serving observability: warm verdict-cached
-	// ladder-10 requests through the full handler. Flight-off vs on
-	// isolates the recorder; the tenant RED series are charged in both
-	// (they are always on — that is the point of RED).
-	{
-		src, envPairs := corpus.Ladder(10)
-		var sreq serve.Request
-		sreq.Source = src
-		sreq.Symbolic = true
-		sreq.Merge = "off"
-		sreq.Env = envMap(envPairs)
-		sreq.Tenant = "bench"
-		body, err := json.Marshal(sreq)
-		must(err)
-		var leanNS int64
-		for _, mode := range []string{"flight-off", "flight-on"} {
-			fs := -1
-			if mode == "flight-on" {
-				fs = 0
-			}
-			srv := serve.New(serve.Options{FlightSize: fs})
-			ts := httptest.NewServer(srv.Handler())
-			post := func() {
-				resp, err := http.Post(ts.URL+"/check", "application/json", bytes.NewReader(body))
-				must(err)
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					must(fmt.Errorf("X11 warm request: status %d", resp.StatusCode))
-				}
-			}
-			post() // prime the verdict cache
-			const n = 256
-			var best time.Duration
-			for rep := 0; rep < 7; rep++ {
-				start := time.Now()
-				for i := 0; i < n; i++ {
-					post()
-				}
-				d := time.Since(start) / n
-				if rep == 0 || d < best {
-					best = d
-				}
-			}
-			ts.Close()
-			r := row{Bench: "serve-warm-request", Mode: mode, TimeNS: best.Nanoseconds()}
-			vs := "-"
-			if mode == "flight-off" {
-				leanNS = best.Nanoseconds()
-			} else {
-				r.BaselineNS = leanNS
-				r.OverheadPct = 100 * (float64(best.Nanoseconds()) - float64(leanNS)) / float64(leanNS)
-				vs = fmt.Sprintf("%+.1f%%", r.OverheadPct)
-			}
-			rows = append(rows, r)
-			fmt.Fprintf(w, "serve-warm-request\t%s\t%v\t%s\t%d reqs/rep\n",
-				mode, best.Round(time.Microsecond), vs, n)
-		}
-	}
-
-	// (b) Prometheus exposition render of a busy registry: a few
-	// dozen engine series plus 256 tenants' RED series, the shape a
-	// scraper sees on a busy daemon.
-	{
-		reg := obs.NewRegistry()
-		for i := 0; i < 48; i++ {
-			reg.Counter(fmt.Sprintf("engine.counter.%02d", i)).Add(int64(i + 1))
-		}
-		for t := 0; t < 256; t++ {
-			stem := fmt.Sprintf("serve.tenant.t%03d.", t)
-			reg.Counter(stem + "requests").Add(100)
-			reg.Counter(stem + "errors").Add(1)
-			reg.Histogram(stem + "latency.ns").Observe(int64(t+1) << 10)
-		}
-		snap := reg.Snapshot()
-		var buf bytes.Buffer
-		must(obs.WritePromSnapshot(&buf, snap))
-		nbytes := buf.Len()
-		const iters = 512
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			buf.Reset()
-			must(obs.WritePromSnapshot(&buf, snap))
-		}
-		dur := time.Since(start)
-		r := row{
-			Bench: "prom-render", TimeNS: dur.Nanoseconds(),
-			Series: len(snap.Metrics), Bytes: nbytes,
-			NSPerOp: float64(dur.Nanoseconds()) / iters,
-		}
-		rows = append(rows, r)
-		fmt.Fprintf(w, "prom-render\t-\t%v\t-\t%d series, %d bytes, %.0f ns/op\n",
-			dur.Round(time.Microsecond), r.Series, nbytes, r.NSPerOp)
-	}
-
-	w.Flush()
-
-	writeBench("BENCH_obsfleet.json", rows)
-}
-
-// tableX12 — the CDCL search core vs the chronological DPLL reference
-// (solver.NewReference; DESIGN.md section 17) on hard-8x4: a
-// satisfiable stalled or-chain prefix (every clause needs two
-// decisions before it propagates) conjoined per query with a
-// child-local contradiction. Chronological DPLL re-refutes the
-// contradiction once per busy-prefix assignment — exponential in the
-// prefix length — while CDCL's first conflict learns a unit clause over
-// the contradiction and backjumps to level 0. The cdcl+assume mode
-// additionally solves the four children on one warm solver via the
-// assumption stack, the way the engine pool asserts forked path
-// conditions, so the shared prefix is encoded once instead of four
-// times.
-//
-// With MIXBENCH_ENFORCE=1 the run exits 1 unless cdcl+assume beats
-// dpll by at least 2x. Rows land in BENCH_cdcl.json. Easy workloads
-// have no row here: TestLadder13ExhaustivenessDecidedQuick pins their
-// work (one quick-decided exhaustiveness query on ladder-10 to -13),
-// and perfbench's core-explore and mixy-solve time them.
-func tableX12() {
-	fmt.Println("X12 — CDCL core: learned clauses and incremental assumptions against the DPLL reference")
-	fmt.Println("claims: conflict learning collapses the hard family; warm assumption reuse beats re-encoding")
-
-	type row struct {
-		Bench     string `json:"bench"`
-		Mode      string `json:"mode"`
-		TimeNS    int64  `json:"time_ns"`
-		Queries   int    `json:"queries"`
-		Decisions int    `json:"decisions"`
-		Conflicts int    `json:"conflicts"`
-		Learned   int    `json:"learned"`
-	}
-	var rows []row
-	w := newTab()
-	fmt.Fprintln(w, "bench\tmode\tqueries\tdecisions\tconflicts\tlearned\ttime")
-	const reps = 7
-	enforce := os.Getenv("MIXBENCH_ENFORCE") == "1"
-	best := map[string]time.Duration{} // "bench/mode" -> best wall clock
-
-	// The hard family: busy or-chain prefix (shared by every child)
-	// plus one contradiction per child over child-local variables.
-	const busyN, children = 8, 4
-	bv := func(p string, i int) solver.Formula {
-		return solver.BoolVar{Name: p + string(rune('a'+i%26)) + string(rune('0'+i/26))}
-	}
-	prefix := []solver.Formula{solver.Disj(bv("y", 0), bv("z", 0), bv("w", 0))}
-	for i := 1; i <= busyN; i++ {
-		prefix = append(prefix, solver.Disj(
-			solver.NewNot(bv("w", i-1)), bv("y", i), bv("z", i), bv("w", i)))
-	}
-	contra := func(child int) solver.Formula {
-		a, b := bv("ca", child), bv("cb", child)
-		return solver.Conj(
-			solver.NewOr(a, b),
-			solver.NewOr(a, solver.NewNot(b)),
-			solver.NewOr(solver.NewNot(a), b),
-			solver.NewOr(solver.NewNot(a), solver.NewNot(b)),
-		)
-	}
-	mkSolver := func(newSolver func() *solver.Solver) *solver.Solver {
-		s := newSolver()
-		s.MaxDecisions = 1 << 26 // room for DPLL's exponential refutations
-		return s
-	}
-	hardBench := fmt.Sprintf("hard-%dx%d", busyN, children)
-	record := func(bench, mode string, r row, dur time.Duration) {
-		key := bench + "/" + mode
-		if b, ok := best[key]; !ok || dur < b {
-			best[key] = dur
-		}
-		if dur == best[key] {
-			r.Bench, r.Mode, r.TimeNS = bench, mode, dur.Nanoseconds()
-			replaced := false
-			for i := range rows {
-				if rows[i].Bench == bench && rows[i].Mode == mode {
-					rows[i], replaced = r, true
-				}
-			}
-			if !replaced {
-				rows = append(rows, r)
-			}
-		}
-	}
-	hardModes := []struct {
-		mode      string
-		newSolver func() *solver.Solver
-		warm      bool // one solver + assumption stack across children
+	vsftpd := corpus.SyntheticVsftpd(12, 2)
+	for _, b := range []struct {
+		name  string
+		bound float64 // largest median joins/off ratio the claim allows
+		run   func(merge string) (paths string, merges int)
 	}{
-		{"dpll", solver.NewReference, false},
-		{"cdcl", solver.New, false},
-		{"cdcl+assume", solver.New, true},
-	}
-	// Reps are the outer loop everywhere in this table: interleaving
-	// the modes keeps slow drift (CPU frequency, heap growth) from
-	// biasing whichever mode happens to run last.
-	for rep := 0; rep < reps; rep++ {
-		for _, m := range hardModes {
-			var stats solver.Stats
-			start := time.Now()
-			if m.warm {
-				s := mkSolver(m.newSolver)
-				for child := 0; child < children; child++ {
-					sat, err := s.SatAssuming(append(append([]solver.Formula{}, prefix...), contra(child))...)
-					must(err)
-					if sat {
-						must(fmt.Errorf("hard family child %d: want unsat", child))
-					}
-				}
-				stats = s.Stats
-			} else {
-				for child := 0; child < children; child++ {
-					s := mkSolver(m.newSolver)
-					sat, err := s.Sat(solver.Conj(append(append([]solver.Formula{}, prefix...), contra(child))...))
-					must(err)
-					if sat {
-						must(fmt.Errorf("hard family child %d: want unsat", child))
-					}
-					stats.Decisions += s.Stats.Decisions
-					stats.Conflicts += s.Stats.Conflicts
-					stats.LearnedClauses += s.Stats.LearnedClauses
-				}
-			}
-			record(hardBench, m.mode, row{
-				Queries: children, Decisions: stats.Decisions,
-				Conflicts: stats.Conflicts, Learned: stats.LearnedClauses,
-			}, time.Since(start))
-		}
-	}
-
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Bench != rows[j].Bench {
-			return rows[i].Bench < rows[j].Bench
-		}
-		return rows[i].Mode < rows[j].Mode
-	})
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%v\n",
-			r.Bench, r.Mode, r.Queries, r.Decisions, r.Conflicts, r.Learned,
-			time.Duration(r.TimeNS).Round(time.Microsecond))
+		{"ladder-10", 1, ladder(10)},
+		{"ladder-14", 1, ladder(14)},
+		{"vsftpd-12x2", 1.05, func(merge string) (string, int) {
+			res, err := mix.AnalyzeC(vsftpd, mix.CConfig{Merge: merge})
+			must(err)
+			return "-", res.Merges
+		}},
+	} {
+		var paths [2]string
+		var merges [2]int
+		times := paired(
+			func() { paths[0], merges[0] = b.run("off") },
+			func() { paths[1], merges[1] = b.run("joins") },
+		)
+		q := quartiles(ratios(times[1], times[0]))
+		fmt.Fprintf(w, "%s\toff\t%s\t%d\t%v\t-\n",
+			b.name, paths[0], merges[0], quartiles(times[0])[1].Round(time.Microsecond))
+		fmt.Fprintf(w, "%s\tjoins\t%s\t%d\t%v\t%.3f [%.3f–%.3f]\n",
+			b.name, paths[1], merges[1], quartiles(times[1])[1].Round(time.Microsecond), q[1], q[0], q[2])
+		gate(w, "X8", b.name+" joins/off", q[1], b.bound)
 	}
 	w.Flush()
+}
 
-	writeBench("BENCH_cdcl.json", rows)
+// tableX9 — compositional function summaries (DESIGN.md section 14) on
+// shared-2x3: calls inlined, answered from freshly computed summaries,
+// and answered from a summary store warm from disk. Inline cost
+// compounds per call site (every call re-explores its helper against
+// an ever-larger path condition); summaries pay each helper's
+// exploration once. Both summary modes must run at most half as long
+// as inlining (median ratio <= 0.5). shared-2x4 stays out of the table
+// while its inline leg takes tens of seconds (ROADMAP.md).
+func tableX9() {
+	fmt.Printf("X9 — function summaries: inline vs summaries vs summaries warm from disk (%d paired reps)\n", pairs)
+	fmt.Println("claims: analyzing each shared helper once and instantiating its arms at call sites beats re-inlining by >=2x; a disk-warm store also skips the one-time summarization")
+	const name = "shared-2x3"
+	src := corpus.SharedHelpers(2, 3)
 
-	if enforce {
-		dpllHard, assumeHard := best[hardBench+"/dpll"], best[hardBench+"/cdcl+assume"]
-		if assumeHard*2 > dpllHard {
-			fmt.Fprintf(os.Stderr, "MIXBENCH_ENFORCE: cdcl+assume (%v) is not 2x faster than dpll (%v) on %s\n",
-				assumeHard, dpllHard, hardBench)
-			os.Exit(1)
+	// The warm-disk mode reads a store primed by an untimed run; each
+	// rep opens a fresh Store on the directory, so it starts
+	// memory-cold and must load from disk.
+	dir, err := os.MkdirTemp("", "mixbench-x9-")
+	must(err)
+	defer os.RemoveAll(dir)
+	base := mix.CConfig{Entry: "entry", Merge: "joins", MergeCap: 8}
+	prime := base
+	prime.Summaries, prime.SummaryStore = true, summary.NewStore(dir)
+	_, err = mix.AnalyzeC(src, prime)
+	must(err)
+
+	modes := []string{"inline", "summaries", "summaries-warm"}
+	last := make([]mix.CResult, len(modes))
+	var warnings string
+	run := func(i int) func() {
+		return func() {
+			cfg := base
+			cfg.Summaries = modes[i] != "inline"
+			if modes[i] == "summaries-warm" {
+				cfg.SummaryStore = summary.NewStore(dir)
+			}
+			res, err := mix.AnalyzeC(src, cfg)
+			must(err)
+			if res.Degraded {
+				must(fmt.Errorf("X9 %s %s degraded: %s", name, modes[i], res.FaultDetail))
+			}
+			got := fmt.Sprint(res.Warnings)
+			if warnings == "" {
+				warnings = got
+			} else if got != warnings {
+				must(fmt.Errorf("X9 %s %s verdict drift: %q vs %q", name, modes[i], got, warnings))
+			}
+			last[i] = res
 		}
-		fmt.Printf("MIXBENCH_ENFORCE: cdcl+assume %.1fx faster than dpll on %s: ok\n",
-			float64(dpllHard)/float64(assumeHard), hardBench)
 	}
+	times := paired(run(0), run(1), run(2))
+
+	w := newTab()
+	fmt.Fprintln(w, "bench\tmode\tsummaries\tdisk hits\tinstantiated\tmedian time\tmode/inline median [quartiles]")
+	for i, mode := range modes {
+		r := last[i]
+		vs := "-"
+		var q [3]float64
+		if i > 0 {
+			q = quartiles(ratios(times[i], times[0]))
+			vs = fmt.Sprintf("%.4f [%.4f–%.4f]", q[1], q[0], q[2])
+		}
+		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%v\t%s\n", name, mode, r.SummaryComputed,
+			r.SummaryDiskHits, r.SummaryInstantiated, quartiles(times[i])[1].Round(time.Microsecond), vs)
+		if i > 0 {
+			gate(w, "X9", name+" "+mode+"/inline", q[1], 0.5)
+		}
+	}
+	w.Flush()
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -285,6 +286,27 @@ func TestRateLimit429(t *testing.T) {
 	other.Tenant = "patient"
 	if resp, body := post(t, ts.URL+"/check", other); resp.StatusCode != 200 {
 		t.Fatalf("other tenant = %d, want 200 (per-tenant fairness): %s", resp.StatusCode, body)
+	}
+}
+
+// TestDrainRequestBodyMatchesCorpus pins the checked-in body that CI's
+// drain smoke posts to mixd: a MicroC request over
+// corpus.SyntheticVsftpd(120, 3), long enough (about a second) to be
+// in flight when SIGTERM lands. It must decode the way the handler
+// decodes, and its source must be what the corpus generates today.
+func TestDrainRequestBodyMatchesCorpus(t *testing.T) {
+	body, err := os.ReadFile("testdata/drain_request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req Request
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		t.Fatal(err)
+	}
+	if req.Source != corpus.SyntheticVsftpd(120, 3) || req.Entry != "main" {
+		t.Fatal(`testdata/drain_request.json is stale: regenerate it as {"entry": "main", "source": corpus.SyntheticVsftpd(120, 3)}`)
 	}
 }
 

@@ -169,6 +169,74 @@ func TestHardFamilySeparation(t *testing.T) {
 	}
 }
 
+// TestHardFamilyCounts pins the work of hard-8x4: four unsatisfiable
+// queries, each a satisfiable or-chain prefix over nine links (every
+// clause needs two decisions before it propagates) conjoined with a
+// child-local 2-CNF contradiction. Chronological DPLL re-refutes the
+// contradiction once per prefix assignment; CDCL's first conflict
+// learns a unit clause over it and backjumps to level 0. The
+// assumption mode solves all four children on one warm solver, the
+// way the engine pool asserts forked path conditions. Decision counts
+// are deterministic, so the separation is asserted exactly.
+func TestHardFamilyCounts(t *testing.T) {
+	const busyN, children = 8, 4
+	bv := func(p string, i int) Formula {
+		return BoolVar{Name: p + string(rune('a'+i%26)) + string(rune('0'+i/26))}
+	}
+	prefix := []Formula{Disj(bv("y", 0), bv("z", 0), bv("w", 0))}
+	for i := 1; i <= busyN; i++ {
+		prefix = append(prefix, Disj(NewNot(bv("w", i-1)), bv("y", i), bv("z", i), bv("w", i)))
+	}
+	query := func(child int) []Formula {
+		a, b := bv("ca", child), bv("cb", child)
+		contra := Conj(NewOr(a, b), NewOr(a, NewNot(b)), NewOr(NewNot(a), b), NewOr(NewNot(a), NewNot(b)))
+		return append(append([]Formula{}, prefix...), contra)
+	}
+	fresh := func(newSolver func() *Solver) *Solver {
+		s := newSolver()
+		s.MaxDecisions = 1 << 26 // room for DPLL's exponential refutations
+		return s
+	}
+	for _, m := range []struct {
+		mode      string
+		newSolver func() *Solver
+		warm      bool
+		want      Stats
+	}{
+		{"dpll", NewReference, false, Stats{SatQueries: children, Decisions: 1934512}},
+		{"cdcl", New, false, Stats{SatQueries: children, Decisions: 76, Conflicts: 4, LearnedClauses: 4}},
+		{"cdcl+assume", New, true, Stats{SatQueries: children, Decisions: 76, Conflicts: 4, LearnedClauses: 4}},
+	} {
+		var got Stats
+		warm := fresh(m.newSolver)
+		for child := 0; child < children; child++ {
+			var sat bool
+			var err error
+			if m.warm {
+				sat, err = warm.SatAssuming(query(child)...)
+			} else {
+				s := fresh(m.newSolver)
+				sat, err = s.Sat(Conj(query(child)...))
+				got.SatQueries += s.Stats.SatQueries
+				got.Decisions += s.Stats.Decisions
+				got.Conflicts += s.Stats.Conflicts
+				got.LearnedClauses += s.Stats.LearnedClauses
+			}
+			if err != nil || sat {
+				t.Fatalf("%s child %d: sat=%v err=%v, want unsat", m.mode, child, sat, err)
+			}
+		}
+		if m.warm {
+			got = warm.Stats
+		}
+		got = Stats{SatQueries: got.SatQueries, Decisions: got.Decisions,
+			Conflicts: got.Conflicts, LearnedClauses: got.LearnedClauses}
+		if got != m.want {
+			t.Errorf("%s: %+v, want %+v", m.mode, got, m.want)
+		}
+	}
+}
+
 // TestReduceDBForgets: with a tiny learned-clause cap, a conflict-heavy
 // run must trigger activity-based forgetting without changing the
 // verdict.

@@ -1,0 +1,113 @@
+package mix
+
+import (
+	"fmt"
+	"testing"
+
+	"mix/internal/corpus"
+	"mix/internal/summary"
+)
+
+// The work claims of mixbench's X8 and X9 tables, as exact counts.
+// Counts do not depend on the host, so these cannot flake; the tables
+// keep only the wall-clock half of each claim (paired medians).
+
+// TestMergeWorkCounts pins X8: at workers 1, -merge joins collapses
+// ladder-k from 2^k explored paths to one merged state after k merges,
+// and merges three times on the branch-light vsftpd-12x2 fixpoint.
+func TestMergeWorkCounts(t *testing.T) {
+	for _, tc := range []struct {
+		n             int
+		mode          string
+		paths, merges int
+	}{
+		{10, "off", 1024, 0},
+		{10, "joins", 1, 10},
+		{14, "off", 16384, 0},
+		{14, "joins", 1, 14},
+	} {
+		src, env := ladderInput(tc.n)
+		res := Check(src, Config{Mode: StartSymbolic, Env: env, Workers: 1, Merge: tc.mode})
+		if res.Err != nil {
+			t.Fatalf("ladder-%d %s: %v", tc.n, tc.mode, res.Err)
+		}
+		if res.Paths != tc.paths || res.Merges != tc.merges {
+			t.Errorf("ladder-%d %s: %d paths, %d merges; want %d, %d",
+				tc.n, tc.mode, res.Paths, res.Merges, tc.paths, tc.merges)
+		}
+	}
+	src := corpus.SyntheticVsftpd(12, 2)
+	for mode, want := range map[string]int{"off": 0, "joins": 3} {
+		res, err := AnalyzeC(src, CConfig{Merge: mode})
+		if err != nil {
+			t.Fatalf("vsftpd-12x2 %s: %v", mode, err)
+		}
+		if res.Merges != want {
+			t.Errorf("vsftpd-12x2 %s: %d merges, want %d", mode, res.Merges, want)
+		}
+	}
+}
+
+// TestSummaryWorkCounts pins X9 on the shared-helper family: each of
+// the three helpers is summarized once and its summary instantiated at
+// every call site; a store warm from disk computes nothing and reads
+// all three back. Warnings are identical in every mode. shared-2x4's
+// inline leg is left out: it takes tens of seconds.
+func TestSummaryWorkCounts(t *testing.T) {
+	for _, tc := range []struct {
+		calls        int
+		instantiated int64
+		inline       bool
+	}{
+		{3, 3, true},
+		{4, 4, false},
+	} {
+		name := fmt.Sprintf("shared-2x%d", tc.calls)
+		src := corpus.SharedHelpers(2, tc.calls)
+		dir := t.TempDir()
+		run := func(mode string, cfg CConfig) CResult {
+			t.Helper()
+			cfg.Entry, cfg.Merge, cfg.MergeCap = "entry", "joins", 8
+			res, err := AnalyzeC(src, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, mode, err)
+			}
+			if res.Degraded {
+				t.Fatalf("%s %s degraded: %s", name, mode, res.FaultDetail)
+			}
+			return res
+		}
+		run("prime", CConfig{Summaries: true, SummaryStore: summary.NewStore(dir)})
+
+		type counts struct {
+			computed, diskHits int
+			instantiated       int64
+		}
+		want := map[string]counts{
+			"summaries":      {3, 0, tc.instantiated},
+			"summaries-warm": {0, 3, tc.instantiated},
+		}
+		warnings := map[string]string{}
+		for _, mode := range []string{"summaries", "summaries-warm"} {
+			cfg := CConfig{Summaries: true}
+			if mode == "summaries-warm" {
+				cfg.SummaryStore = summary.NewStore(dir)
+			}
+			res := run(mode, cfg)
+			got := counts{res.SummaryComputed, res.SummaryDiskHits, res.SummaryInstantiated}
+			if got != want[mode] {
+				t.Errorf("%s %s: computed %d, disk hits %d, instantiated %d; want %+v",
+					name, mode, got.computed, got.diskHits, got.instantiated, want[mode])
+			}
+			warnings[mode] = fmt.Sprint(res.Warnings)
+		}
+		if tc.inline {
+			warnings["inline"] = fmt.Sprint(run("inline", CConfig{}).Warnings)
+		}
+		for mode, w := range warnings {
+			if w != warnings["summaries"] {
+				t.Errorf("%s: %s warnings %s differ from summaries' %s", name, mode, w, warnings["summaries"])
+			}
+		}
+	}
+}
