@@ -5,7 +5,7 @@
 //
 //	mix [-symbolic] [-unsound] [-defer] [-merge mode]
 //	    [-env name:type,...]
-//	    [-workers n] [-max-paths n] [-memo=false] [-cache-dir dir]
+//	    [-workers n] [-max-paths n] [-cache-dir dir]
 //	    [-deadline d] [-solver-timeout d]
 //	    [-stats] [-metrics] [-trace file] [-trace-det] [-pprof addr]
 //	    file.mix
@@ -18,7 +18,7 @@
 // schema (see internal/cliflags): -workers n runs the parallel
 // path-exploration engine with n workers (0, the default, keeps
 // exploration sequential); -max-paths bounds the engine's total path
-// budget; -memo=false disables the engine's solver memo table. With -v
+// budget. Every engine memoizes solver queries. With -v
 // the engine's fork/steal/memo statistics are printed alongside path
 // and query counts. -cache-dir persists the engine's definite solver
 // verdicts and counterexample models under a directory, so a repeat
@@ -27,9 +27,8 @@
 // -merge selects veritesting-style state merging at conditional join
 // points (DESIGN.md section 12): "joins" (the default) folds the two
 // arms of a forked conditional back into one guarded state when both
-// reach the join alive, "aggressive" additionally folds multi-path
-// arms, and "off" restores pure forking (2^k paths on k sequential
-// diamonds).
+// reach the join alive, and "off" restores pure forking (2^k paths on
+// k sequential diamonds).
 //
 // -deadline bounds the whole check's wall-clock time and
 // -solver-timeout bounds each solver query. A check cut short by

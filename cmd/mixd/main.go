@@ -4,7 +4,7 @@
 //
 //	mixd [-addr host:port] [-rate n] [-burst n] [-max-inflight n]
 //	     [-default-deadline d] [-max-deadline d]
-//	     [-memo-size n] [-cons-limit n] [-respcache-size n]
+//	     [-memo-size n] [-respcache-size n]
 //	     [-cache-dir dir] [-flight n] [-drain-timeout d] [-pprof addr]
 //
 // Endpoints: POST /check (core language), POST /analyze (MicroC),
@@ -50,7 +50,6 @@ func main() {
 		defaultDeadline = flag.Duration("default-deadline", 10*time.Second, "deadline applied to requests that carry none")
 		maxDeadline     = flag.Duration("max-deadline", 60*time.Second, "upper clamp on requested deadlines")
 		memoSize        = flag.Int("memo-size", 0, "solver memo capacity in entries (0 = default)")
-		consLimit       = flag.Int("cons-limit", 0, "hash-cons table soft limit (0 = default)")
 		respCacheSize   = flag.Int("respcache-size", 0, "verdict cache capacity in entries (0 = default)")
 		cacheDir        = flag.String("cache-dir", "", "persist caches (summaries, solver memo, models) under this directory across restarts")
 		flightSize      = flag.Int("flight", 0, "flight-recorder capacity in requests (0 = 1024, -1 = off)")
@@ -76,7 +75,6 @@ func main() {
 		DefaultDeadline:   *defaultDeadline,
 		MaxDeadline:       *maxDeadline,
 		MemoSize:          *memoSize,
-		ConsLimit:         *consLimit,
 		ResponseCacheSize: *respCacheSize,
 		CacheDir:          *cacheDir,
 		FlightSize:        *flightSize,

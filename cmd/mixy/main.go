@@ -6,7 +6,7 @@
 //
 //	mixy [-pure] [-entry main] [-nocache] [-merge mode] [-merge-cap n]
 //	     [-summaries] [-summary-cap n] [-cache-dir dir]
-//	     [-workers n] [-memo=false]
+//	     [-workers n]
 //	     [-deadline d] [-solver-timeout d]
 //	     [-stats] [-metrics] [-trace file] [-trace-det] [-pprof addr]
 //	     file.mc
@@ -19,14 +19,13 @@
 // schema (see internal/cliflags): -workers n routes solver queries
 // through the engine's memoizing pool and evaluates each block's
 // translation queries on n workers (0, the default, keeps the analysis
-// engine-free); -memo=false disables the memo table.
+// engine-free).
 //
 // -merge selects veritesting-style state merging in the per-block
 // symbolic executor (DESIGN.md section 12): "joins" (the default)
 // folds the two arms of a forked conditional into one state with
 // guarded ite cells when both reach the join alive and at most
-// -merge-cap cells diverge, "aggressive" also folds multi-path arms
-// and loop frontiers with no cap, and "off" restores pure forking.
+// -merge-cap cells diverge, and "off" restores pure forking.
 //
 // -summaries analyzes each eligible (int-only, non-MIX) function once
 // into guarded summary arms and instantiates those at call sites

@@ -13,7 +13,7 @@ import (
 // for randomly generated programs, the engine-backed analysis —
 // incremental path conditions, interval fast paths, independence
 // slicing, counterexample cache, memo table, and (workers>1) parallel
-// exploration — must produce byte-identical warnings to the plain
+// query evaluation — must produce byte-identical warnings to the plain
 // sequential analysis, which solves each monolithic pc.Formula()
 // directly. Any unsound rewrite, slicing bug, stale cache hit, or
 // nondeterministic join shows up as a diff. Run under -race this also
@@ -30,7 +30,6 @@ func TestPipelineMatchesDirectSolver(t *testing.T) {
 	}{
 		{"workers=1", func() *engine.Engine { return engine.New(engine.Options{Workers: 1}) }},
 		{"workers=4", func() *engine.Engine { return engine.New(engine.Options{Workers: 4}) }},
-		{"workers=1,nomemo", func() *engine.Engine { return engine.New(engine.Options{Workers: 1, NoMemo: true}) }},
 	}
 
 	diverse := 0

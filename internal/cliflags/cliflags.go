@@ -106,7 +106,6 @@ type Analysis struct {
 	// Shared options.
 	Merge         string   `json:"merge,omitempty"`
 	Workers       int      `json:"workers,omitempty"`
-	NoMemo        bool     `json:"no_memo,omitempty"`
 	Deadline      Duration `json:"deadline,omitempty"`
 	SolverTimeout Duration `json:"solver_timeout,omitempty"`
 
@@ -116,29 +115,6 @@ type Analysis struct {
 	// HTTP client can never choose server filesystem paths.
 	CacheDir string `json:"-"`
 }
-
-// negBool adapts the historical positive flags (-memo=true) onto the
-// struct's negative fields (NoMemo) without keeping two booleans in
-// sync by hand.
-type negBool struct{ p *bool }
-
-func (n negBool) String() string {
-	if n.p == nil {
-		return "true"
-	}
-	return fmt.Sprint(!*n.p)
-}
-
-func (n negBool) Set(s string) error {
-	var v bool
-	if _, err := fmt.Sscanf(s, "%t", &v); err != nil {
-		return err
-	}
-	*n.p = !v
-	return nil
-}
-
-func (n negBool) IsBoolFlag() bool { return true }
 
 // envValue parses the mix CLI's -env syntax ("b:bool,x:int", with "_"
 // standing for spaces inside types, e.g. int_ref) into the Env map.
@@ -178,9 +154,8 @@ func (e envValue) Set(s string) error {
 // language-specific set, and applies the CLI defaults.
 func (a *Analysis) Register(fs *flag.FlagSet, kind Kind) {
 	// Shared flags — one declaration for every binary.
-	fs.StringVar(&a.Merge, "merge", "joins", "state merging at conditional joins: off, joins, or aggressive")
+	fs.StringVar(&a.Merge, "merge", "joins", "state merging at conditional joins: off or joins")
 	fs.IntVar(&a.Workers, "workers", 0, "parallel engine workers (0 = sequential, no engine)")
-	fs.Var(negBool{&a.NoMemo}, "memo", "memoize solver queries (engine only)")
 	fs.Var(&a.Deadline, "deadline", "wall-clock deadline for the whole run (0 = none)")
 	fs.Var(&a.SolverTimeout, "solver-timeout", "per-query solver timeout (0 = none)")
 	fs.StringVar(&a.CacheDir, "cache-dir", "", "persist caches (summaries, solver memo, models) under this directory across runs")
@@ -213,7 +188,6 @@ func (a Analysis) MixConfig() mix.Config {
 		Env:               a.Env,
 		Workers:           a.Workers,
 		MaxPaths:          a.MaxPaths,
-		NoMemo:            a.NoMemo,
 		Deadline:          time.Duration(a.Deadline),
 		SolverTimeout:     time.Duration(a.SolverTimeout),
 		CacheDir:          a.CacheDir,
@@ -236,7 +210,6 @@ func (a Analysis) CConfig() mix.CConfig {
 		Summaries:     a.Summaries,
 		SummaryCap:    a.SummaryCap,
 		Workers:       a.Workers,
-		NoMemo:        a.NoMemo,
 		Deadline:      time.Duration(a.Deadline),
 		SolverTimeout: time.Duration(a.SolverTimeout),
 		CacheDir:      a.CacheDir,

@@ -21,19 +21,18 @@ func parse(t *testing.T, kind Kind, args ...string) Analysis {
 }
 
 // TestRegisterCoreFlags pins that the historical mix CLI surface —
-// names, defaults, and the -memo inversion — survives the shared
-// registration.
+// names and defaults — survives the shared registration.
 func TestRegisterCoreFlags(t *testing.T) {
 	a := parse(t, Core,
 		"-symbolic", "-unsound", "-defer", "-merge", "off",
 		"-env", "b:bool,x:int,r:int_ref",
-		"-workers", "4", "-max-paths", "100", "-memo=false",
+		"-workers", "4", "-max-paths", "100",
 		"-deadline", "250ms", "-solver-timeout", "5ms")
 	cfg := a.MixConfig()
 	if cfg.Mode != mix.StartSymbolic || !cfg.Unsound || !cfg.DeferConditionals {
 		t.Fatalf("mode flags lost: %+v", cfg)
 	}
-	if cfg.Merge != "off" || cfg.Workers != 4 || cfg.MaxPaths != 100 || !cfg.NoMemo {
+	if cfg.Merge != "off" || cfg.Workers != 4 || cfg.MaxPaths != 100 {
 		t.Fatalf("engine flags lost: %+v", cfg)
 	}
 	if cfg.Deadline != 250*time.Millisecond || cfg.SolverTimeout != 5*time.Millisecond {
@@ -52,7 +51,7 @@ func TestRegisterCoreFlags(t *testing.T) {
 func TestRegisterMicroCFlags(t *testing.T) {
 	defaults := parse(t, MicroC)
 	cfg := defaults.CConfig()
-	if cfg.Entry != "main" || cfg.Merge != "joins" || cfg.MergeCap != 8 || cfg.NoMemo {
+	if cfg.Entry != "main" || cfg.Merge != "joins" || cfg.MergeCap != 8 {
 		t.Fatalf("CLI defaults drifted: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -106,15 +105,14 @@ func TestRequestDecoding(t *testing.T) {
 		"workers": 3,
 		"merge": "joins",
 		"deadline": "100ms",
-		"solver_timeout": 2000000,
-		"no_memo": true
+		"solver_timeout": 2000000
 	}`
 	var a Analysis
 	if err := json.Unmarshal([]byte(body), &a); err != nil {
 		t.Fatal(err)
 	}
 	cfg := a.MixConfig()
-	if cfg.Mode != mix.StartSymbolic || cfg.Workers != 3 || !cfg.NoMemo ||
+	if cfg.Mode != mix.StartSymbolic || cfg.Workers != 3 ||
 		cfg.Deadline != 100*time.Millisecond || cfg.SolverTimeout != 2*time.Millisecond ||
 		cfg.Env["x"] != "int" {
 		t.Fatalf("decoded config drifted: %+v", cfg)

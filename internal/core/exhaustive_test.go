@@ -168,7 +168,6 @@ var exhaustiveModes = []struct {
 }{
 	{"fork-merge-off", Options{}},
 	{"fork-merge-joins", Options{Merge: engine.MergeJoins}},
-	{"fork-merge-aggressive", Options{Merge: engine.MergeAggressive}},
 	{"defer", Options{IfMode: sym.DeferIf}},
 }
 

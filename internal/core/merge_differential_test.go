@@ -13,8 +13,8 @@ import (
 
 // TestMergeModesMatchForking is the core-language differential test
 // for join-point state merging (DESIGN.md section 12): checking
-// randomly generated programs with Merge joins or aggressive must give
-// the same verdict, the same derived type, the same error text, and
+// randomly generated programs with Merge joins must give the same
+// verdict, the same derived type, the same error text, and
 // the same findings as pure forking. Reports are compared on position,
 // message, and feasibility; the guard string is excluded because a
 // merged path's guard is by construction the disjunction of the arm
@@ -37,35 +37,30 @@ func TestMergeModesMatchForking(t *testing.T) {
 		} else {
 			rejected++
 		}
-		for _, mode := range []engine.MergeMode{engine.MergeJoins, engine.MergeAggressive} {
-			opts := Options{Merge: mode}
-			c := New(opts)
-			gotTy, gotErr := c.CheckSymbolic(types.EmptyEnv(), prog)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("program %s (%s): verdict diverges: forking err=%v, merged err=%v",
-					prog, mode, wantErr, gotErr)
-			}
-			if wantErr != nil && wantErr.Error() != gotErr.Error() {
-				t.Fatalf("program %s (%s): error text diverges:\nforking: %v\nmerged:  %v",
-					prog, mode, wantErr, gotErr)
-			}
-			if wantErr == nil && !types.Equal(wantTy, gotTy) {
-				t.Fatalf("program %s (%s): type diverges: forking %s, merged %s",
-					prog, mode, wantTy, gotTy)
-			}
-			if got := sortedReportText(c); got != wantReports {
-				t.Fatalf("program %s (%s): reports diverge\nforking:\n%s\nmerged:\n%s",
-					prog, mode, wantReports, got)
-			}
-			if mode == engine.MergeJoins {
-				merges += c.Executor().Stats.Merges
-			}
+		c := New(Options{Merge: engine.MergeJoins})
+		gotTy, gotErr := c.CheckSymbolic(types.EmptyEnv(), prog)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("program %s: verdict diverges: forking err=%v, merged err=%v",
+				prog, wantErr, gotErr)
 		}
+		if wantErr != nil && wantErr.Error() != gotErr.Error() {
+			t.Fatalf("program %s: error text diverges:\nforking: %v\nmerged:  %v",
+				prog, wantErr, gotErr)
+		}
+		if wantErr == nil && !types.Equal(wantTy, gotTy) {
+			t.Fatalf("program %s: type diverges: forking %s, merged %s",
+				prog, wantTy, gotTy)
+		}
+		if got := sortedReportText(c); got != wantReports {
+			t.Fatalf("program %s: reports diverge\nforking:\n%s\nmerged:\n%s",
+				prog, wantReports, got)
+		}
+		merges += c.Executor().Stats.Merges
 		// Merged disjunction guards and ite-defined variables must also
 		// survive the engine's sliced, memoized solving path.
 		eng := engine.New(engine.Options{Workers: 4})
-		c := New(Options{Merge: engine.MergeJoins, Engine: eng})
-		gotTy, gotErr := c.CheckSymbolic(types.EmptyEnv(), prog)
+		c = New(Options{Merge: engine.MergeJoins, Engine: eng})
+		gotTy, gotErr = c.CheckSymbolic(types.EmptyEnv(), prog)
 		eng.Close()
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("program %s (joins+engine): verdict diverges: forking err=%v, merged err=%v",

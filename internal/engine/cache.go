@@ -8,25 +8,13 @@ import (
 	"mix/internal/solver"
 )
 
-// defaultConsLimit bounds the hash-cons intern table of a Cache before
-// a generation flush reclaims it (CacheOptions.ConsLimit = 0). The
-// intern table is the only grow-only structure in the pipeline — the
-// memo shards are LRU-bounded and the counterexample ring is fixed —
-// so its size is the trigger for whole-cache eviction.
-const defaultConsLimit = 1 << 18
-
 // CacheOptions configures a cross-run Cache.
 type CacheOptions struct {
 	// MemoSize bounds the number of memoized solver verdicts
 	// (0 = default, 16384), spread across the memo shards as an LRU
-	// per shard.
+	// per shard. It is the memo's only bound: each entry dropped to
+	// respect it counts in CacheStats.Evictions.
 	MemoSize int
-	// ConsLimit bounds the hash-cons intern table (and, transitively,
-	// the per-PC-node id cache): when a query pushes the table past
-	// the limit the whole generation — intern table, memo, model
-	// cache, PC ids — is dropped and rebuilt warm from subsequent
-	// traffic. 0 = default (262144 nodes).
-	ConsLimit int
 	// Dir, when non-empty, backs the cache with a persistent tier
 	// (diskcache.go): definite verdicts and counterexample models are
 	// loaded from dir at construction and written back on Persist.
@@ -36,14 +24,15 @@ type CacheOptions struct {
 }
 
 // Cache is the warm, cross-run half of the solver pipeline: the
-// hash-cons intern table, the sharded memo of Sat verdicts, the
-// counterexample (model) ring, the per-PC-node conjunct-id cache, and
+// sharded memo of Sat verdicts, the counterexample (model) ring, and
 // the pool of per-worker solver instances. A Cache outlives any single
 // Engine: construct one with NewCache, pass it to every run via
 // Options.Cache (or mix.Config.Cache / mix.CConfig.Cache), and
 // back-to-back runs skip re-proving every formula an earlier run
-// already decided. cmd/mixd shares one Cache across all requests —
-// cache warmth is the daemon's whole reason to exist.
+// already decided. An engine without one builds a private Cache, so
+// every query takes the same cached path. cmd/mixd shares one Cache
+// across all requests — cache warmth is the daemon's whole reason to
+// exist.
 //
 // Sharing is sound because a hit can only skip work, never change a
 // verdict: definite sat/unsat answers and deterministic resource
@@ -53,21 +42,19 @@ type CacheOptions struct {
 // a fresh solve always terminates identically. TestCacheWarmColdIdentical
 // pins byte-identical results warm vs cold.
 //
-// Eviction is generational: the intern table assigns dense ids that
-// memo keys are built from, so entries cannot be evicted one by one —
-// instead, when the table passes ConsLimit (or Flush is called) the
-// current generation is atomically swapped for an empty one.
-// In-flight queries keep the generation they started on (ids, memo
-// keys and stores stay internally consistent against one snapshot) and
-// it is garbage-collected when they drain. All methods are safe for
+// Memo keys are built from solver.FormulaKey (memoKey), the same
+// encoding the disk tier, Simplify and the CDCL root registry use, so
+// a key depends only on the formula and entries can be evicted one by
+// one: each memo shard is an LRU. Flush atomically swaps the current
+// generation (memo and model ring) for an empty one; in-flight queries
+// finish against the generation they started on, which is
+// garbage-collected when they drain. All methods are safe for
 // concurrent use, including Flush under load.
 type Cache struct {
-	memoSize  int
-	shardCap  int
-	consLimit int
-	solvers   sync.Pool
-	cur       atomic.Pointer[cacheGen]
-	disk      *diskStore // nil without CacheOptions.Dir
+	shardCap int
+	solvers  sync.Pool
+	cur      atomic.Pointer[cacheGen]
+	disk     *diskStore // nil without CacheOptions.Dir
 
 	// Lifetime counters, across every engine and generation that ever
 	// used this cache — the daemon's warm-vs-cold observability.
@@ -80,21 +67,12 @@ type Cache struct {
 	diskCorrupt atomic.Int64
 }
 
-// cacheGen is one immutable-identity generation of the cache's data
-// structures. Queries capture a *cacheGen once and do all interning,
-// lookups and stores against it, so a concurrent flush can never mix
-// id namespaces.
+// cacheGen is one generation of the cache's in-memory tiers. Queries
+// capture a *cacheGen once, so a concurrent flush never splits one
+// query's lookups and stores across two generations.
 type cacheGen struct {
-	cons consTable
 	memo []memoShard
 	cex  *cexCache
-
-	// pcIDs caches the hash-cons id of each PC node's conjunct, keyed
-	// by solver.PC.ID (nodes are immutable), which keeps no path
-	// condition alive. Bounded by the generation's lifetime: a flush
-	// drops it with the intern table it indexes into.
-	pcMu  sync.RWMutex
-	pcIDs map[uint64]uint64
 }
 
 // NewCache builds an empty cache from o.
@@ -103,15 +81,9 @@ func NewCache(o CacheOptions) *Cache {
 	if size <= 0 {
 		size = defaultMemoSize
 	}
-	limit := o.ConsLimit
-	if limit <= 0 {
-		limit = defaultConsLimit
-	}
 	c := &Cache{
-		memoSize:  size,
-		shardCap:  (size + memoShards - 1) / memoShards,
-		consLimit: limit,
-		solvers:   sync.Pool{New: func() any { return solver.New() }},
+		shardCap: (size + memoShards - 1) / memoShards,
+		solvers:  sync.Pool{New: func() any { return solver.New() }},
 	}
 	if o.Dir != "" {
 		disk, err := openDiskStore(o.Dir)
@@ -128,13 +100,11 @@ func NewCache(o CacheOptions) *Cache {
 
 func (c *Cache) newGen() *cacheGen {
 	g := &cacheGen{
-		cons:  newConsTable(),
-		memo:  make([]memoShard, memoShards),
-		cex:   newCexCache(cexCacheSize),
-		pcIDs: map[uint64]uint64{},
+		memo: make([]memoShard, memoShards),
+		cex:  newCexCache(cexCacheSize),
 	}
 	for i := range g.memo {
-		g.memo[i] = memoShard{ents: map[uint64]*list.Element{}, lru: list.New()}
+		g.memo[i] = memoShard{ents: map[string]*list.Element{}, lru: list.New()}
 	}
 	if c.disk != nil {
 		// Seed the fresh generation's counterexample ring with the
@@ -147,13 +117,16 @@ func (c *Cache) newGen() *cacheGen {
 	return g
 }
 
-// gen returns the current generation (nil receiver → nil, meaning
-// memoization is off).
-func (c *Cache) gen() *cacheGen {
-	if c == nil {
-		return nil
+// shard returns the memo shard of key in generation g. The hash is
+// FNV-1a, unseeded, so an entry lands in the same shard — and an
+// undersized memo evicts the same entries — on every run.
+func (g *cacheGen) shard(key string) *memoShard {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
 	}
-	return c.cur.Load()
+	return &g.memo[h%memoShards]
 }
 
 // Flush atomically replaces every cached structure with an empty
@@ -168,35 +141,11 @@ func (c *Cache) Flush() {
 	c.flushes.Add(1)
 }
 
-// maybeEvict flushes the cache when the current generation's intern
-// table has outgrown the limit. Called once per query on the slow
-// path, so the size probe (one mutex acquisition) is amortized against
-// a search or memo lookup.
-func (c *Cache) maybeEvict() {
-	if c == nil {
-		return
-	}
-	g := c.cur.Load()
-	if g.cons.size() <= c.consLimit {
-		return
-	}
-	// CAS-free double-check under a fresh load: losing a race just
-	// means someone else already swapped the generation.
-	if c.cur.CompareAndSwap(g, c.newGen()) {
-		c.evictions.Add(1)
-		c.flushes.Add(1)
-	}
-}
-
 // CacheStats is a point-in-time reading of a Cache: sizes of the
 // current generation plus lifetime hit/flush counters.
 type CacheStats struct {
-	// MemoEntries / ConsEntries / PCEntries size the current
-	// generation: memoized verdicts, interned formula/term nodes, and
-	// cached PC-node ids.
+	// MemoEntries sizes the current generation's memo.
 	MemoEntries int
-	ConsEntries int
-	PCEntries   int
 	// MemoHits / MemoMisses / CexHits accumulate across the cache's
 	// whole lifetime (every engine, every generation) — the serving
 	// layer's warm-vs-cold signal. Per-run figures stay on the
@@ -204,8 +153,8 @@ type CacheStats struct {
 	MemoHits   int64
 	MemoMisses int64
 	CexHits    int64
-	// Flushes counts generation swaps (explicit Flush + evictions);
-	// Evictions counts only the swaps forced by ConsLimit.
+	// Flushes counts Flush calls; Evictions counts memo entries the
+	// LRU dropped to stay within MemoSize.
 	Flushes   int64
 	Evictions int64
 	// DiskEntries / DiskHits / DiskCorrupt describe the persistent
@@ -224,12 +173,13 @@ func (c *Cache) Stats() CacheStats {
 	}
 	g := c.cur.Load()
 	s := CacheStats{
-		ConsEntries: g.cons.size(),
 		MemoHits:    c.hits.Load(),
 		MemoMisses:  c.misses.Load(),
 		CexHits:     c.cexHits.Load(),
 		Flushes:     c.flushes.Load(),
 		Evictions:   c.evictions.Load(),
+		DiskHits:    c.diskHits.Load(),
+		DiskCorrupt: c.diskCorrupt.Load(),
 	}
 	for i := range g.memo {
 		sh := &g.memo[i]
@@ -237,21 +187,16 @@ func (c *Cache) Stats() CacheStats {
 		s.MemoEntries += len(sh.ents)
 		sh.mu.Unlock()
 	}
-	g.pcMu.RLock()
-	s.PCEntries = len(g.pcIDs)
-	g.pcMu.RUnlock()
 	if c.disk != nil {
 		s.DiskEntries = c.disk.size()
 	}
-	s.DiskHits = c.diskHits.Load()
-	s.DiskCorrupt = c.diskCorrupt.Load()
 	return s
 }
 
-// diskLookup consults the persistent tier (nil-safe; a miss when no
-// Dir was configured).
+// diskLookup consults the persistent tier (a miss when no Dir was
+// configured).
 func (c *Cache) diskLookup(key string) (sat, ok bool) {
-	if c == nil || c.disk == nil {
+	if c.disk == nil {
 		return false, false
 	}
 	sat, ok = c.disk.lookup(key)
@@ -262,9 +207,9 @@ func (c *Cache) diskLookup(key string) (sat, ok bool) {
 }
 
 // diskAdd records a definite verdict (and model, when sat produced
-// one) in the persistent tier. Nil-safe no-op without a Dir.
+// one) in the persistent tier. A no-op without a Dir.
 func (c *Cache) diskAdd(key string, sat bool, model *solver.Model) {
-	if c == nil || c.disk == nil {
+	if c.disk == nil {
 		return
 	}
 	c.disk.add(key, sat, model)

@@ -51,7 +51,7 @@ func TestCacheFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Flush()
-	if cs := c.Stats(); cs.MemoEntries != 0 || cs.ConsEntries != 0 || cs.Flushes != 1 {
+	if cs := c.Stats(); cs.MemoEntries != 0 || cs.Flushes != 1 {
 		t.Fatalf("post-flush stats = %+v, want empty generation and 1 flush", cs)
 	}
 	if _, err := e.Sat(f); err != nil {
@@ -62,35 +62,37 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
-// TestCacheConsLimitEviction pins the bounded-size policy: pushing the
-// intern table past ConsLimit swaps in a fresh generation instead of
-// growing forever.
-func TestCacheConsLimitEviction(t *testing.T) {
-	c := NewCache(CacheOptions{ConsLimit: 64})
+// TestCacheMemoSizeEviction pins the memo's only bound: past MemoSize
+// the LRU drops entries one by one, and Evictions counts every drop.
+func TestCacheMemoSizeEviction(t *testing.T) {
+	c := NewCache(CacheOptions{MemoSize: memoShards}) // one entry per shard
 	e := New(Options{Workers: 1, Cache: c})
 	defer e.Close()
-	// Distinct two-variable inequalities: each interns a few nodes, so
-	// a few dozen queries cross the 64-node limit several times.
-	for i := 0; i < 100; i++ {
+	const n = 100
+	for i := 0; i < n; i++ {
 		f := vle(fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i))
 		if sat, err := e.Sat(f); err != nil || !sat {
 			t.Fatalf("Sat #%d = %v, %v", i, sat, err)
 		}
 	}
 	cs := c.Stats()
-	if cs.Evictions == 0 {
-		t.Fatalf("cache stats = %+v, want at least one ConsLimit eviction", cs)
+	if cs.MemoMisses != n || cs.MemoEntries > memoShards {
+		t.Fatalf("cache stats = %+v, want %d misses and at most %d entries", cs, n, memoShards)
 	}
-	if cs.ConsEntries > 64+8 {
-		t.Fatalf("ConsEntries = %d, want bounded near the 64-node limit", cs.ConsEntries)
+	if want := int64(n - cs.MemoEntries); cs.Evictions != want {
+		t.Fatalf("Evictions = %d, want %d (one per entry stored beyond the %d kept)", cs.Evictions, want, cs.MemoEntries)
+	}
+	if cs.Flushes != 0 {
+		t.Fatalf("Flushes = %d, want 0: eviction is per entry, not a generation swap", cs.Flushes)
 	}
 }
 
-// TestCacheFlushUnderLoad hammers one shared cache from many engines
-// while flushing concurrently; run under -race this pins that the
-// generation swap cannot mix id namespaces or corrupt a verdict.
+// TestCacheFlushUnderLoad hammers one shared, undersized cache from
+// many engines while flushing concurrently; run under -race this pins
+// that neither the generation swap nor LRU eviction can corrupt a
+// verdict.
 func TestCacheFlushUnderLoad(t *testing.T) {
-	c := NewCache(CacheOptions{ConsLimit: 128})
+	c := NewCache(CacheOptions{MemoSize: 4 * memoShards})
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -123,21 +125,4 @@ func TestCacheFlushUnderLoad(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestCacheNoMemoWins pins that NoMemo disables a shared cache rather
-// than silently writing into it.
-func TestCacheNoMemoWins(t *testing.T) {
-	c := NewCache(CacheOptions{})
-	e := New(Options{Workers: 1, Cache: c, NoMemo: true})
-	defer e.Close()
-	if _, err := e.Sat(vle("x", "y")); err != nil {
-		t.Fatal(err)
-	}
-	if cs := c.Stats(); cs.MemoEntries != 0 || cs.MemoMisses != 0 {
-		t.Fatalf("cache stats = %+v, want untouched under NoMemo", cs)
-	}
-	if s := e.Snapshot(); s.MemoHits != 0 || s.MemoMisses != 0 {
-		t.Fatalf("engine stats = %+v, want no memo traffic under NoMemo", s)
-	}
 }

@@ -32,10 +32,12 @@ import (
 // empty, and is overwritten wholesale on the next Persist — degraded
 // to recompute, never a wrong answer.
 
-// diskSchemaVersion versions the solver-memo file format. Version 2
-// keys verdicts by solver.FormulaKey instead of the display text of
-// version 1, so a version-1 file is stale and recomputed.
-const diskSchemaVersion = 2
+// diskSchemaVersion versions the solver-memo file format. Version 3
+// keys verdicts by the component's memo key (memoKey: its conjuncts'
+// solver.FormulaKeys, sorted and deduplicated); version 2 keyed the
+// whole conjunction's FormulaKey and version 1 its display text. An
+// older file is stale and recomputed.
+const diskSchemaVersion = 3
 
 const (
 	// maxDiskVerdicts bounds the persisted verdict map across runs.
@@ -50,7 +52,7 @@ type diskStore struct {
 	path string
 
 	mu       sync.Mutex
-	verdicts map[string]bool // solver.FormulaKey of the conjunction → sat
+	verdicts map[string]bool // memoKey of the component → sat
 	models   []*solver.Model
 	dirty    bool
 }

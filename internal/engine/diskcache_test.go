@@ -160,46 +160,51 @@ func TestDiskCachePersistCleanNoop(t *testing.T) {
 	}
 }
 
-// TestDiskCacheOldSchemaRecomputes pins the schema bump that came with
-// the verdict key's change from display text to solver.FormulaKey: a
-// well-formed version-1 file counts as corrupt and is never trusted,
-// even where it holds an entry under the query's key; the verdict is
-// recomputed.
+// TestDiskCacheOldSchemaRecomputes pins the schema bumps that came
+// with each change of the verdict key: display text in version 1, the
+// conjunction's solver.FormulaKey in version 2, the component's memo
+// key since version 3. A well-formed older file counts as corrupt and
+// is never trusted, even where it holds an entry under the query's
+// current key; the verdict is recomputed.
 func TestDiskCacheOldSchemaRecomputes(t *testing.T) {
-	dir := t.TempDir()
 	f := unsatPair("x", "y")
-	// A wrong verdict under both spellings of the key: trusting either
-	// would turn this unsat query sat.
-	payload, err := json.Marshal(diskPayload{Verdicts: map[string]bool{
-		f.String():           true,
-		solver.FormulaKey(f): true,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(payload)
-	b, err := json.Marshal(diskFile{
-		SchemaVersion: 1,
-		Checksum:      hex.EncodeToString(sum[:]),
-		Payload:       payload,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "solver-memo.json"), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	conjuncts, _ := splitExtras([]solver.Formula{f})
+	for _, version := range []int{1, 2} {
+		dir := t.TempDir()
+		// A wrong verdict under every spelling of the key: trusting any
+		// would turn this unsat query sat.
+		payload, err := json.Marshal(diskPayload{Verdicts: map[string]bool{
+			f.String():           true,
+			solver.FormulaKey(f): true,
+			memoKey(conjuncts):   true,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(payload)
+		b, err := json.Marshal(diskFile{
+			SchemaVersion: version,
+			Checksum:      hex.EncodeToString(sum[:]),
+			Payload:       payload,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "solver-memo.json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	c := NewCache(CacheOptions{Dir: dir})
-	if cs := c.Stats(); cs.DiskCorrupt != 1 || cs.DiskEntries != 0 {
-		t.Fatalf("old-schema open stats = %+v, want 1 corruption, 0 entries", cs)
-	}
-	e := New(Options{Workers: 1, Cache: c})
-	defer e.Close()
-	if got, err := e.Sat(f); err != nil || got {
-		t.Fatalf("Sat = %v, %v; want the recomputed unsat", got, err)
-	}
-	if cs := c.Stats(); cs.DiskHits != 0 {
-		t.Fatalf("stats = %+v, want no disk hits", cs)
+		c := NewCache(CacheOptions{Dir: dir})
+		if cs := c.Stats(); cs.DiskCorrupt != 1 || cs.DiskEntries != 0 {
+			t.Fatalf("schema %d: open stats = %+v, want 1 corruption, 0 entries", version, cs)
+		}
+		e := New(Options{Workers: 1, Cache: c})
+		if got, err := e.Sat(f); err != nil || got {
+			t.Fatalf("schema %d: Sat = %v, %v; want the recomputed unsat", version, got, err)
+		}
+		e.Close()
+		if cs := c.Stats(); cs.DiskHits != 0 {
+			t.Fatalf("schema %d: stats = %+v, want no disk hits", version, cs)
+		}
 	}
 }

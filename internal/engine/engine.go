@@ -20,10 +20,11 @@
 //   - A concurrency-safe memoizing solver frontend (SolverPool): path
 //     feasibility queries dominate symbolic-execution wall-clock time
 //     (the paper's Section 4.6 timings), and distinct paths re-prove
-//     identical formulas. The pool hash-conses formulas into compact
-//     keys, memoizes Sat answers in a sharded LRU table, and hands
-//     each concurrent query a private *solver.Solver instance, since
-//     Solver.Stats mutation makes a shared instance racy.
+//     identical formulas. The pool keys each independent component by
+//     its conjuncts' solver.FormulaKeys, memoizes Sat answers in a
+//     sharded LRU table, and hands each concurrent query a private
+//     *solver.Solver instance, since Solver.Stats mutation makes a
+//     shared instance racy.
 //
 // A nil *Engine everywhere means "sequential, unmemoized" — exactly
 // the pre-engine behavior.
@@ -44,7 +45,7 @@ import (
 )
 
 // ErrBudget is the sentinel wrapped by errors returned when
-// exploration exceeds the engine's path or fork-depth budget. Callers
+// exploration exceeds the engine's path budget. Callers
 // detect it with errors.Is and turn it into a graceful
 // "budget exhausted" report instead of runaway exploration.
 var ErrBudget = errors.New("engine: exploration budget exhausted")
@@ -59,21 +60,11 @@ type Options struct {
 	// to fork into existence (0 = unlimited). Charging the budget past
 	// the bound returns an error wrapping ErrBudget.
 	MaxPaths int64
-	// MaxForkDepth bounds the fork depth of any single path
-	// (0 = unlimited).
-	MaxForkDepth int
-	// MemoSize bounds the number of memoized solver answers
-	// (0 = default).
-	MemoSize int
-	// NoMemo disables the Sat/Valid memo table (per-worker solver
-	// instances and stats aggregation remain). NoMemo wins over Cache.
-	NoMemo bool
 	// Cache, when non-nil, is a shared cross-run solver cache (see
 	// Cache): this run reads and extends it instead of building a
-	// private one, so back-to-back runs skip re-proving formulas an
-	// earlier run already decided. The Cache outlives the engine —
-	// Close does not touch it. MemoSize is ignored when set (the
-	// cache was sized at NewCache).
+	// private one of the default size, so back-to-back runs skip
+	// re-proving formulas an earlier run already decided. The Cache
+	// outlives the engine — Close does not touch it.
 	Cache *Cache
 	// NewSolver is a test seam: it builds the per-worker solver
 	// instances in place of solver.New, so a test can run the pool on
@@ -117,7 +108,7 @@ type Stats struct {
 	SolverQueries int64 // queries through the pool
 	SolverUnknown int64 // queries answered "unknown" (resource bounds)
 	SolverTime    time.Duration
-	Exhausted     bool           // a path or depth budget was hit
+	Exhausted     bool           // the path budget was hit
 	Faults        fault.Snapshot // classified degradation events absorbed this run
 
 	QuickDecided   int64 // queries/components decided by the interval fast path
@@ -133,7 +124,6 @@ type Stats struct {
 type Engine struct {
 	workers  int
 	maxPaths int64
-	maxDepth int
 
 	// ctx holds the run's context.Context boxed in ctxBox (atomic.Value
 	// needs one concrete type); atomic so tests can swap a fresh context
@@ -172,7 +162,6 @@ func New(o Options) *Engine {
 	e := &Engine{
 		workers:  w,
 		maxPaths: o.MaxPaths,
-		maxDepth: o.MaxForkDepth,
 		injector: o.FaultInjector,
 		tracer:   o.Tracer,
 		metrics:  o.Metrics,
@@ -374,15 +363,15 @@ func (e *Engine) AddPaths(n int) {
 	e.paths.Add(int64(n))
 }
 
-// Charge accounts for one prospective fork at the given depth. It
-// returns the first fatal error if the run is cancelled, a classified
-// timeout/cancellation fault if the run's context is done, or a
-// classified path-budget fault (still wrapping ErrBudget) if the fork
-// would exceed the path or depth budget. Every non-nil return is
+// Charge accounts for one prospective fork. It returns the first fatal
+// error if the run is cancelled, a classified timeout/cancellation
+// fault if the run's context is done, or a classified path-budget
+// fault (still wrapping ErrBudget) if the fork would exceed the path
+// budget. Every non-nil return is
 // fault-classified except a prior hard failure, so executors apply one
 // uniform rule: degradable → truncate with imprecision, else abort. A
 // nil engine has no budgets.
-func (e *Engine) Charge(depth int) error {
+func (e *Engine) Charge() error {
 	if e == nil {
 		return nil
 	}
@@ -394,12 +383,6 @@ func (e *Engine) Charge(depth int) error {
 	}
 	if err := e.injector.At(fault.PreFork); err != nil {
 		return err
-	}
-	if e.maxDepth > 0 && depth >= e.maxDepth {
-		e.exhausted.Store(true)
-		return fault.New(fault.PathBudget, "engine.fork",
-			fmt.Sprintf("max-fork-depth=%d", e.maxDepth),
-			fmt.Errorf("fork depth %d reached: %w", depth, ErrBudget))
 	}
 	n := e.forks.Add(1)
 	// Each binary fork adds one path beyond the initial one.

@@ -68,7 +68,7 @@ func TestFork2ErrorCancelsEngine(t *testing.T) {
 	if err != boom || ran {
 		t.Fatalf("cancelled engine must bail before running branches (err=%v ran=%v)", err, ran)
 	}
-	if err := e.Charge(0); err != boom {
+	if err := e.Charge(); err != boom {
 		t.Fatalf("Charge after failure = %v, want recorded error", err)
 	}
 }
@@ -92,13 +92,13 @@ func TestChargePathBudget(t *testing.T) {
 	e := New(Options{Workers: 1, MaxPaths: 3})
 	// Each binary fork adds one path beyond the initial one: two forks
 	// reach 3 paths, the third must be refused.
-	if err := e.Charge(0); err != nil {
+	if err := e.Charge(); err != nil {
 		t.Fatalf("fork 1: %v", err)
 	}
-	if err := e.Charge(0); err != nil {
+	if err := e.Charge(); err != nil {
 		t.Fatalf("fork 2: %v", err)
 	}
-	err := e.Charge(0)
+	err := e.Charge()
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("fork 3 = %v, want ErrBudget", err)
 	}
@@ -107,20 +107,10 @@ func TestChargePathBudget(t *testing.T) {
 	}
 }
 
-func TestChargeDepthBudget(t *testing.T) {
-	e := New(Options{Workers: 1, MaxForkDepth: 4})
-	if err := e.Charge(3); err != nil {
-		t.Fatalf("depth 3: %v", err)
-	}
-	if err := e.Charge(4); !errors.Is(err, ErrBudget) {
-		t.Fatalf("depth 4 = %v, want ErrBudget", err)
-	}
-}
-
 func TestChargeNilEngineUnlimited(t *testing.T) {
 	var e *Engine
 	for i := 0; i < 1000; i++ {
-		if err := e.Charge(i); err != nil {
+		if err := e.Charge(); err != nil {
 			t.Fatalf("nil engine charged: %v", err)
 		}
 	}
@@ -176,7 +166,7 @@ func TestMapNilEngineSequential(t *testing.T) {
 func TestSnapshotAggregates(t *testing.T) {
 	e := New(Options{Workers: 3})
 	e.AddPaths(7)
-	if err := e.Charge(0); err != nil {
+	if err := e.Charge(); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Snapshot()

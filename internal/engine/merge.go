@@ -20,6 +20,8 @@ const (
 	MergeJoins
 	// MergeAggressive additionally folds multi-path arms and the live
 	// set carried across loop iterations, ignoring the divergence cap.
+	// Only summary computation sets it, on the MicroC executor; it is
+	// not a user-facing mode, and ParseMergeMode rejects it.
 	MergeAggressive
 )
 
@@ -41,8 +43,6 @@ func ParseMergeMode(s string) (MergeMode, error) {
 		return MergeJoins, nil
 	case "off":
 		return MergeOff, nil
-	case "aggressive":
-		return MergeAggressive, nil
 	}
-	return MergeOff, fmt.Errorf("unknown merge mode %q (want off, joins, or aggressive)", s)
+	return MergeOff, fmt.Errorf("unknown merge mode %q (want off or joins)", s)
 }

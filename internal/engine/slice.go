@@ -6,14 +6,11 @@ import (
 	"mix/internal/solver"
 )
 
-// conjunct is one unit of a sliced query: a simplified formula, its
-// independence-support tokens, and (lazily) its hash-cons id. node is
-// the solver.PC node ID when the conjunct came from a path condition
-// (0 otherwise), enabling the pool's per-node id cache.
+// conjunct is one unit of a sliced query: a simplified formula and
+// its independence-support tokens.
 type conjunct struct {
 	f       solver.Formula
 	support []string
-	node    uint64
 }
 
 // splitExtras simplifies a query's extra formulas and splits them into
@@ -50,7 +47,7 @@ func sliceConjuncts(pc *solver.PC, xs []solver.Formula) []conjunct {
 	for q := pc; q != nil; q = q.Parent() {
 		i--
 		f, sup := q.Head()
-		out[i] = conjunct{f: f, support: sup, node: q.ID()}
+		out[i] = conjunct{f: f, support: sup}
 	}
 	for _, x := range xs {
 		out = append(out, conjunct{f: x, support: solver.Support(x)})

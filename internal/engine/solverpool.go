@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +20,7 @@ import (
 // counts the scheduler runs.
 const memoShards = 16
 
-// defaultMemoSize bounds the memo table when Options.MemoSize is 0.
+// defaultMemoSize bounds the memo table when CacheOptions.MemoSize is 0.
 const defaultMemoSize = 1 << 14
 
 // cexCacheSize bounds the counterexample (model) cache.
@@ -32,32 +34,31 @@ const cexCacheSize = 64
 //
 // Path conditions arrive as *solver.PC cons lists, so the pipeline
 // sees pre-simplified conjuncts with cached support tokens and
-// interval state, and only ever pays per-conjunct costs once per PC
-// node, not once per query.
+// interval state, and pays simplification, support and interval costs
+// once per PC node, not once per query. Only the few components that
+// reach the memo pay for their key (memoKey).
 // Trivial conjunctions (boolean literals and single-variable interval
 // guards — the overwhelming majority of branch feasibility checks) are
 // decided from the interval state cached on the path condition's
 // newest node plus the query's own guard, and never touch the memo
-// table, the hash-cons table, or the search core. The remainder is
+// table or the search core. The remainder is
 // sliced into independent components: the long shared prefix of a
 // path condition memo-hits component-by-component and only the
 // component entangled with the new guard is ever solved fresh, usually
 // straight from a cached model.
 //
-// The cached half of the pipeline (intern table, memo, model ring) now
-// lives in a Cache, which may be private to this pool (the default) or
-// shared across runs via Options.Cache — the serving daemon's warm
-// path. Construct via New; the zero value is not ready.
+// The cached half of the pipeline (memo, model ring) lives in a Cache,
+// which is private to this pool (the default) or shared across runs
+// via Options.Cache — the serving daemon's warm path. Construct via
+// New; the zero value is not ready.
 type SolverPool struct {
 	// eng points back at the owning engine for the run context and the
 	// fault injector; nil only in direct-pool unit tests.
 	eng     *Engine
 	timeout time.Duration // per-query solver timeout (0 = none)
 	solvers *sync.Pool
-	// cache holds the memo/hash-cons/model state; nil when memoization
-	// is disabled (Options.NoMemo).
-	cache  *Cache
-	shared bool // cache arrived via Options.Cache (lifetime not ours)
+	// cache holds the memo and model state.
+	cache *Cache
 
 	// queryHist/dpllHist are per-query and per-fresh-solve duration
 	// histograms in the run's metrics registry; nil (inert) when the
@@ -79,12 +80,12 @@ type SolverPool struct {
 
 type memoShard struct {
 	mu   sync.Mutex
-	ents map[uint64]*list.Element
+	ents map[string]*list.Element
 	lru  *list.List // front = most recently used *memoEntry
 }
 
 type memoEntry struct {
-	key uint64
+	key string
 	sat bool
 	err error
 }
@@ -95,31 +96,22 @@ func newSolverPool(e *Engine, o Options) *SolverPool {
 		timeout:   o.SolverTimeout,
 		queryHist: o.Metrics.Histogram("solver.query.ns"),
 		dpllHist:  o.Metrics.Histogram("solver.dpll.ns"),
+		cache:     o.Cache,
 	}
-	switch {
-	case o.NoMemo:
-		// No cached state at all: per-worker solver instances and
-		// stats aggregation remain.
-	case o.Cache != nil:
-		p.cache, p.shared = o.Cache, true
-	default:
-		p.cache = NewCache(CacheOptions{MemoSize: o.MemoSize})
+	if p.cache == nil {
+		p.cache = NewCache(CacheOptions{})
 	}
 	// The cache owns the warm per-worker solver instances, unless a
 	// test substitutes its own through Options.NewSolver.
-	if p.cache != nil && o.NewSolver == nil {
+	if o.NewSolver == nil {
 		p.solvers = &p.cache.solvers
 	} else {
-		factory := o.NewSolver
-		if factory == nil {
-			factory = solver.New
-		}
-		p.solvers = &sync.Pool{New: func() any { return factory() }}
+		p.solvers = &sync.Pool{New: func() any { return o.NewSolver() }}
 	}
 	return p
 }
 
-// Cache exposes the pool's cache (nil when memoization is disabled).
+// Cache exposes the pool's cache.
 func (p *SolverPool) Cache() *Cache { return p.cache }
 
 // Sat decides satisfiability of f through the sliced pipeline.
@@ -229,10 +221,10 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 	for i := range cs {
 		fs[i] = cs[i].f
 	}
-	// Capture one cache generation for the whole query: every interned
-	// id, memo key, lookup and store below is internally consistent
-	// against this snapshot even if the cache is flushed mid-query.
-	g := p.cache.gen()
+	// Capture one cache generation for the whole query: every lookup
+	// and store below goes to this snapshot even if the cache is
+	// flushed mid-query.
+	g := p.cache.cur.Load()
 	var firstErr error
 	for _, comp := range components(cs) {
 		sat, err := p.decideComponent(sp, g, cs, fs, comp)
@@ -246,11 +238,9 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 			continue
 		}
 		if !sat {
-			p.cache.maybeEvict()
 			return false, nil
 		}
 	}
-	p.cache.maybeEvict()
 	if firstErr != nil {
 		return false, firstErr
 	}
@@ -259,8 +249,8 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 
 // decideComponent resolves one independence component against the g
 // cache generation: interval fast path, then the memo table, then the
-// counterexample cache, then a fresh (small) solve by the search core
-// (CDCL by default). g is nil when memoization is disabled.
+// counterexample cache, then the disk tier, then a fresh solve by the
+// CDCL core.
 func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, fs []solver.Formula, comp []int) (bool, error) {
 	sub := make([]solver.Formula, len(comp))
 	tokens := 0
@@ -287,40 +277,31 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 		}
 	}
 
-	var key uint64
-	var sh *memoShard
-	if g != nil {
-		ids := make([]uint64, len(comp))
-		for i, idx := range comp {
-			ids[i] = conjunctID(g, &cs[idx])
-		}
-		key = g.cons.conjID(ids)
-		sh = &g.memo[key%memoShards]
-		sh.mu.Lock()
-		if el, ok := sh.ents[key]; ok {
-			sh.lru.MoveToFront(el)
-			ent := el.Value.(*memoEntry)
-			sh.mu.Unlock()
-			p.hits.Add(1)
-			p.cache.hits.Add(1)
-			sp.MemoHit()
-			if ent.err != nil {
-				p.unknown.Add(1)
-			}
-			return ent.sat, ent.err
-		}
+	key := memoKey(sub)
+	sh := g.shard(key)
+	sh.mu.Lock()
+	if el, ok := sh.ents[key]; ok {
+		sh.lru.MoveToFront(el)
+		ent := el.Value.(*memoEntry)
 		sh.mu.Unlock()
-		p.misses.Add(1)
-		p.cache.misses.Add(1)
+		p.hits.Add(1)
+		p.cache.hits.Add(1)
+		sp.MemoHit()
+		if ent.err != nil {
+			p.unknown.Add(1)
+		}
+		return ent.sat, ent.err
 	}
+	sh.mu.Unlock()
+	p.misses.Add(1)
+	p.cache.misses.Add(1)
 
-	conj := solver.Conj(sub...)
 	// Small components only (see slice.go): below the gate a fresh
 	// solve always terminates inside its budget, so a cache hit cannot
 	// change any verdict — only skip work.
 	small := len(comp) <= cexMaxConjuncts && tokens <= cexMaxTokens
-	if small && g != nil {
-		if m := g.cex.lookup(conj); m != nil {
+	if small {
+		if m := g.cex.lookup(solver.Conj(sub...)); m != nil {
 			p.cexHits.Add(1)
 			p.cache.cexHits.Add(1)
 			sp.CexHit()
@@ -329,17 +310,12 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 		}
 	}
 	// Persistent tier (diskcache.go): definite verdicts saved by an
-	// earlier process, keyed by the conjunction's canonical key, which
-	// is built only when the cache has a disk tier. A hit is promoted
-	// into this generation's memo so repeats stay in memory.
-	var diskKey string
-	if g != nil && p.cache.disk != nil {
-		diskKey = solver.FormulaKey(conj)
-		if sat, ok := p.cache.diskLookup(diskKey); ok {
-			sp.Stage("disk", verdictOf(sat, nil), 0)
-			p.memoStore(sh, key, sat, nil)
-			return sat, nil
-		}
+	// earlier process under the same key. A hit is promoted into this
+	// generation's memo so repeats stay in memory.
+	if sat, ok := p.cache.diskLookup(key); ok {
+		sp.Stage("disk", verdictOf(sat, nil), 0)
+		p.memoStore(sh, key, sat, nil)
+		return sat, nil
 	}
 
 	var tr *obs.Tracer
@@ -348,7 +324,7 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 		tr = p.eng.Tracer()
 		ts = tr.Now()
 	}
-	sat, model, err := p.solve(sub, small && g != nil)
+	sat, model, err := p.solve(sub, small)
 	if sp != nil {
 		sp.Stage("search", verdictOf(sat, err), tr.Now()-ts)
 	}
@@ -360,42 +336,43 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 	if err == nil || (errors.Is(err, solver.ErrLimit) && fault.Of(err) == nil) {
 		p.memoStore(sh, key, sat, err)
 	}
-	if err == nil && sat && g != nil {
+	if err == nil && sat {
 		g.cex.add(model) // add ignores nil models (extraction is best-effort)
 	}
-	if err == nil && diskKey != "" {
+	if err == nil {
 		// Persist only definite verdicts: "unknown" depends on solver
 		// bounds, which the disk file may outlive.
-		p.cache.diskAdd(diskKey, sat, model)
+		p.cache.diskAdd(key, sat, model)
 	}
 	return sat, err
 }
 
-// conjunctID returns the hash-cons id of a conjunct in generation g,
-// via the per-PC-node cache when the conjunct came from a path
-// condition.
-func conjunctID(g *cacheGen, c *conjunct) uint64 {
-	if c.node == 0 {
-		return g.cons.formulaID(c.f)
+// memoKey is a component's memo and disk key: its conjuncts'
+// solver.FormulaKeys, sorted, deduplicated and length-prefixed. Every
+// path that accumulates the same conjuncts, in any order and with any
+// repeats, shares one entry, and the length prefixes keep the encoding
+// injective: no conjunct's key can forge a boundary.
+func memoKey(fs []solver.Formula) string {
+	keys := make([]string, len(fs))
+	for i, f := range fs {
+		keys[i] = solver.FormulaKey(f)
 	}
-	g.pcMu.RLock()
-	id, ok := g.pcIDs[c.node]
-	g.pcMu.RUnlock()
-	if ok {
-		return id
+	sort.Strings(keys)
+	var b []byte
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
+			continue
+		}
+		b = strconv.AppendInt(b, int64(len(k)), 10)
+		b = append(b, ':')
+		b = append(b, k...)
 	}
-	id = g.cons.formulaID(c.f)
-	g.pcMu.Lock()
-	g.pcIDs[c.node] = id
-	g.pcMu.Unlock()
-	return id
+	return string(b)
 }
 
-// memoStore inserts a verdict; sh is nil when memoization is off.
-func (p *SolverPool) memoStore(sh *memoShard, key uint64, sat bool, err error) {
-	if sh == nil {
-		return
-	}
+// memoStore inserts a verdict, dropping the shard's least recently
+// used entry when the shard is full.
+func (p *SolverPool) memoStore(sh *memoShard, key string, sat bool, err error) {
 	sh.mu.Lock()
 	if _, ok := sh.ents[key]; !ok {
 		sh.ents[key] = sh.lru.PushFront(&memoEntry{key: key, sat: sat, err: err})
@@ -403,6 +380,7 @@ func (p *SolverPool) memoStore(sh *memoShard, key uint64, sat bool, err error) {
 			old := sh.lru.Back()
 			sh.lru.Remove(old)
 			delete(sh.ents, old.Value.(*memoEntry).key)
+			p.cache.evictions.Add(1)
 		}
 	}
 	sh.mu.Unlock()
@@ -420,11 +398,9 @@ func (p *SolverPool) solve(sub []solver.Formula, wantModel bool) (bool, *solver.
 	// A pooled instance retains learned clauses and encodings across
 	// queries (that is the point), but never across cache generations:
 	// a flush marks "start over", and the solver follows it.
-	if p.cache != nil {
-		if epoch := uint64(p.cache.flushes.Load()); s.Gen != epoch {
-			s.Reset()
-			s.Gen = epoch
-		}
+	if epoch := uint64(p.cache.flushes.Load()); s.Gen != epoch {
+		s.Reset()
+		s.Gen = epoch
 	}
 	var cancel context.CancelFunc
 	if p.eng != nil {

@@ -149,20 +149,6 @@ func TestPoolValidSharesSatEntry(t *testing.T) {
 	}
 }
 
-func TestPoolNoMemo(t *testing.T) {
-	e := New(Options{Workers: 1, NoMemo: true})
-	f := vle("x", "y")
-	for i := 0; i < 3; i++ {
-		if _, err := e.Sat(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := e.Snapshot()
-	if s.MemoHits != 0 || s.MemoMisses != 0 || s.CexHits != 0 || s.SolverQueries != 3 {
-		t.Fatalf("stats = %+v, want no caching and 3 queries", s)
-	}
-}
-
 // limitFormula exceeds a MaxAtoms=4 bound with six entangled
 // arithmetic atoms (chained variables, so slicing cannot split them
 // and the interval fast path does not apply).
@@ -212,7 +198,7 @@ func TestPoolUnknownKeepsPath(t *testing.T) {
 func TestPoolLRUEviction(t *testing.T) {
 	// A tiny memo forces eviction; correctness (answers) must be
 	// unaffected, only hit rate.
-	e := New(Options{Workers: 1, MemoSize: memoShards}) // one entry per shard
+	e := New(Options{Workers: 1, Cache: NewCache(CacheOptions{MemoSize: memoShards})}) // one entry per shard
 	for i := 0; i < 100; i++ {
 		sat, err := e.Sat(vle(fmt.Sprintf("v%d", i), fmt.Sprintf("w%d", i)))
 		if err != nil || !sat {
@@ -288,8 +274,10 @@ func TestPoolSatPC(t *testing.T) {
 	}
 }
 
-func TestHashconsDistinguishes(t *testing.T) {
-	tbl := newConsTable()
+// TestMemoKeyDistinguishes pins the memo key's properties: distinct
+// formulas get distinct keys, re-keying is stable, and a conjunct set's
+// key ignores order and repeats but tells distinct sets apart.
+func TestMemoKeyDistinguishes(t *testing.T) {
 	pairs := []solver.Formula{
 		bvar("a"),
 		solver.NewNot(bvar("a")),
@@ -302,26 +290,33 @@ func TestHashconsDistinguishes(t *testing.T) {
 		solver.Eq{X: solver.App{Fn: "f", Args: []solver.Term{solver.IntVar{Name: "x"}}}, Y: solver.IntConst{Val: 0}},
 		solver.Eq{X: solver.App{Fn: "f", Args: []solver.Term{solver.IntVar{Name: "x"}, solver.IntVar{Name: "y"}}}, Y: solver.IntConst{Val: 0}},
 	}
-	seen := map[uint64]int{}
+	seen := map[string]int{}
 	for i, f := range pairs {
-		id := tbl.formulaID(f)
-		if j, dup := seen[id]; dup {
-			t.Fatalf("formulas %d and %d collide on id %d", j, i, id)
+		k := memoKey([]solver.Formula{f})
+		if j, dup := seen[k]; dup {
+			t.Fatalf("formulas %d and %d collide on key %q", j, i, k)
 		}
-		seen[id] = i
+		seen[k] = i
 	}
-	// Re-interning returns identical ids.
 	for i, f := range pairs {
-		if id := tbl.formulaID(f); seen[id] != i {
-			t.Fatalf("formula %d not stable across interning", i)
+		if k := memoKey([]solver.Formula{f}); seen[k] != i {
+			t.Fatalf("formula %d not stable across keying", i)
 		}
 	}
-	// Conjunct-set ids are order- and duplicate-insensitive.
-	a, b, c := tbl.formulaID(bvar("a")), tbl.formulaID(bvar("b")), tbl.formulaID(bvar("c"))
-	if tbl.conjID([]uint64{a, b, c}) != tbl.conjID([]uint64{c, a, b, a}) {
-		t.Fatal("conjID must be order/multiplicity-insensitive")
+	a, b, c := bvar("a"), bvar("b"), bvar("c")
+	if memoKey([]solver.Formula{a, b, c}) != memoKey([]solver.Formula{c, a, b, a}) {
+		t.Fatal("the memo key must be order- and multiplicity-insensitive")
 	}
-	if tbl.conjID([]uint64{a, b}) == tbl.conjID([]uint64{a, c}) {
-		t.Fatal("distinct conjunct sets must get distinct ids")
+	if memoKey([]solver.Formula{a, b}) == memoKey([]solver.Formula{a, c}) {
+		t.Fatal("distinct conjunct sets must get distinct keys")
+	}
+	// Set boundaries are unforgeable: no name makes one conjunct read
+	// as two, and no set reads as its superset.
+	ab := bvar("a1:b")
+	if memoKey([]solver.Formula{ab}) == memoKey([]solver.Formula{bvar("a"), bvar("b")}) {
+		t.Fatal("one conjunct collides with a two-conjunct set")
+	}
+	if memoKey([]solver.Formula{a}) == memoKey([]solver.Formula{a, a, b}) {
+		t.Fatal("a set collides with its superset")
 	}
 }

@@ -38,7 +38,7 @@ const (
 	Timeout
 	// Canceled is a cooperative cancellation (context canceled).
 	Canceled
-	// PathBudget is an exhausted path or fork-depth budget.
+	// PathBudget is an exhausted path budget.
 	PathBudget
 	// StepBudget is an exhausted evaluation-step budget.
 	StepBudget

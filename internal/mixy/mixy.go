@@ -175,12 +175,7 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 	m.Exec.MergeMode = opts.Merge
 	m.Exec.MergeCap = opts.MergeCap
 	m.Exec.Summaries = opts.Summaries
-	if m.eng != nil {
-		// The solver pool is shared; forking stays serial because the
-		// InitCell/TypedCall hooks mutate the inference.
-		m.Exec.Engine = m.eng
-		m.Exec.SerialFork = true
-	}
+	m.Exec.Engine = m.eng
 
 	entry, ok := prog.Func(opts.Entry)
 	if !ok {

@@ -5,8 +5,8 @@
 //
 // The server owns two caches that outlive any single request:
 //
-//   - a shared engine.Cache (hash-cons ids, per-component solver memo,
-//     counterexample models, warm per-worker solver instances), which
+//   - a shared engine.Cache (per-component solver memo, counterexample
+//     models, warm per-worker solver instances), which
 //     every engine-backed request reads and extends,
 //   - a shared summary.Store, so function summaries computed for one
 //     request answer later requests that analyze the same code, and
@@ -74,11 +74,10 @@ type Options struct {
 	// clamps what a request may ask for. Zero values mean 10s and 60s.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// MemoSize and ConsLimit size the shared engine cache (see
+	// MemoSize bounds the shared engine cache's memo (see
 	// engine.CacheOptions). ResponseCacheSize bounds the verdict cache
 	// (0 = 4096 entries).
 	MemoSize          int
-	ConsLimit         int
 	ResponseCacheSize int
 	// CacheDir, when non-empty, backs the engine cache and the summary
 	// store with a persistent on-disk tier: verdicts, models, and
@@ -143,7 +142,7 @@ func New(o Options) *Server {
 	}
 	s := &Server{
 		opts:     o,
-		cache:    engine.NewCache(engine.CacheOptions{MemoSize: o.MemoSize, ConsLimit: o.ConsLimit, Dir: o.CacheDir}),
+		cache:    engine.NewCache(engine.CacheOptions{MemoSize: o.MemoSize, Dir: o.CacheDir}),
 		sums:     summary.NewStore(o.CacheDir),
 		resp:     newRespCache(o.ResponseCacheSize),
 		adm:      newTenantBuckets(o.RatePerSec, o.Burst, o.Now),
@@ -333,7 +332,6 @@ func (s *Server) Summaries() *summary.Store { return s.sums }
 func (s *Server) collect() {
 	cs := s.cache.Stats()
 	s.reg.Gauge("serve.solvercache.memo_entries").Set(int64(cs.MemoEntries))
-	s.reg.Gauge("serve.solvercache.cons_entries").Set(int64(cs.ConsEntries))
 	s.reg.Gauge("serve.solvercache.memo_hits").Set(cs.MemoHits)
 	s.reg.Gauge("serve.solvercache.memo_misses").Set(cs.MemoMisses)
 	s.reg.Gauge("serve.solvercache.cex_hits").Set(cs.CexHits)

@@ -397,6 +397,10 @@ func TestBadRequests(t *testing.T) {
 		{"removed max_atoms", "/analyze", `{"source":"int main() { return 0; }","max_atoms":2}`, "unknown field"},
 		{"removed max_decisions", "/check", `{"source":"1 + 2","max_decisions":1}`, "unknown field"},
 		{"removed max_learned", "/analyze", `{"source":"int main() { return 0; }","max_learned":8}`, "unknown field"},
+		// Every engine memoizes now, and aggressive merging is no
+		// longer a request mode.
+		{"removed no_memo", "/check", `{"source":"1 + 2","no_memo":true}`, "unknown field"},
+		{"removed aggressive merge", "/analyze", `{"source":"int main() { return 0; }","merge":"aggressive"}`, `bad Merge mode "aggressive"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -372,25 +372,33 @@ func luby(i int) int {
 // theoryConfl checks the theory trail above its consistency watermark
 // and renders an inconsistency as a conflicting (blocking) clause: the
 // disjunction of the involved literals' negations, a tautology of the
-// arithmetic. Returns nil when consistent.
-func (d *cdcl) theoryConfl() *cclause {
+// arithmetic. Returns nil when consistent, and the classified fault
+// when the solver's context expires inside the check.
+func (d *cdcl) theoryConfl() (*cclause, error) {
 	if d.th.checked == len(d.th.lits) {
-		return nil
+		return nil, nil
 	}
 	d.s.Stats.TheoryChecks++
-	if d.th.set.consistent() {
+	ok, err := d.th.set.consistent(d.s)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
 		d.th.checked = len(d.th.lits)
-		return nil
+		return nil, nil
 	}
 	d.s.Stats.TheoryConflicts++
-	involved := d.th.explain()
+	involved, err := d.th.explain(d.s)
+	if err != nil {
+		return nil, err
+	}
 	lits := make([]int, len(involved))
 	for i, tl := range involved {
 		lits[i] = litNeg(mkLit(d.varOf[tl.a], tl.pos))
 	}
 	// Not attached: the 1-UIP clause analyze derives from it blocks the
 	// assignment path, and the consistency watermark prevents re-checks.
-	return &cclause{lits: lits, learnt: true, id: d.nextID}
+	return &cclause{lits: lits, learnt: true, id: d.nextID}, nil
 }
 
 // maxLevelOf returns the highest decision level among c's literals.
@@ -496,7 +504,10 @@ func (d *cdcl) search(assumps []int, wantModel bool) (bool, *Model, error) {
 	for {
 		confl := d.propagate()
 		if confl == nil {
-			confl = d.theoryConfl()
+			var err error
+			if confl, err = d.theoryConfl(); err != nil {
+				return false, nil, err
+			}
 		}
 		if confl != nil {
 			d.s.Stats.Conflicts++

@@ -16,8 +16,7 @@ func TestNewIteFolding(t *testing.T) {
 		t.Fatalf("ite(g, x, x) = %s, want x", got)
 	}
 	// Polarity canonicalization: a negated guard swaps the arms, so the
-	// two spellings of one function are one structure (the memo-key
-	// property the engine's hash-consing relies on).
+	// two spellings of one function are one structure.
 	a, b := NewIte(gd(), x(), y()), NewIte(Not{gd()}, y(), x())
 	if !termEq(a, b) {
 		t.Fatalf("ite(g, x, y) = %s but ite(!g, y, x) = %s; want one canonical form", a, b)

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"strings"
@@ -164,21 +165,41 @@ type ineq struct {
 	strict bool
 }
 
+// ctxDone returns ctx's error once it is done, and nil before that or
+// for a nil ctx.
+func ctxDone(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
 // theoryConj decides the satisfiability (over the rationals) of a
 // conjunction of equalities (each lin = 0), inequalities, and
-// disequalities (each lin != 0).
-func theoryConj(eqs []*lin, ineqs []ineq, diseqs []*lin) bool {
+// disequalities (each lin != 0). The case split makes one call cost up
+// to 2^len(diseqs) eliminations, so ctx is observed at every split and
+// every elimination round (per lower bound within a Fourier–Motzkin
+// round): once it is done the check stops with ctx.Err().
+func theoryConj(ctx context.Context, eqs []*lin, ineqs []ineq, diseqs []*lin) (bool, error) {
 	// Case-split disequalities: l != 0 becomes l < 0 or -l < 0.
 	if len(diseqs) > 0 {
+		if err := ctxDone(ctx); err != nil {
+			return false, err
+		}
 		d, rest := diseqs[0], diseqs[1:]
 		lt := append(append([]ineq{}, ineqs...), ineq{d.clone(), true})
-		if theoryConj(eqs, lt, rest) {
-			return true
+		if sat, err := theoryConj(ctx, eqs, lt, rest); sat || err != nil {
+			return sat, err
 		}
 		neg := d.clone()
 		neg.scale(big.NewRat(-1, 1))
 		gt := append(append([]ineq{}, ineqs...), ineq{neg, true})
-		return theoryConj(eqs, gt, rest)
+		return theoryConj(ctx, eqs, gt, rest)
 	}
 
 	// Copy so elimination does not alias the caller's slices.
@@ -193,11 +214,14 @@ func theoryConj(eqs []*lin, ineqs []ineq, diseqs []*lin) bool {
 
 	// Gaussian elimination of equalities.
 	for len(eqs2) > 0 {
+		if err := ctxDone(ctx); err != nil {
+			return false, err
+		}
 		e := eqs2[0]
 		eqs2 = eqs2[1:]
 		if e.isConst() {
 			if e.k.Sign() != 0 {
-				return false
+				return false, nil
 			}
 			continue
 		}
@@ -224,6 +248,9 @@ func theoryConj(eqs []*lin, ineqs []ineq, diseqs []*lin) bool {
 
 	// Fourier–Motzkin elimination of inequalities.
 	for {
+		if err := ctxDone(ctx); err != nil {
+			return false, err
+		}
 		// Find a variable still present.
 		var v string
 		found := false
@@ -251,6 +278,12 @@ func theoryConj(eqs []*lin, ineqs []ineq, diseqs []*lin) bool {
 			}
 		}
 		for _, lo := range lowers {
+			// A round combines every lower with every upper bound, so
+			// one round can itself grow quadratically: observe ctx per
+			// lower bound as well.
+			if err := ctxDone(ctx); err != nil {
+				return false, err
+			}
 			for _, up := range uppers {
 				cl := lo.l.coefs[v] // negative
 				cu := up.l.coefs[v] // positive
@@ -274,8 +307,8 @@ func theoryConj(eqs []*lin, ineqs []ineq, diseqs []*lin) bool {
 		}
 		s := in.l.k.Sign()
 		if s > 0 || (s == 0 && in.strict) {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }

@@ -23,13 +23,9 @@ type PC struct {
 	f       Formula
 	support atomic.Pointer[[]string]
 	n       int
-	id      uint64
 	dead    bool
 	quick   quickState
 }
-
-// pcSerial numbers the nodes (see ID).
-var pcSerial atomic.Uint64
 
 // PCTrue is the empty path condition. (Any nil *PC behaves the same.)
 var PCTrue *PC
@@ -67,24 +63,14 @@ func (p *PC) and(f Formula) *PC {
 		if p.Dead() {
 			return p
 		}
-		return &PC{parent: p, f: False, n: p.Len() + 1, id: pcSerial.Add(1), dead: true, quick: p.state().with(False)}
+		return &PC{parent: p, f: False, n: p.Len() + 1, dead: true, quick: p.state().with(False)}
 	case And:
 		return p.and(f.X).and(f.Y)
 	}
 	if p != nil && formulaEq(p.f, f) {
 		return p // re-asserted guard (e.g. a loop condition), keep the node
 	}
-	return &PC{parent: p, f: f, n: p.Len() + 1, id: pcSerial.Add(1), dead: p.Dead(), quick: p.state().with(f)}
-}
-
-// ID returns a number no other node of the process carries (0 for the
-// empty path condition), so a cache can key by node without keeping
-// the node, and the path behind it, alive.
-func (p *PC) ID() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.id
+	return &PC{parent: p, f: f, n: p.Len() + 1, dead: p.Dead(), quick: p.state().with(f)}
 }
 
 func (p *PC) state() quickState {

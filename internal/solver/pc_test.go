@@ -316,23 +316,15 @@ func TestQuickStateHolesNotShared(t *testing.T) {
 	}
 }
 
-// TestPCIDs: node IDs, which caches key by, are unique per node, 0 for
-// the empty path condition, and kept when And returns an existing node.
-func TestPCIDs(t *testing.T) {
-	var empty *PC
-	if empty.ID() != 0 {
-		t.Fatal("the empty path condition must have ID 0")
+// TestPCReassertedGuardKeepsNode: re-asserting the newest conjunct
+// returns the existing node instead of growing the path condition.
+func TestPCReassertedGuardKeepsNode(t *testing.T) {
+	p := PCTrue.And(BoolVar{"p"})
+	if again := p.And(BoolVar{"p"}); again != p {
+		t.Fatal("a re-asserted guard must return the same node")
 	}
-	p := empty.And(BoolVar{"p"})
-	a, b := p.And(BoolVar{"q"}), p.And(BoolVar{"q"})
-	seen := map[uint64]bool{}
-	for _, n := range []*PC{p, a, b, a.And(Lt{IntVar{"x"}, IntConst{1}})} {
-		if n.ID() == 0 || seen[n.ID()] {
-			t.Fatalf("node %s has ID %d, already taken or zero", n, n.ID())
-		}
-		seen[n.ID()] = true
-	}
-	if again := p.And(BoolVar{"p"}); again != p || again.ID() != p.ID() {
-		t.Fatal("a re-asserted guard must return the same node and ID")
+	q := p.And(BoolVar{"q"})
+	if q == p || q.Len() != 2 {
+		t.Fatalf("a new guard must add a node: got %s (len %d)", q, q.Len())
 	}
 }

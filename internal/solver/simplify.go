@@ -565,7 +565,9 @@ func formulaEq(a, b Formula) bool {
 // FormulaKey renders an injective canonical string for f: distinct
 // structures yield distinct keys (names are length-prefixed so no
 // name can forge a delimiter). Negation is normalized so that
-// key(¬x) == "!"+key(x).
+// key(¬x) == "!"+key(x), and an ite with a negated guard keys as its
+// swapped positive form. The engine's memo and disk tier, Simplify and
+// the CDCL root registry all key formulas by it.
 func FormulaKey(f Formula) string {
 	return string(appendFormulaKey(nil, f))
 }
@@ -673,12 +675,20 @@ func appendTermKey(b []byte, t Term) []byte {
 		}
 		b = append(b, ')')
 	case Ite:
+		// ite(¬g, a, b) and ite(g, b, a) denote one function, so a
+		// negated guard is written as its swapped positive form: NewIte
+		// builds that form, and this covers ites built by hand (the
+		// summary codec's).
+		g, x, y := t.G, t.X, t.Y
+		for n, ok := g.(Not); ok; n, ok = g.(Not) {
+			g, x, y = n.X, y, x
+		}
 		b = append(b, "I("...)
-		b = appendFormulaKey(b, t.G)
+		b = appendFormulaKey(b, g)
 		b = append(b, ',')
-		b = appendTermKey(b, t.X)
+		b = appendTermKey(b, x)
 		b = append(b, ',')
-		b = appendTermKey(b, t.Y)
+		b = appendTermKey(b, y)
 		b = append(b, ')')
 	default:
 		b = fmt.Appendf(b, "?%T", t)

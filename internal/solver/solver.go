@@ -40,10 +40,11 @@ type Solver struct {
 	// bound, low-activity clauses are forgotten. 0 means the built-in
 	// default.
 	MaxLearned int
-	// Ctx, when non-nil, is polled at query entry and about every 32
-	// decisions or conflicts; expiry or cancellation aborts the query
-	// with a classified fault wrapping ctx.Err(), so a deadline cuts
-	// even a single runaway query short.
+	// Ctx, when non-nil, is polled at query entry, about every 32
+	// decisions or conflicts, and inside each theory check at every
+	// disequality split and elimination round; expiry or cancellation
+	// aborts the query with a classified fault wrapping ctx.Err(), so a
+	// deadline cuts even a single runaway query short.
 	Ctx context.Context
 	// Injector, when non-nil, is visited at the fault.MidSearch point
 	// on the same cadence as the ctx poll (chaos tests only).
@@ -116,15 +117,10 @@ func (s *Solver) SatModel(f Formula) (bool, *Model, error) {
 
 // ctxErr reports a classified fault if the solver's context is done.
 func (s *Solver) ctxErr(op string) error {
-	if s.Ctx == nil {
-		return nil
+	if err := ctxDone(s.Ctx); err != nil {
+		return fault.FromContext(op, "", err)
 	}
-	select {
-	case <-s.Ctx.Done():
-		return fault.FromContext(op, "", s.Ctx.Err())
-	default:
-		return nil
-	}
+	return nil
 }
 
 // poll is the cooperative interruption point of both search loops: it
@@ -204,8 +200,8 @@ func (c *searchCtx) search(n node) (bool, error) {
 		if !cn.val {
 			return false, nil
 		}
-		if !c.theoryOK() {
-			return false, nil
+		if ok, err := c.theoryOK(); !ok || err != nil {
+			return false, err
 		}
 		if c.wantModel {
 			c.capture()
@@ -226,7 +222,14 @@ func (c *searchCtx) search(n node) (bool, error) {
 	c.order = append(c.order, pick)
 	for _, v := range [2]bool{true, false} {
 		c.assign[pick] = v
-		if pick.kind == atomBool || c.theoryOK() {
+		ok := pick.kind == atomBool
+		if !ok {
+			var err error
+			if ok, err = c.theoryOK(); err != nil {
+				return false, err
+			}
+		}
+		if ok {
 			cond, _ := condition(n, pick, v)
 			sat, err := c.search(cond)
 			if err != nil {
@@ -319,11 +322,11 @@ func (c *searchCtx) capture() {
 
 // theoryOK checks the arithmetic consistency of the current literal
 // set, built in decision order via the shared classifier in theory.go.
-func (c *searchCtx) theoryOK() bool {
+func (c *searchCtx) theoryOK() (bool, error) {
 	c.solver.Stats.TheoryChecks++
 	var ls theoryLits
 	for _, a := range c.order {
 		ls.add(a, c.assign[a])
 	}
-	return ls.consistent()
+	return ls.consistent(c.solver)
 }

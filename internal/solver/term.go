@@ -98,8 +98,7 @@ func (t Ite) String() string {
 // NewIte builds ite(g, x, y) with the trivial cases folded: a constant
 // guard selects its arm, equal arms collapse to one, and a negated
 // guard swaps the arms so ite(¬g, a, b) and ite(g, b, a) are one
-// canonical structure (the memo-key property the engine's hash-consing
-// relies on).
+// canonical structure (FormulaKey gives both spellings one key as well).
 func NewIte(g Formula, x, y Term) Term {
 	if c, ok := g.(BoolConst); ok {
 		if c.Val {

@@ -1,6 +1,10 @@
 package solver
 
-import "math/big"
+import (
+	"math/big"
+
+	"mix/internal/fault"
+)
 
 // This file is the single home of literal classification: the mapping
 // from an assigned decision atom to its arithmetic content. Both
@@ -74,9 +78,15 @@ func (t *theoryLits) drop(a *atom, v bool) {
 }
 
 // consistent decides the conjunction over the rationals. theoryConj
-// clones its inputs, so the collection is reusable afterwards.
-func (t *theoryLits) consistent() bool {
-	return theoryConj(t.eqs, t.ineqs, t.diseqs)
+// clones its inputs, so the collection is reusable afterwards. The
+// check observes s's context (see theoryConj); its expiry is the
+// classified fault the search loops' poll returns.
+func (t *theoryLits) consistent(s *Solver) (bool, error) {
+	ok, err := theoryConj(s.Ctx, t.eqs, t.ineqs, t.diseqs)
+	if err != nil {
+		return false, fault.FromContext("solver.search", "", err)
+	}
+	return ok, nil
 }
 
 // model extracts a rational witness for the conjunction (best-effort;
@@ -131,10 +141,10 @@ const explainLimit = 24
 // greedily minimized (oldest literals dropped first, deterministic
 // order) so the blocking clause prunes as much of the search space as
 // possible. Precondition: the current set is inconsistent.
-func (t *theoryTrail) explain() []thLit {
+func (t *theoryTrail) explain(s *Solver) ([]thLit, error) {
 	involved := append([]thLit(nil), t.lits...)
 	if len(involved) > explainLimit {
-		return involved
+		return involved, nil
 	}
 	for i := 0; i < len(involved); {
 		var trial theoryLits
@@ -143,11 +153,15 @@ func (t *theoryTrail) explain() []thLit {
 				trial.add(tl.a, tl.pos)
 			}
 		}
-		if !trial.consistent() {
+		ok, err := trial.consistent(s)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			involved = append(involved[:i], involved[i+1:]...)
 		} else {
 			i++
 		}
 	}
-	return involved
+	return involved, nil
 }

@@ -75,11 +75,12 @@ type Executor struct {
 	// true).
 	ConcolicInt int64
 	// MergeMode enables veritesting-style state merging in ForkIf mode
-	// (DESIGN.md section 12): when both arms of a fork complete with
-	// type-compatible values, their results fold back into one guarded
-	// state in the SEIF-DEFER shape instead of continuing as separate
-	// paths. The zero value is off. DeferIf mode ignores it (deferral
-	// already merges at every conditional).
+	// (DESIGN.md section 12): when each arm of a fork completes with one
+	// live path and the two values share a type, the pair folds back
+	// into one guarded state in the SEIF-DEFER shape instead of
+	// continuing as two paths. The zero value is off; any other mode
+	// merges these diamonds. DeferIf mode ignores it (deferral already
+	// merges at every conditional).
 	MergeMode engine.MergeMode
 	// MaxPaths bounds the number of symbolic paths per Run.
 	MaxPaths int
@@ -620,7 +621,7 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 			// branches run as parallel tasks; the ordered join keeps
 			// then-results before else-results, reproducing the
 			// sequential result order exactly.
-			if err := x.Engine.Charge(s1.depth); err != nil {
+			if err := x.Engine.Charge(); err != nil {
 				if fault.Degradable(err) {
 					x.degrade(s1.span, err)
 					return nil, nil
@@ -632,10 +633,8 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 			x.statsMu.Unlock()
 			thenSt := s1
 			thenSt.Guard = MkAnd(s1.Guard, g1)
-			thenSt.depth = s1.depth + 1
 			elseSt := s1
 			elseSt.Guard = MkAnd(s1.Guard, MkNot(g1))
-			elseSt.depth = s1.depth + 1
 			// Each branch owns a fresh child span: the two tasks may
 			// run on different workers and must never share a span.
 			s1.span.Fork(2)

@@ -1,7 +1,6 @@
 package sym
 
 import (
-	"mix/internal/engine"
 	"mix/internal/lang"
 	"mix/internal/types"
 )
@@ -21,8 +20,8 @@ import (
 // results always pass through unmerged — they are per-path findings
 // whose feasibility the mix layer checks individually. Returns false
 // (fall back to plain forking, preserving fork-mode behavior exactly)
-// when the arm shape does not fit the mode or the values cannot share
-// a type.
+// unless each arm reaches the join with exactly one live path and the
+// two values share a type.
 func (x *Executor) mergeResults(s1 State, g1 Val, pos lang.Pos, thenRs, elseRs []Result) ([]Result, bool) {
 	var pass []Result
 	var thenOK, elseOK []Result
@@ -40,63 +39,27 @@ func (x *Executor) mergeResults(s1 State, g1 Val, pos lang.Pos, thenRs, elseRs [
 			elseOK = append(elseOK, r)
 		}
 	}
-	switch x.MergeMode {
-	case engine.MergeJoins:
-		// The canonical diamond: exactly one live path per arm.
-		if len(thenOK) != 1 || len(elseOK) != 1 {
-			return nil, false
-		}
-	case engine.MergeAggressive:
-		// Fold whatever reached the join, as long as both arms did.
-		if len(thenOK) == 0 || len(elseOK) == 0 {
-			return nil, false
-		}
-	default:
+	// The canonical diamond: exactly one live path per arm.
+	if len(thenOK) != 1 || len(elseOK) != 1 {
 		return nil, false
 	}
-	oks := append(thenOK, elseOK...)
-	for _, r := range oks[1:] {
-		if !types.Equal(oks[0].Val.T, r.Val.T) && !(isFunTyped(oks[0].Val) && isFunTyped(r.Val)) {
-			// Forking is what makes per-path types sound; arms of
-			// different types stay separate paths.
-			return nil, false
-		}
+	rt, re := thenOK[0], elseOK[0]
+	if !types.Equal(rt.Val.T, re.Val.T) && !(isFunTyped(rt.Val) && isFunTyped(re.Val)) {
+		// Forking is what makes per-path types sound; arms of
+		// different types stay separate paths.
+		return nil, false
 	}
-
-	var merged Result
-	if len(oks) == 2 {
-		// Two arms merge on the branch condition itself — the exact
-		// SEIF-DEFER result shape, smaller than guard-chain folding.
-		rt, re := oks[0], oks[1]
-		merged = Result{
-			State: State{
-				Guard: Val{CondOp{g1, rt.State.Guard, re.State.Guard}, types.Bool},
-				Mem:   condMem(g1, rt.State.Mem, re.State.Mem),
-			},
-			Val: condVal(g1, rt.Val, re.Val),
-		}
-	} else {
-		// N-way fold (aggressive): chain each path's own guard. The
-		// guard CondOp{g, g, acc} reads "g, or else acc" — the
-		// disjunction of the folded paths' guards.
-		last := oks[len(oks)-1]
-		acc := Result{State: State{Guard: last.State.Guard, Mem: last.State.Mem}, Val: last.Val}
-		for i := len(oks) - 2; i >= 0; i-- {
-			gi := oks[i].State.Guard
-			acc = Result{
-				State: State{
-					Guard: Val{CondOp{gi, gi, acc.State.Guard}, types.Bool},
-					Mem:   condMem(gi, oks[i].State.Mem, acc.State.Mem),
-				},
-				Val: condVal(gi, oks[i].Val, acc.Val),
-			}
-		}
-		merged = acc
+	// The two arms merge on the branch condition itself — the exact
+	// SEIF-DEFER result shape. The merged continuation proceeds on the
+	// parent span: the join undoes the fork.
+	merged := Result{
+		State: State{
+			Guard: Val{CondOp{g1, rt.State.Guard, re.State.Guard}, types.Bool},
+			Mem:   condMem(g1, rt.State.Mem, re.State.Mem),
+			span:  s1.span,
+		},
+		Val: condVal(g1, rt.Val, re.Val),
 	}
-	// The merged continuation proceeds on the parent span at the parent
-	// fork depth: the join undoes the fork.
-	merged.State.depth = s1.depth
-	merged.State.span = s1.span
 
 	x.statsMu.Lock()
 	x.Stats.Merges++

@@ -113,27 +113,6 @@ func TestJoinsDeclinesTypeMismatch(t *testing.T) {
 	}
 }
 
-// TestAggressiveSubsumesJoins: aggressive mode accepts every join the
-// joins mode accepts (its shape test is weaker), so on a canonical
-// nested ladder both fold to one result and aggressive never merges
-// less. With merging active the inner conditionals collapse each arm
-// to a single path before the outer join, so the one-per-arm joins
-// shape is satisfied throughout.
-func TestAggressiveSubsumesJoins(t *testing.T) {
-	src := "if a then (if b then 1 else 2) + 0 else (if b then 3 else 4) + 0"
-	xj, rsj := runMerged(t, src, engine.MergeJoins)
-	if len(rsj) != 1 || xj.Stats.Merges != 3 {
-		t.Fatalf("joins: paths = %d, merges = %d", len(rsj), xj.Stats.Merges)
-	}
-	xa, rsa := runMerged(t, src, engine.MergeAggressive)
-	if len(rsa) != 1 {
-		t.Fatalf("aggressive paths = %d, want 1", len(rsa))
-	}
-	if xa.Stats.Merges < xj.Stats.Merges {
-		t.Fatalf("aggressive merges = %d < joins merges = %d", xa.Stats.Merges, xj.Stats.Merges)
-	}
-}
-
 // TestMergedVerdictMatchesForked: the merged result set must give the
 // same value under each guard as the forked paths — checked here on
 // the concrete reads a downstream consumer would make.

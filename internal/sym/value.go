@@ -172,9 +172,6 @@ func (m Alloc) String() string {
 type State struct {
 	Guard Val // bool-typed
 	Mem   Mem
-	// depth counts conditional forks taken along this path; the engine
-	// charges it against the fork-depth budget.
-	depth int
 	// span is this path's node in the trace tree (nil when tracing is
 	// off); fork sites hand each branch a child span.
 	span *obs.Span

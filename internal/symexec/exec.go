@@ -113,16 +113,11 @@ type Executor struct {
 	Summaries Summarizer
 
 	// Engine, when non-nil, routes feasibility queries through the
-	// engine's memoizing solver pool and — unless SerialFork is set —
-	// runs the two feasible sides of a conditional as parallel
-	// scheduler tasks, with reports merged back in canonical
-	// (sequential) order. Nil gives the original sequential executor.
+	// engine's memoizing solver pool and supplies the run's context,
+	// fault injector and tracer. Path exploration stays on the calling
+	// goroutine either way: MIXY's InitCell/TypedCall hooks mutate the
+	// shared qualifier inference, which must not run concurrently.
 	Engine *engine.Engine
-	// SerialFork keeps path exploration on one goroutine even with an
-	// Engine, so only the solver pool is shared. MIXY sets this: its
-	// InitCell/TypedCall hooks mutate the shared qualifier inference,
-	// which must not run concurrently.
-	SerialFork bool
 
 	Reports []Report
 	Stats   Stats
@@ -136,19 +131,13 @@ type Executor struct {
 	degradedMu sync.Mutex
 	degraded   error
 
-	// mu guards the executor-global tables below (and Reports/Stats)
-	// when branches execute in parallel.
+	// mu guards the executor-global tables below (and Reports/Stats).
 	mu       sync.Mutex
 	nextID   int
 	varObjs  map[*microc.VarDecl]*Object
 	locObjs  map[string]*Object
 	anonObjs map[cellKey]*Object
 	reported map[string]bool
-}
-
-// parallel reports whether conditional forks may run concurrently.
-func (x *Executor) parallel() bool {
-	return x.Engine != nil && !x.SerialFork
 }
 
 // degrade absorbs a run-stopping classified fault: record it once (in
@@ -201,16 +190,10 @@ func New(prog *microc.Program, pa *pointer.Analysis) *Executor {
 	}
 }
 
-// report records a finding. Under parallel exploration the finding
-// goes to the path's task-local sink (merged into the parent sink in
-// branch order at each join, and deduplicated once at the root), so
-// the final Reports sequence is byte-identical to the sequential one.
+// report records a finding, unless an identical one was already
+// recorded.
 func (x *Executor) report(st State, kind ReportKind, pos microc.Pos, format string, args ...any) {
 	r := Report{Kind: kind, Pos: pos, Msg: fmt.Sprintf(format, args...)}
-	if st.rs != nil {
-		st.rs.reports = append(st.rs.reports, r)
-		return
-	}
 	x.mu.Lock()
 	x.addReportLocked(r)
 	x.mu.Unlock()
@@ -225,17 +208,6 @@ func (x *Executor) addReportLocked(r Report) {
 	}
 	x.reported[key] = true
 	x.Reports = append(x.Reports, r)
-}
-
-// flushSink drains a root report sink into Reports with the same
-// online first-wins deduplication the sequential executor applies.
-func (x *Executor) flushSink(rs *reportSink) {
-	x.mu.Lock()
-	for _, r := range rs.reports {
-		x.addReportLocked(r)
-	}
-	x.mu.Unlock()
-	rs.reports = nil
 }
 
 // ReportsOf filters reports by kind.

@@ -1,7 +1,6 @@
 package symexec
 
 import (
-	"errors"
 	"fmt"
 
 	"mix/internal/engine"
@@ -79,26 +78,13 @@ func (x *Executor) RunFunc(f *microc.FuncDef, st State, args []Value) ([]Outcome
 		// deterministic (program) order, so root numbering is stable.
 		st.span = x.Engine.Tracer().Root(f.Name)
 	}
-	var root *reportSink
-	if x.parallel() && st.rs == nil {
-		// Reports from parallel branches are collected in task-local
-		// sinks and merged in branch order; the root sink is flushed
-		// (with the usual online dedup) once exploration finishes, so
-		// the Reports sequence matches the sequential executor's.
-		root = &reportSink{}
-		st.rs = root
-	}
 	outs, err := x.protectedCall(st, f, args)
-	if root != nil {
-		x.flushSink(root)
-	}
 	if err != nil {
 		return nil, err
 	}
 	result := make([]Outcome, len(outs))
 	for i, o := range outs {
 		result[i] = Outcome{St: o.st, Ret: o.v}
-		result[i].St.rs = nil
 	}
 	x.mu.Lock()
 	x.Stats.Paths += len(result)
@@ -321,18 +307,9 @@ func (x *Executor) execStmt(st State, s microc.Stmt, depth int) ([]flowOutcome, 
 				x.Stats.Forks++
 				x.mu.Unlock()
 				if x.MergeMode != engine.MergeOff {
-					// Join-point merging runs both arms on this task and
-					// folds them into one continuation; the fork never
-					// becomes two scheduler tasks.
+					// Join-point merging runs both arms and folds them
+					// into one continuation.
 					flows, err := x.mergeIf(c.st, s, thenPC, elsePC, depth)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, flows...)
-					continue
-				}
-				if x.parallel() {
-					flows, err := x.forkIf(c.st, s, thenPC, elsePC, depth)
 					if err != nil {
 						return nil, err
 					}
@@ -343,8 +320,8 @@ func (x *Executor) execStmt(st State, s microc.Stmt, depth int) ([]flowOutcome, 
 			if thenOK {
 				tst := c.st
 				if elseOK {
-					// Sequential two-sided fork: same span tree shape as
-					// forkIf, so traces match across fork strategies.
+					// Two-sided fork: the then side runs on a clone of
+					// the memory, and each side gets a child span.
 					c.st.span.Fork(2)
 					tst = c.st.Clone()
 					tst.span = c.st.span.Child()
@@ -457,78 +434,4 @@ func (x *Executor) execStmt(st State, s microc.Stmt, depth int) ([]flowOutcome, 
 		return flows, nil
 	}
 	return nil, fmt.Errorf("symexec: unknown statement %T", s)
-}
-
-// forkIf runs the two feasible sides of a conditional as parallel
-// engine tasks. Each branch gets a disjoint memory (the then side a
-// clone, the else side the original) and its own report sink; the join
-// splices then-reports before else-reports into the parent sink and
-// appends then-flows before else-flows, reproducing the sequential
-// depth-first order exactly. If the engine's path or depth budget is
-// exhausted the fork degrades gracefully: the path continues into the
-// then side only, with an Imprecision report — the same truncation
-// contract as MaxPaths.
-func (x *Executor) forkIf(st State, s *microc.IfStmt, thenPC, elsePC *solver.PC, depth int) ([]flowOutcome, error) {
-	if err := x.Engine.Charge(st.forkDepth); err != nil {
-		switch {
-		case errors.Is(err, engine.ErrBudget):
-			x.Engine.Faults().RecordErr(err)
-			st.span.Degrade(fault.ClassOf(err).String(), "fork truncated to then-branch")
-			x.report(st, Imprecision, s.StmtPos(), "engine path budget exhausted; truncating")
-			tst := st
-			tst.PC = thenPC
-			return x.execStmt(tst, s.Then, depth)
-		case fault.Degradable(err):
-			// Deadline, cancellation, or injected abort: stop the run,
-			// keeping every completed path.
-			x.degrade(st, err, s.StmtPos())
-			return nil, nil
-		default:
-			return nil, err
-		}
-	}
-	parent := st.rs
-	st.span.Fork(2)
-	tst := st.Clone()
-	tst.PC = thenPC
-	tst.rs = &reportSink{}
-	tst.forkDepth++
-	tst.span = st.span.Child()
-	est := st
-	est.PC = elsePC
-	est.rs = &reportSink{}
-	est.forkDepth++
-	est.span = st.span.Child()
-	thenFlows, elseFlows, err := engine.Fork2(x.Engine,
-		func() ([]flowOutcome, error) { return x.execStmt(tst, s.Then, depth) },
-		func() ([]flowOutcome, error) {
-			if s.Else != nil {
-				return x.execStmt(est, s.Else, depth)
-			}
-			return []flowOutcome{{st: est}}, nil
-		})
-	if err != nil {
-		if !fault.Degradable(err) {
-			return nil, err
-		}
-		// A recovered branch panic (or other classified fault) loses
-		// that branch's flows; the sibling's survive, with the hole
-		// marked by the degradation report.
-		x.degrade(st, err, s.StmtPos())
-	}
-	// Ordered join: then-reports then else-reports into the parent
-	// sink; surviving flows hand their reports back to the parent.
-	if parent != nil {
-		parent.reports = append(parent.reports, tst.rs.reports...)
-		parent.reports = append(parent.reports, est.rs.reports...)
-	} else {
-		x.flushSink(tst.rs)
-		x.flushSink(est.rs)
-	}
-	st.span.Join()
-	out := append(thenFlows, elseFlows...)
-	for i := range out {
-		out[i].st.rs = parent
-	}
-	return out, nil
 }

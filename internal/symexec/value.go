@@ -195,15 +195,6 @@ func (m *Memory) Cells(f func(obj *Object, field string, v Value)) {
 	})
 }
 
-// reportSink collects the reports emitted along one scheduler task.
-// Each parallel branch gets its own sink; joins splice the then-sink
-// before the else-sink into the parent, so the root sink ends up with
-// reports in canonical sequential order no matter which branch
-// finished first.
-type reportSink struct {
-	reports []Report
-}
-
 // State is one symbolic execution path: a path condition and memory.
 // The PC is an incremental cons list (nil = true): extending it at a
 // fork shares the whole prefix with the sibling, and the engine's
@@ -211,12 +202,6 @@ type reportSink struct {
 type State struct {
 	PC  *solver.PC
 	Mem *Memory
-	// rs is the task-local report sink under parallel exploration (nil
-	// when running sequentially).
-	rs *reportSink
-	// forkDepth counts conditional forks along this path; the engine
-	// charges it against the fork-depth budget.
-	forkDepth int
 	// span is this path's node in the trace tree (nil when tracing is
 	// off). Forks hand each branch a child span; Clone shares the
 	// parent's span until the fork site reassigns it.

@@ -66,9 +66,9 @@ type Config struct {
 	// Section 3.2 type-and-effect refinement).
 	EffectAware bool
 	// Merge selects the veritesting-style state-merging mode for
-	// forked conditionals: "off", "joins", or "aggressive" (DESIGN.md
-	// section 12). The empty string keeps merging off — the library
-	// default; the CLIs default to "joins".
+	// forked conditionals: "off" or "joins" (DESIGN.md section 12).
+	// The empty string keeps merging off — the library default; the
+	// CLIs default to "joins".
 	Merge string
 	// Env declares free variables of the program as name -> type
 	// syntax, e.g. "int", "bool", "int ref", "int -> int".
@@ -83,8 +83,6 @@ type Config struct {
 	// exceeding it degrades the check to an uncertified (Degraded)
 	// result.
 	MaxPaths int
-	// NoMemo disables the engine's solver memo table.
-	NoMemo bool
 	// Cache, when non-nil, is a shared cross-run solver cache
 	// (engine.NewCache): this check reads and extends it instead of
 	// building private caches, so back-to-back checks skip re-proving
@@ -210,9 +208,6 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("mix: bad Merge mode %q: %w", cfg.Merge, err)
 		}
 	}
-	if cfg.NoMemo && !cfg.wantsEngine() {
-		return fmt.Errorf("mix: NoMemo set with zero Workers and no other engine option — the memo only exists inside the engine (set Workers >= 1)")
-	}
 	return nil
 }
 
@@ -258,7 +253,6 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 			// sequentially, not on engine.Options' GOMAXPROCS default.
 			Workers:       max(cfg.Workers, 1),
 			MaxPaths:      int64(cfg.MaxPaths),
-			NoMemo:        cfg.NoMemo,
 			Cache:         cache,
 			Context:       cfg.Context,
 			Deadline:      cfg.Deadline,
@@ -370,8 +364,8 @@ type CConfig struct {
 	// initialization); the paper's MIXY tracks only explicit NULL
 	// uses.
 	StrictInit bool
-	// Merge selects the state-merging mode ("off", "joins",
-	// "aggressive"; empty = off) for the per-block symbolic executor,
+	// Merge selects the state-merging mode ("off" or "joins"; empty =
+	// off) for the per-block symbolic executor,
 	// and MergeCap the joins-mode divergence cap (0 = default, 8). See
 	// DESIGN.md section 12.
 	Merge    string
@@ -396,8 +390,6 @@ type CConfig struct {
 	// keeps the engine off, unless another option needs one; that
 	// engine runs one worker.
 	Workers int
-	// NoMemo disables the engine's solver memo table.
-	NoMemo bool
 	// Cache, when non-nil, is a shared cross-run solver cache; see
 	// Config.Cache.
 	Cache *engine.Cache
@@ -496,7 +488,7 @@ func (cfg CConfig) Validate() error {
 	case cfg.MergeCap < 0:
 		return fmt.Errorf("mix: negative MergeCap %d (0 means the joins-mode default)", cfg.MergeCap)
 	case cfg.MergeCap > 0 && cfg.Merge == "":
-		return fmt.Errorf("mix: MergeCap %d set without a Merge mode — the cap only applies to the merging executor (set Merge to \"joins\" or \"aggressive\")", cfg.MergeCap)
+		return fmt.Errorf("mix: MergeCap %d set without a Merge mode — the cap only applies to the merging executor (set Merge to \"joins\")", cfg.MergeCap)
 	case cfg.SummaryCap < 0:
 		return fmt.Errorf("mix: negative SummaryCap %d (0 means the default, %d)", cfg.SummaryCap, summary.DefaultCap)
 	case cfg.SummaryCap > 0 && !cfg.Summaries:
@@ -508,9 +500,6 @@ func (cfg CConfig) Validate() error {
 		if _, err := engine.ParseMergeMode(cfg.Merge); err != nil {
 			return fmt.Errorf("mix: bad Merge mode %q: %w", cfg.Merge, err)
 		}
-	}
-	if cfg.NoMemo && !cfg.wantsEngine() {
-		return fmt.Errorf("mix: NoMemo set with zero Workers and no other engine option — the memo only exists inside the engine (set Workers >= 1)")
 	}
 	return nil
 }
@@ -544,7 +533,6 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 		}
 		eng = engine.New(engine.Options{
 			Workers:       max(cfg.Workers, 1), // as in CheckExpr
-			NoMemo:        cfg.NoMemo,
 			Cache:         cache,
 			Context:       cfg.Context,
 			Deadline:      cfg.Deadline,

@@ -23,8 +23,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative deadline", Config{Deadline: -time.Second}, "negative Deadline"},
 		{"negative solver timeout", Config{SolverTimeout: -1}, "negative SolverTimeout"},
 		{"bad merge", Config{Merge: "sometimes"}, `bad Merge mode "sometimes"`},
-		{"nomemo without engine", Config{NoMemo: true}, "NoMemo set with zero Workers"},
-		{"nomemo with engine", Config{NoMemo: true, Workers: 1}, ""},
+		{"aggressive merge", Config{Merge: "aggressive"}, `bad Merge mode "aggressive"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,8 +56,7 @@ func TestCConfigValidate(t *testing.T) {
 		{"negative merge cap", CConfig{MergeCap: -1}, "negative MergeCap"},
 		{"cap without merge", CConfig{MergeCap: 4}, "MergeCap 4 set without a Merge mode"},
 		{"bad merge", CConfig{Merge: "never"}, `bad Merge mode "never"`},
-		{"nomemo without engine", CConfig{NoMemo: true}, "NoMemo set with zero Workers"},
-		{"nomemo with engine", CConfig{NoMemo: true, Workers: 1}, ""},
+		{"aggressive merge", CConfig{Merge: "aggressive"}, `bad Merge mode "aggressive"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
