@@ -39,10 +39,10 @@ func cVerdictKey(r CResult) string {
 // hit counter strictly increases (it answered from the shared cache).
 func TestCheckCacheReuse(t *testing.T) {
 	mkCfg := func(c *engine.Cache) Config {
-		return Config{Mode: StartSymbolic, Env: reuseEnv, Workers: 2, Cache: c}
+		return Config{Mode: StartSymbolic, Env: reuseEnv, Workers: 1, Cache: c}
 	}
 
-	cold := Check(reuseSrc, Config{Mode: StartSymbolic, Env: reuseEnv, Workers: 2})
+	cold := Check(reuseSrc, Config{Mode: StartSymbolic, Env: reuseEnv, Workers: 1})
 	if cold.Err != nil {
 		t.Fatal(cold.Err)
 	}
@@ -76,10 +76,10 @@ func TestCheckCacheReuse(t *testing.T) {
 func TestAnalyzeCCacheReuse(t *testing.T) {
 	src, entry := corpus.VsftpdMini.Source, corpus.VsftpdMini.Entry
 	mkCfg := func(c *engine.Cache) CConfig {
-		return CConfig{Workers: 2, Entry: entry, Cache: c}
+		return CConfig{Workers: 1, Entry: entry, Cache: c}
 	}
 
-	cold, err := AnalyzeC(src, CConfig{Workers: 2, Entry: entry})
+	cold, err := AnalyzeC(src, CConfig{Workers: 1, Entry: entry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 //
 //	mix [-symbolic] [-unsound] [-defer] [-merge mode]
 //	    [-env name:type,...]
-//	    [-workers n] [-max-paths n] [-cache-dir dir]
+//	    [-workers 0|1] [-max-paths n] [-cache-dir dir]
 //	    [-deadline d] [-solver-timeout d]
 //	    [-stats] [-metrics] [-trace file] [-trace-det] [-pprof addr]
 //	    file.mix
@@ -15,12 +15,13 @@
 // -env b:bool,x:int. Exit status 1 means the program was rejected.
 //
 // The analysis flags are shared with mixy and with the mixd request
-// schema (see internal/cliflags): -workers n runs the parallel
-// path-exploration engine with n workers (0, the default, keeps
-// exploration sequential); -max-paths bounds the engine's total path
-// budget. Every engine memoizes solver queries. With -v
-// the engine's fork/steal/memo statistics are printed alongside path
-// and query counts. -cache-dir persists the engine's definite solver
+// schema (see internal/cliflags): -workers 1 turns on the
+// path-exploration engine (0, the default, leaves it off unless
+// another flag needs it; exploration is sequential either way, so
+// larger values are rejected); -max-paths bounds the engine's total
+// path budget. Every engine memoizes solver queries. With -v the
+// engine's fork/memo statistics are printed alongside path and query
+// counts. -cache-dir persists the engine's definite solver
 // verdicts and counterexample models under a directory, so a repeat
 // run answers previously decided queries from disk.
 //
@@ -44,8 +45,8 @@
 // pipelines. -trace file writes
 // a JSONL event trace of the exploration (validate or convert it for
 // Perfetto with cmd/mixtrace); -trace-det makes the trace
-// deterministic — wall-clock-free and byte-comparable across runs and
-// worker counts. -pprof addr serves net/http/pprof for the duration
+// deterministic — wall-clock-free and byte-comparable across runs.
+// -pprof addr serves net/http/pprof for the duration
 // of the run.
 package main
 
@@ -134,8 +135,8 @@ func main() {
 		}
 		fmt.Fprintf(human, "paths=%d solver-queries=%d\n", res.Paths, res.SolverQueries)
 		if cfg.Workers > 0 || cfg.MaxPaths > 0 || cfg.Deadline > 0 || cfg.SolverTimeout > 0 {
-			fmt.Fprintf(human, "engine: forks=%d steals=%d memo-hits=%d memo-misses=%d solver-time=%v\n",
-				res.Forks, res.Steals, res.MemoHits, res.MemoMisses, res.SolverTime)
+			fmt.Fprintf(human, "engine: forks=%d memo-hits=%d memo-misses=%d solver-time=%v\n",
+				res.Forks, res.MemoHits, res.MemoMisses, res.SolverTime)
 			fmt.Fprintf(human, "pipeline: quick-decided=%d slices=%d max-slice=%d cex-hits=%d\n",
 				res.QuickDecided, res.Slices, res.MaxSlice, res.CexHits)
 			fmt.Fprintf(human, "faults: timeouts=%d panics-recovered=%d paths-truncated=%d\n",

@@ -519,7 +519,7 @@ func tableX6() {
 	w := newTab()
 	fmt.Fprintln(w, "bench\tdeadline\tverdict\tpaths\ttimeouts\ttruncated\ttime")
 	for _, d := range []time.Duration{0, 10 * time.Second, 50 * time.Millisecond, time.Millisecond, time.Nanosecond} {
-		cfg := mix.Config{Mode: mix.StartSymbolic, Env: em, Workers: 4, Deadline: d}
+		cfg := mix.Config{Mode: mix.StartSymbolic, Env: em, Workers: 1, Deadline: d}
 		start := time.Now()
 		res := mix.Check(src, cfg)
 		dur := time.Since(start)

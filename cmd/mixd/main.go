@@ -12,6 +12,12 @@
 // Prometheus text format with ?format=prometheus), GET /healthz,
 // GET /debug/flight (recent-request flight recorder, JSONL).
 //
+// A request body is exactly one JSON object of serve.Request's fields:
+// "source", the mix and mixy analysis flags (internal/cliflags), and
+// "tenant", "metrics" and "trace"; anything else is a 400. Each
+// request's analysis runs on its own goroutine, so "workers" may be
+// left out, 0 or 1, and all three are the same request.
+//
 // With -cache-dir, solver verdicts, counterexample models, and
 // function summaries persist under that directory: a restarted daemon
 // answers repeat analyses from disk. The directory is server

@@ -6,7 +6,7 @@
 //
 //	mixy [-pure] [-entry main] [-nocache] [-merge mode] [-merge-cap n]
 //	     [-summaries] [-summary-cap n] [-cache-dir dir]
-//	     [-workers n]
+//	     [-workers 0|1]
 //	     [-deadline d] [-solver-timeout d]
 //	     [-stats] [-metrics] [-trace file] [-trace-det] [-pprof addr]
 //	     file.mc
@@ -16,10 +16,10 @@
 // reported.
 //
 // The analysis flags are shared with mix and with the mixd request
-// schema (see internal/cliflags): -workers n routes solver queries
-// through the engine's memoizing pool and evaluates each block's
-// translation queries on n workers (0, the default, keeps the analysis
-// engine-free).
+// schema (see internal/cliflags): -workers 1 routes solver queries
+// through the engine's memoizing pool (0, the default, keeps the
+// analysis engine-free unless another flag needs an engine; larger
+// values are rejected, since exploration is sequential).
 //
 // -merge selects veritesting-style state merging in the per-block
 // symbolic executor (DESIGN.md section 12): "joins" (the default)

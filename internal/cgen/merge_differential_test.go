@@ -63,7 +63,7 @@ func TestMergeModesMatchForking(t *testing.T) {
 		// engine's memoizing pool — merged PCs carry disjunctions and
 		// ite-defined variables the sequential path never builds, so the
 		// memo/cex-cache keys see genuinely new shapes here.
-		eng := engine.New(engine.Options{Workers: 4})
+		eng := engine.New(engine.Options{})
 		a, err := mixy.Run(mustParse(src), mixy.Options{
 			StrictInit: true, Merge: engine.MergeJoins, Engine: eng,
 		})

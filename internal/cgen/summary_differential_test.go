@@ -82,7 +82,7 @@ func TestSummariesMatchInline(t *testing.T) {
 		// feasibility checks route through the engine's memoizing pool.
 		prog := mustParse(src)
 		ps := summary.NewStore("").Precompute(prog, 0)
-		eng := engine.New(engine.Options{Workers: 4})
+		eng := engine.New(engine.Options{})
 		a, err := mixy.Run(prog, mixy.Options{
 			StrictInit: true, Merge: engine.MergeJoins, Summaries: ps, Engine: eng,
 		})

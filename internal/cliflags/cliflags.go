@@ -155,7 +155,7 @@ func (e envValue) Set(s string) error {
 func (a *Analysis) Register(fs *flag.FlagSet, kind Kind) {
 	// Shared flags — one declaration for every binary.
 	fs.StringVar(&a.Merge, "merge", "joins", "state merging at conditional joins: off or joins")
-	fs.IntVar(&a.Workers, "workers", 0, "parallel engine workers (0 = sequential, no engine)")
+	fs.IntVar(&a.Workers, "workers", 0, "1 = run the exploration engine, 0 = none; exploration is sequential, so larger values are rejected")
 	fs.Var(&a.Deadline, "deadline", "wall-clock deadline for the whole run (0 = none)")
 	fs.Var(&a.SolverTimeout, "solver-timeout", "per-query solver timeout (0 = none)")
 	fs.StringVar(&a.CacheDir, "cache-dir", "", "persist caches (summaries, solver memo, models) under this directory across runs")
@@ -231,7 +231,7 @@ func (o *Obs) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Stats, "stats", false, "print run metrics as sorted 'name value' lines")
 	fs.BoolVar(&o.MetricsJSON, "metrics", false, "print run metrics as a JSON snapshot")
 	fs.StringVar(&o.TraceFile, "trace", "", "write a JSONL event trace to this file")
-	fs.BoolVar(&o.TraceDet, "trace-det", false, "deterministic trace (wall-clock-free, byte-comparable across worker counts)")
+	fs.BoolVar(&o.TraceDet, "trace-det", false, "deterministic trace (wall-clock-free, byte-comparable across runs)")
 	fs.StringVar(&o.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 }
 

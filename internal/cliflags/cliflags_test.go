@@ -26,13 +26,13 @@ func TestRegisterCoreFlags(t *testing.T) {
 	a := parse(t, Core,
 		"-symbolic", "-unsound", "-defer", "-merge", "off",
 		"-env", "b:bool,x:int,r:int_ref",
-		"-workers", "4", "-max-paths", "100",
+		"-workers", "1", "-max-paths", "100",
 		"-deadline", "250ms", "-solver-timeout", "5ms")
 	cfg := a.MixConfig()
 	if cfg.Mode != mix.StartSymbolic || !cfg.Unsound || !cfg.DeferConditionals {
 		t.Fatalf("mode flags lost: %+v", cfg)
 	}
-	if cfg.Merge != "off" || cfg.Workers != 4 || cfg.MaxPaths != 100 {
+	if cfg.Merge != "off" || cfg.Workers != 1 || cfg.MaxPaths != 100 {
 		t.Fatalf("engine flags lost: %+v", cfg)
 	}
 	if cfg.Deadline != 250*time.Millisecond || cfg.SolverTimeout != 5*time.Millisecond {
@@ -58,9 +58,9 @@ func TestRegisterMicroCFlags(t *testing.T) {
 		t.Fatalf("default config should validate: %v", err)
 	}
 
-	a := parse(t, MicroC, "-pure", "-entry", "f", "-nocache", "-merge-cap", "3", "-workers", "2")
+	a := parse(t, MicroC, "-pure", "-entry", "f", "-nocache", "-merge-cap", "3", "-workers", "1")
 	cfg = a.CConfig()
-	if !cfg.PureTypes || cfg.Entry != "f" || !cfg.NoCache || cfg.MergeCap != 3 || cfg.Workers != 2 {
+	if !cfg.PureTypes || cfg.Entry != "f" || !cfg.NoCache || cfg.MergeCap != 3 || cfg.Workers != 1 {
 		t.Fatalf("mixy flags lost: %+v", cfg)
 	}
 }
@@ -102,7 +102,7 @@ func TestRequestDecoding(t *testing.T) {
 	body := `{
 		"symbolic": true,
 		"env": {"x": "int"},
-		"workers": 3,
+		"workers": 1,
 		"merge": "joins",
 		"deadline": "100ms",
 		"solver_timeout": 2000000
@@ -112,7 +112,7 @@ func TestRequestDecoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := a.MixConfig()
-	if cfg.Mode != mix.StartSymbolic || cfg.Workers != 3 ||
+	if cfg.Mode != mix.StartSymbolic || cfg.Workers != 1 ||
 		cfg.Deadline != 100*time.Millisecond || cfg.SolverTimeout != 2*time.Millisecond ||
 		cfg.Env["x"] != "int" {
 		t.Fatalf("decoded config drifted: %+v", cfg)

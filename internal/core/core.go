@@ -21,7 +21,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"mix/internal/engine"
 	"mix/internal/fault"
@@ -63,9 +62,9 @@ type Options struct {
 	// in the path condition. Only meaningful together with Unsound,
 	// since a single concolic path cannot be exhaustive.
 	Concolic bool
-	// Engine, when non-nil, parallelizes path exploration across its
-	// worker pool and routes every solver query through its memoizing
-	// SolverPool. Nil preserves the sequential single-solver behavior.
+	// Engine, when non-nil, enforces the run's budgets and routes
+	// every solver query through its memoizing SolverPool. Nil
+	// preserves the single-solver behavior.
 	Engine *engine.Engine
 	// NewSolver is a test seam: it builds the checker's own solver
 	// (the one used when Engine is nil, and for the address-equality
@@ -99,9 +98,7 @@ type Checker struct {
 	exec *sym.Executor
 	solv *solver.Solver
 	eng  *engine.Engine
-	// mu guards Reports: parallel branches reach tSymBlock through
-	// nested typed blocks concurrently.
-	mu      sync.Mutex
+
 	Reports []Report
 }
 
@@ -136,8 +133,7 @@ func (c *Checker) Solver() *solver.Solver { return c.solv }
 func (c *Checker) Executor() *sym.Executor { return c.exec }
 
 // sat routes satisfiability queries through the engine's memoizing
-// pool when present (required under parallel exploration: the single
-// solver instance is not concurrency-safe), else the plain solver.
+// pool when present, else the plain solver.
 func (c *Checker) sat(f solver.Formula) (bool, error) {
 	if c.eng != nil {
 		return c.eng.Sat(f)
@@ -190,7 +186,7 @@ func (c *Checker) tSymBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 				return nil, fmt.Errorf("core: feasibility check failed: %w", ferr)
 			}
 		}
-		c.addReport(Report{
+		c.Reports = append(c.Reports, Report{
 			Pos: r.Err.Pos, Msg: r.Err.Msg,
 			Guard: r.Err.State.Guard.String(), Feasible: feasible,
 		})
@@ -238,7 +234,7 @@ func (c *Checker) tSymBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 					return nil, fmt.Errorf("core: feasibility check failed: %w", ferr)
 				}
 			}
-			c.addReport(Report{
+			c.Reports = append(c.Reports, Report{
 				Pos: e.Pos(), Msg: err.Error(),
 				Guard: r.State.Guard.String(), Feasible: feasible,
 			})
@@ -390,13 +386,6 @@ func (c *Checker) memOK(st sym.State) error {
 // injection) or a hard failure.
 func unknownSat(err error) bool {
 	return errors.Is(err, solver.ErrLimit) && fault.Of(err) == nil
-}
-
-// addReport appends a finding under the report lock.
-func (c *Checker) addReport(r Report) {
-	c.mu.Lock()
-	c.Reports = append(c.Reports, r)
-	c.mu.Unlock()
 }
 
 // feasible checks whether a path condition is satisfiable.

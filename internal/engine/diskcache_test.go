@@ -26,7 +26,7 @@ func TestDiskCachePersistReload(t *testing.T) {
 	unsat := unsatPair("x", "y")
 
 	c1 := NewCache(CacheOptions{Dir: dir})
-	e1 := New(Options{Workers: 1, Cache: c1})
+	e1 := New(Options{Cache: c1})
 	if got, err := e1.Sat(sat); err != nil || !got {
 		t.Fatalf("Sat = %v, %v", got, err)
 	}
@@ -42,7 +42,7 @@ func TestDiskCachePersistReload(t *testing.T) {
 	}
 
 	c2 := NewCache(CacheOptions{Dir: dir})
-	e2 := New(Options{Workers: 1, Cache: c2})
+	e2 := New(Options{Cache: c2})
 	defer e2.Close()
 	if got, err := e2.Sat(sat); err != nil || !got {
 		t.Fatalf("warm Sat = %v, %v", got, err)
@@ -67,7 +67,7 @@ func TestDiskCachePersistReload(t *testing.T) {
 func TestDiskCacheSurvivesFlush(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCache(CacheOptions{Dir: dir})
-	e := New(Options{Workers: 1, Cache: c})
+	e := New(Options{Cache: c})
 	defer e.Close()
 	// An unsat query has no model, so only the disk verdict map can
 	// answer it after the flush drops the in-memory memo.
@@ -92,7 +92,7 @@ func TestDiskCacheCorruptFileDegrades(t *testing.T) {
 	path := filepath.Join(dir, "solver-memo.json")
 
 	c1 := NewCache(CacheOptions{Dir: dir})
-	e1 := New(Options{Workers: 1, Cache: c1})
+	e1 := New(Options{Cache: c1})
 	f := vle("x", "y")
 	if _, err := e1.Sat(f); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestDiskCacheCorruptFileDegrades(t *testing.T) {
 	if cs := c2.Stats(); cs.DiskCorrupt != 1 || cs.DiskEntries != 0 {
 		t.Fatalf("poisoned open stats = %+v, want 1 corruption, 0 entries", cs)
 	}
-	e2 := New(Options{Workers: 1, Cache: c2})
+	e2 := New(Options{Cache: c2})
 	if got, err := e2.Sat(f); err != nil || !got {
 		t.Fatalf("poisoned Sat = %v, %v (must recompute, not fail)", got, err)
 	}
@@ -129,7 +129,7 @@ func TestDiskCacheCorruptFileDegrades(t *testing.T) {
 func TestDiskCachePersistCleanNoop(t *testing.T) {
 	dir := t.TempDir()
 	c1 := NewCache(CacheOptions{Dir: dir})
-	e := New(Options{Workers: 1, Cache: c1})
+	e := New(Options{Cache: c1})
 	if _, err := e.Sat(vle("x", "y")); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDiskCachePersistCleanNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := NewCache(CacheOptions{Dir: dir})
-	e2 := New(Options{Workers: 1, Cache: c2})
+	e2 := New(Options{Cache: c2})
 	if _, err := e2.Sat(vle("x", "y")); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDiskCacheOldSchemaRecomputes(t *testing.T) {
 		if cs := c.Stats(); cs.DiskCorrupt != 1 || cs.DiskEntries != 0 {
 			t.Fatalf("schema %d: open stats = %+v, want 1 corruption, 0 entries", version, cs)
 		}
-		e := New(Options{Workers: 1, Cache: c})
+		e := New(Options{Cache: c})
 		if got, err := e.Sat(f); err != nil || got {
 			t.Fatalf("schema %d: Sat = %v, %v; want the recomputed unsat", version, got, err)
 		}

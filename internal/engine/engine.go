@@ -1,32 +1,25 @@
-// Package engine is the parallel path-exploration runtime shared by
-// both symbolic executors (internal/sym and internal/symexec) and by
+// Package engine is the path-exploration runtime shared by both
+// symbolic executors (internal/sym and internal/symexec) and by
 // MIXY's fixed-point driver.
 //
-// It has two halves:
+// Each check runs on the goroutine that called it. Fork2 runs a
+// conditional's then-branch and then its else-branch, and Map is an
+// ordered loop; both put a panic boundary around each task, so a
+// panicking branch degrades instead of tearing down the process.
+// Exploration is therefore depth-first in program order, and fresh
+// symbolic ids, results and reports come out in the same order on
+// every run.
 //
-//   - A work-stealing fork-join scheduler for path exploration. Every
-//     conditional fork offers its left (then) branch to a bounded pool
-//     of worker slots; if a slot is free the branch runs as an
-//     independent task (a "steal") while the forking path continues
-//     into the right branch, otherwise both branches run inline on the
-//     forking goroutine. Slot acquisition never blocks, so any task
-//     can always make progress by itself and the scheme cannot
-//     deadlock, while live parallelism stays bounded by the worker
-//     count. Joins are ordered — then-results are appended before
-//     else-results regardless of completion order — so the canonical
-//     (sequential depth-first) result and report order is reproduced
-//     exactly.
+// The engine also owns the run's budgets (path budget, deadline,
+// per-query solver timeout), its classified-fault counters, and a
+// memoizing solver frontend (SolverPool): path feasibility queries
+// dominate symbolic-execution wall-clock time (the paper's Section 4.6
+// timings), and distinct paths re-prove identical formulas. The pool
+// keys each independent component by its conjuncts'
+// solver.FormulaKeys and memoizes Sat answers in a sharded LRU table
+// that a Cache can share across concurrent runs.
 //
-//   - A concurrency-safe memoizing solver frontend (SolverPool): path
-//     feasibility queries dominate symbolic-execution wall-clock time
-//     (the paper's Section 4.6 timings), and distinct paths re-prove
-//     identical formulas. The pool keys each independent component by
-//     its conjuncts' solver.FormulaKeys, memoizes Sat answers in a
-//     sharded LRU table, and hands each concurrent query a private
-//     *solver.Solver instance, since Solver.Stats mutation makes a
-//     shared instance racy.
-//
-// A nil *Engine everywhere means "sequential, unmemoized" — exactly
+// A nil *Engine everywhere means "unmemoized, no budgets" — exactly
 // the pre-engine behavior.
 package engine
 
@@ -34,9 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mix/internal/fault"
@@ -52,9 +42,10 @@ var ErrBudget = errors.New("engine: exploration budget exhausted")
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the bound on concurrently running path tasks;
-	// <= 0 means GOMAXPROCS. Workers == 1 gives sequential exploration
-	// with the memoizing solver pool still active.
+	// Workers is ignored: every check runs on the goroutine that
+	// called it.
+	//
+	// Deprecated: exploration is sequential; leave Workers unset.
 	Workers int
 	// MaxPaths bounds the total number of paths the engine will agree
 	// to fork into existence (0 = unlimited). Charging the budget past
@@ -64,10 +55,10 @@ type Options struct {
 	// Cache): this run reads and extends it instead of building a
 	// private one of the default size, so back-to-back runs skip
 	// re-proving formulas an earlier run already decided. The Cache
-	// outlives the engine — Close does not touch it.
+	// outlives the engine: Close only hands the run's solver back to it.
 	Cache *Cache
-	// NewSolver is a test seam: it builds the per-worker solver
-	// instances in place of solver.New, so a test can run the pool on
+	// NewSolver is a test seam: it builds the run's solver instance in
+	// place of solver.New, so a test can run the pool on
 	// solver.NewReference or on tightened resource bounds. It must not
 	// be combined with a shared Cache: the memo stores resource-limit
 	// unknowns, which hold only for fixed bounds.
@@ -99,10 +90,8 @@ type Options struct {
 
 // Stats is an aggregated snapshot of engine work.
 type Stats struct {
-	Workers       int
 	Paths         int64 // completed paths recorded by executors
 	Forks         int64 // conditional forks charged to the engine
-	Steals        int64 // forks whose left branch ran on another worker
 	MemoHits      int64
 	MemoMisses    int64
 	SolverQueries int64 // queries through the pool
@@ -118,18 +107,13 @@ type Stats struct {
 	CexHits        int64 // components satisfied by a cached model
 }
 
-// Engine schedules forked symbolic states across a bounded worker pool
-// and fronts the solver with a shared memo table. Construct with New;
-// an Engine is safe for concurrent use.
+// Engine carries one check's budgets, fault counters and memoizing
+// solver frontend. Construct with New; an Engine belongs to the
+// goroutine running its check.
 type Engine struct {
-	workers  int
 	maxPaths int64
 
-	// ctx holds the run's context.Context boxed in ctxBox (atomic.Value
-	// needs one concrete type); atomic so tests can swap a fresh context
-	// into a live engine (SetContext) without racing the workers that
-	// poll it.
-	ctx      atomic.Value
+	ctx      context.Context
 	cancel   context.CancelFunc
 	deadline string // budget label for timeout diagnostics, e.g. "deadline=50ms"
 	injector *fault.Injector
@@ -137,58 +121,43 @@ type Engine struct {
 	tracer   *obs.Tracer
 	metrics  *obs.Registry
 
-	// slots holds the worker tokens available for stolen branches; the
-	// forking goroutine itself is the remaining worker, so capacity is
-	// workers-1.
-	slots chan struct{}
-
 	pool *SolverPool
 
-	paths     atomic.Int64
-	forks     atomic.Int64
-	steals    atomic.Int64
-	exhausted atomic.Bool
-
-	failMu sync.Mutex
-	failed error
+	paths     int64
+	forks     int64
+	exhausted bool
 }
 
 // New builds an engine from o.
 func New(o Options) *Engine {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
 	e := &Engine{
-		workers:  w,
 		maxPaths: o.MaxPaths,
 		injector: o.FaultInjector,
 		tracer:   o.Tracer,
 		metrics:  o.Metrics,
-		slots:    make(chan struct{}, w-1),
+		ctx:      o.Context,
 	}
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
+	if e.ctx == nil {
+		e.ctx = context.Background()
 	}
 	if o.Deadline > 0 {
-		ctx, e.cancel = context.WithTimeout(ctx, o.Deadline)
+		e.ctx, e.cancel = context.WithTimeout(e.ctx, o.Deadline)
 		e.deadline = fmt.Sprintf("deadline=%v", o.Deadline)
 	}
-	e.ctx.Store(ctxBox{ctx})
 	e.pool = newSolverPool(e, o)
 	return e
 }
 
-// ctxBox gives every stored context the same concrete type, which
-// atomic.Value requires across stores.
-type ctxBox struct{ ctx context.Context }
-
-// Close releases the engine's deadline timer, if any. Safe on nil.
+// Close releases the engine's deadline timer, if any, and returns the
+// run's solver to its Cache. Safe on nil.
 func (e *Engine) Close() {
-	if e != nil && e.cancel != nil {
+	if e == nil {
+		return
+	}
+	if e.cancel != nil {
 		e.cancel()
 	}
+	e.pool.release()
 }
 
 // Context returns the run's context (Background for a nil engine).
@@ -196,7 +165,7 @@ func (e *Engine) Context() context.Context {
 	if e == nil {
 		return context.Background()
 	}
-	return e.ctx.Load().(ctxBox).ctx
+	return e.ctx
 }
 
 // SetContext swaps the run's context. Tests use this to verify that a
@@ -206,7 +175,7 @@ func (e *Engine) SetContext(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.ctx.Store(ctxBox{ctx})
+	e.ctx = ctx
 }
 
 // Injector exposes the armed fault-injection points (nil in
@@ -268,22 +237,20 @@ func (e *Engine) Metrics() *obs.Registry {
 	return e.metrics
 }
 
-// PublishMetrics mirrors the engine's aggregate counters — scheduler,
+// PublishMetrics mirrors the engine's aggregate counters — exploration,
 // solver pipeline, fault taxonomy — into the run's metrics registry
 // under their canonical dotted names (DESIGN.md section 11). The live
-// instruments stay lock-free atomics on the hot path; the registry
-// gets a point-in-time copy, so calling this again refreshes the
-// published values. No-op without a registry.
+// counters stay plain fields on the hot path; the registry gets a
+// point-in-time copy, so calling this again refreshes the published
+// values. No-op without a registry.
 func (e *Engine) PublishMetrics() {
 	if e == nil || e.metrics == nil {
 		return
 	}
 	m := e.metrics
 	s := e.Snapshot()
-	m.Gauge("engine.workers").Set(int64(s.Workers))
 	m.Gauge("engine.paths").Set(s.Paths)
 	m.Gauge("engine.forks").Set(s.Forks)
-	m.Gauge("engine.steals").Set(s.Steals)
 	var ex int64
 	if s.Exhausted {
 		ex = 1
@@ -303,9 +270,6 @@ func (e *Engine) PublishMetrics() {
 		m.Gauge("fault." + c.String()).Set(s.Faults.Of(c))
 	}
 }
-
-// Workers reports the worker bound.
-func (e *Engine) Workers() int { return e.workers }
 
 // Pool exposes the memoizing solver frontend.
 func (e *Engine) Pool() *SolverPool { return e.pool }
@@ -360,23 +324,18 @@ func (e *Engine) AddPaths(n int) {
 	if e == nil {
 		return
 	}
-	e.paths.Add(int64(n))
+	e.paths += int64(n)
 }
 
-// Charge accounts for one prospective fork. It returns the first fatal
-// error if the run is cancelled, a classified timeout/cancellation
-// fault if the run's context is done, or a classified path-budget
-// fault (still wrapping ErrBudget) if the fork would exceed the path
-// budget. Every non-nil return is
-// fault-classified except a prior hard failure, so executors apply one
-// uniform rule: degradable → truncate with imprecision, else abort. A
-// nil engine has no budgets.
+// Charge accounts for one prospective fork. It returns a classified
+// timeout/cancellation fault if the run's context is done, or a
+// classified path-budget fault (still wrapping ErrBudget) if the fork
+// would exceed the path budget, so executors apply one uniform rule:
+// degradable → truncate with imprecision, else abort. A nil engine has
+// no budgets.
 func (e *Engine) Charge() error {
 	if e == nil {
 		return nil
-	}
-	if err := e.bail(); err != nil {
-		return err
 	}
 	if err := e.ctxErr("engine.fork"); err != nil {
 		return err
@@ -384,44 +343,20 @@ func (e *Engine) Charge() error {
 	if err := e.injector.At(fault.PreFork); err != nil {
 		return err
 	}
-	n := e.forks.Add(1)
 	// Each binary fork adds one path beyond the initial one.
-	if e.maxPaths > 0 && n+1 > e.maxPaths {
-		e.forks.Add(-1)
-		e.exhausted.Store(true)
+	if e.maxPaths > 0 && e.forks+2 > e.maxPaths {
+		e.exhausted = true
 		return fault.New(fault.PathBudget, "engine.fork",
 			fmt.Sprintf("max-paths=%d", e.maxPaths),
 			fmt.Errorf("path budget %d reached: %w", e.maxPaths, ErrBudget))
 	}
+	e.forks++
 	return nil
-}
-
-// fail records the first fatal error; later tasks observe it via bail
-// and unwind instead of continuing to explore. Classified faults are
-// not fatal — they degrade locally and must not make unrelated sibling
-// paths abandon their (sound, partial) results — so they are never
-// recorded here.
-func (e *Engine) fail(err error) {
-	if fault.Degradable(err) {
-		return
-	}
-	e.failMu.Lock()
-	if e.failed == nil {
-		e.failed = err
-	}
-	e.failMu.Unlock()
-}
-
-// bail returns the recorded first fatal error, if any.
-func (e *Engine) bail() error {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	return e.failed
 }
 
 // protect runs one task with a panic boundary: a panic becomes a
 // classified worker-panic fault instead of tearing down the process,
-// so sibling paths drain and their partial results still merge.
+// so the task's sibling keeps its results.
 func protect[T any](fn func() (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -431,127 +366,30 @@ func protect[T any](fn func() (T, error)) (v T, err error) {
 	return fn()
 }
 
-// Fork2 runs left and right — the two branches of a conditional fork —
-// and returns both results in branch order. If a worker slot is free,
-// left is handed to it (a steal) while the caller runs right;
-// otherwise both run inline. Error handling is deterministic: left's
-// error wins over right's, as it would sequentially. A hard first
-// error also cancels the engine, making sibling tasks unwind early;
-// classified faults (budget, timeout, recovered panic) do not — they
-// degrade locally at the caller. Panics inside either branch are
-// recovered as worker-panic faults. A nil engine runs left then right
-// on the calling goroutine, with the same panic boundary.
-//
-// (A package-level generic function rather than a method, since Go
-// methods cannot introduce type parameters.)
-func Fork2[T any](e *Engine, left, right func() (T, error)) (lv, rv T, err error) {
-	if e == nil {
-		if lv, err = protect(left); err != nil {
-			return
-		}
-		rv, err = protect(right)
+// Fork2 runs left and then right — the two branches of a conditional
+// fork — on the calling goroutine and returns both results in branch
+// order. Each branch has its own panic boundary: a panic is recovered
+// as a worker-panic fault, and left's results survive a panic in
+// right. An error from left is returned without running right, so the
+// left error always wins.
+func Fork2[T any](left, right func() (T, error)) (lv, rv T, err error) {
+	if lv, err = protect(left); err != nil {
 		return
 	}
-	if err = e.bail(); err != nil {
-		return
-	}
-	select {
-	case e.slots <- struct{}{}:
-		e.steals.Add(1)
-		var lerr error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			defer func() { <-e.slots }()
-			lv, lerr = protect(left)
-		}()
-		var rerr error
-		rv, rerr = protect(right)
-		<-done
-		if lerr != nil {
-			err = lerr
-		} else {
-			err = rerr
-		}
-	default:
-		if lv, err = protect(left); err == nil {
-			rv, err = protect(right)
-		}
-	}
-	if err != nil {
-		e.fail(err)
-	}
+	rv, err = protect(right)
 	return
 }
 
-// protectIdx is protect for Map's indexed tasks.
-func protectIdx(fn func(i int) error, i int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fault.FromPanic("engine.task", r)
-		}
-	}()
-	return fn(i)
-}
-
-// Map runs fn(0), ..., fn(n-1) across the worker pool and returns the
-// error of the lowest failing index (matching what a sequential loop
-// would surface); a panicking task is recovered as a worker-panic
-// fault for its index. All calls complete before Map returns; result
-// ordering is the caller's, via the index.
+// Map runs fn(0), ..., fn(n-1) in index order and returns the first
+// error, skipping the remaining indices; a panicking call is recovered
+// as a worker-panic fault for its index. Safe on a nil engine.
 func (e *Engine) Map(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if e == nil || e.workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := protectIdx(fn, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		errIdx   = n
-		firstErr error
-	)
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := protectIdx(fn, i); err != nil {
-				mu.Lock()
-				if i < errIdx {
-					errIdx, firstErr = i, err
-				}
-				mu.Unlock()
-			}
+	for i := 0; i < n; i++ {
+		if _, err := protect(func() (struct{}, error) { return struct{}{}, fn(i) }); err != nil {
+			return err
 		}
 	}
-	var wg sync.WaitGroup
-spawn:
-	for helpers := 0; helpers < e.workers-1 && helpers < n-1; helpers++ {
-		select {
-		case e.slots <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-e.slots }()
-				work()
-			}()
-		default:
-			break spawn
-		}
-	}
-	work()
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
+	return nil
 }
 
 // Snapshot returns the aggregated statistics so far.
@@ -560,11 +398,9 @@ func (e *Engine) Snapshot() Stats {
 		return Stats{}
 	}
 	s := Stats{
-		Workers:   e.workers,
-		Paths:     e.paths.Load(),
-		Forks:     e.forks.Load(),
-		Steals:    e.steals.Load(),
-		Exhausted: e.exhausted.Load(),
+		Paths:     e.paths,
+		Forks:     e.forks,
+		Exhausted: e.exhausted,
 		Faults:    e.faults.Snapshot(),
 	}
 	e.pool.addTo(&s)

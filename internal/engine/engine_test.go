@@ -3,93 +3,73 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
+
+	"mix/internal/fault"
 )
 
 func TestFork2NilEngineSequential(t *testing.T) {
 	var order []string
-	l, r, err := Fork2(nil,
+	l, r, err := Fork2(
 		func() (string, error) { order = append(order, "L"); return "left", nil },
 		func() (string, error) { order = append(order, "R"); return "right", nil })
 	if err != nil || l != "left" || r != "right" {
-		t.Fatalf("Fork2(nil) = %q, %q, %v", l, r, err)
+		t.Fatalf("Fork2 = %q, %q, %v", l, r, err)
 	}
 	if fmt.Sprint(order) != "[L R]" {
-		t.Fatalf("nil engine must run left before right, got %v", order)
+		t.Fatalf("Fork2 must run left before right, got %v", order)
 	}
 }
 
+// TestFork2BranchOrderDeterministic: nested forks explore depth-first
+// in branch order, so a tree of forks visits and returns its leaves
+// left to right on every run.
 func TestFork2BranchOrderDeterministic(t *testing.T) {
-	// Regardless of which goroutine finishes first, the left result is
-	// returned in the left slot.
-	e := New(Options{Workers: 4})
-	for i := 0; i < 200; i++ {
-		l, r, err := Fork2(e,
-			func() (int, error) { return 1, nil },
-			func() (int, error) { return 2, nil })
-		if err != nil || l != 1 || r != 2 {
-			t.Fatalf("iteration %d: got %d, %d, %v", i, l, r, err)
+	var visited []int
+	var tree func(lo, hi int) ([]int, error)
+	tree = func(lo, hi int) ([]int, error) {
+		if hi-lo == 1 {
+			visited = append(visited, lo)
+			return []int{lo}, nil
 		}
+		mid := (lo + hi) / 2
+		l, r, err := Fork2(
+			func() ([]int, error) { return tree(lo, mid) },
+			func() ([]int, error) { return tree(mid, hi) })
+		return append(l, r...), err
 	}
-	if s := e.Snapshot(); s.Steals == 0 {
-		t.Fatalf("expected some steals across 200 forks, got %+v", s)
+	leaves, err := tree(0, 16)
+	want := "[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15]"
+	if err != nil || fmt.Sprint(leaves) != want || fmt.Sprint(visited) != want {
+		t.Fatalf("leaves %v, visited %v, err %v; want both %s", leaves, visited, err, want)
 	}
 }
 
 func TestFork2LeftErrorWins(t *testing.T) {
 	lErr := errors.New("left failed")
 	rErr := errors.New("right failed")
-	for i := 0; i < 100; i++ {
-		e := New(Options{Workers: 4})
-		_, _, err := Fork2(e,
-			func() (int, error) { return 0, lErr },
-			func() (int, error) { return 0, rErr })
-		if err != lErr {
-			t.Fatalf("want left error to win deterministically, got %v", err)
-		}
+	ranRight := false
+	_, _, err := Fork2(
+		func() (int, error) { return 0, lErr },
+		func() (int, error) { ranRight = true; return 0, rErr })
+	if err != lErr || ranRight {
+		t.Fatalf("want the left error without running right, got %v (right ran: %v)", err, ranRight)
 	}
 }
 
-func TestFork2ErrorCancelsEngine(t *testing.T) {
-	e := New(Options{Workers: 2})
-	boom := errors.New("boom")
-	_, _, err := Fork2(e,
-		func() (int, error) { return 0, boom },
-		func() (int, error) { return 0, nil })
-	if err != boom {
-		t.Fatalf("first fork: %v", err)
-	}
-	// Later forks observe the recorded failure and unwind immediately.
-	ran := false
-	_, _, err = Fork2(e,
-		func() (int, error) { ran = true; return 0, nil },
-		func() (int, error) { ran = true; return 0, nil })
-	if err != boom || ran {
-		t.Fatalf("cancelled engine must bail before running branches (err=%v ran=%v)", err, ran)
-	}
-	if err := e.Charge(); err != boom {
-		t.Fatalf("Charge after failure = %v, want recorded error", err)
-	}
-}
-
-func TestFork2SaturatedPoolRunsInline(t *testing.T) {
-	// Workers == 1 leaves no slots to steal; both branches must still
-	// run, on the calling goroutine, in order.
-	e := New(Options{Workers: 1})
-	l, r, err := Fork2(e,
+// TestFork2PanicKeepsSibling: each branch has its own panic boundary;
+// a panic in right is a worker-panic fault and left's result survives.
+func TestFork2PanicKeepsSibling(t *testing.T) {
+	l, _, err := Fork2(
 		func() (int, error) { return 1, nil },
-		func() (int, error) { return 2, nil })
-	if err != nil || l != 1 || r != 2 {
-		t.Fatalf("got %d, %d, %v", l, r, err)
-	}
-	if s := e.Snapshot(); s.Steals != 0 {
-		t.Fatalf("workers=1 must not steal, got %+v", s)
+		func() (int, error) { panic("boom") })
+	if l != 1 || fault.ClassOf(err) != fault.WorkerPanic {
+		t.Fatalf("Fork2 = %d, %v; want left's 1 and a worker-panic fault", l, err)
 	}
 }
 
 func TestChargePathBudget(t *testing.T) {
-	e := New(Options{Workers: 1, MaxPaths: 3})
+	e := New(Options{MaxPaths: 3})
 	// Each binary fork adds one path beyond the initial one: two forks
 	// reach 3 paths, the third must be refused.
 	if err := e.Charge(); err != nil {
@@ -121,36 +101,35 @@ func TestChargeNilEngineUnlimited(t *testing.T) {
 }
 
 func TestMapOrderingAndCompletion(t *testing.T) {
-	e := New(Options{Workers: 4})
-	const n = 100
-	var out [n]int32
-	err := e.Map(n, func(i int) error {
-		atomic.StoreInt32(&out[i], int32(i)+1)
-		return nil
-	})
-	if err != nil {
+	e := New(Options{})
+	var order []int
+	if err := e.Map(100, func(i int) error { order = append(order, i); return nil }); err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	for i, v := range out {
-		if v != int32(i)+1 {
-			t.Fatalf("index %d not executed (got %d)", i, v)
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("call %d ran index %d; want index order", i, v)
 		}
+	}
+	if len(order) != 100 {
+		t.Fatalf("ran %d of 100 indices", len(order))
 	}
 }
 
+// TestMapLowestIndexErrorWins: Map stops at the first failing index,
+// so the lowest-index error is returned and later indices never run.
 func TestMapLowestIndexErrorWins(t *testing.T) {
-	e := New(Options{Workers: 4})
-	errAt := func(i int) error { return fmt.Errorf("task %d failed", i) }
-	for rep := 0; rep < 50; rep++ {
-		err := e.Map(20, func(i int) error {
-			if i == 3 || i == 17 {
-				return errAt(i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "task 3 failed" {
-			t.Fatalf("want lowest-index error, got %v", err)
+	e := New(Options{})
+	ran := 0
+	err := e.Map(20, func(i int) error {
+		ran++
+		if i == 3 || i == 17 {
+			return fmt.Errorf("task %d failed", i)
 		}
+		return nil
+	})
+	if err == nil || err.Error() != "task 3 failed" || ran != 4 {
+		t.Fatalf("want the lowest-index error after 4 calls, got %v after %d", err, ran)
 	}
 }
 
@@ -164,13 +143,13 @@ func TestMapNilEngineSequential(t *testing.T) {
 }
 
 func TestSnapshotAggregates(t *testing.T) {
-	e := New(Options{Workers: 3})
+	e := New(Options{})
 	e.AddPaths(7)
 	if err := e.Charge(); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Snapshot()
-	if s.Workers != 3 || s.Paths != 7 || s.Forks != 1 || s.Exhausted {
+	if s.Paths != 7 || s.Forks != 1 || s.Exhausted {
 		t.Fatalf("snapshot = %+v", s)
 	}
 }

@@ -1,19 +1,18 @@
 package engine
 
 import (
-	"sync/atomic"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"mix/internal/solver"
 )
 
-// capturePool builds a 1-worker engine whose pool reports every solver
-// it constructs, so tests can inspect pooled state without relying on
-// sync.Pool round-trips (which -race deliberately randomizes).
+// capturePool builds an engine whose pool reports every solver it
+// constructs, so tests can inspect the run's solver state directly.
 func capturePool(t *testing.T, opts Options) (*Engine, *[]*solver.Solver) {
 	t.Helper()
 	captured := &[]*solver.Solver{}
-	opts.Workers = 1
 	opts.NewSolver = func() *solver.Solver {
 		s := solver.New()
 		*captured = append(*captured, s)
@@ -24,9 +23,35 @@ func capturePool(t *testing.T, opts Options) (*Engine, *[]*solver.Solver) {
 	return e, captured
 }
 
-// TestPoolFlushResetsSolvers: pooled solvers keep incremental CDCL
+// TestOneSolverPerRun: a run takes one solver at its first search and
+// keeps it, so four searches with garbage collections between them
+// still build exactly one solver and its CDCL state stays warm.
+func TestOneSolverPerRun(t *testing.T) {
+	e, captured := capturePool(t, Options{})
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			runtime.GC()
+			runtime.GC()
+		}
+		a, b := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+		contradiction := solver.NewAnd(
+			solver.Lt{X: solver.IntVar{Name: a}, Y: solver.IntVar{Name: b}},
+			solver.Lt{X: solver.IntVar{Name: b}, Y: solver.IntVar{Name: a}})
+		if sat, err := e.Sat(contradiction); err != nil || sat {
+			t.Fatalf("query %d = %v, %v; want unsat", i, sat, err)
+		}
+	}
+	if s := e.Snapshot(); s.MemoMisses != 4 || s.CexHits != 0 {
+		t.Fatalf("stats = %+v; want all four queries to reach the search", s)
+	}
+	if n := len(*captured); n != 1 {
+		t.Fatalf("built %d solvers for one run, want 1", n)
+	}
+}
+
+// TestPoolFlushResetsSolvers: the run's solver keeps incremental CDCL
 // state (learned clauses, cached root encodings) across queries, but a
-// cache flush marks "start over" — the next borrow must Reset and
+// cache flush marks "start over" — the next query must Reset it and
 // adopt the new flush epoch, or stale encodings would outlive the
 // cache generation that justified them.
 func TestPoolFlushResetsSolvers(t *testing.T) {
@@ -37,13 +62,8 @@ func TestPoolFlushResetsSolvers(t *testing.T) {
 	if _, _, err := p.solve(q, false); err != nil {
 		t.Fatal(err)
 	}
-	if len(*captured) == 0 {
-		t.Fatal("the solve never constructed a pooled solver")
-	}
-	for i, s := range *captured {
-		if s.Gen != 0 {
-			t.Fatalf("pre-flush solver %d: epoch = %d, want 0", i, s.Gen)
-		}
+	if len(*captured) != 1 || (*captured)[0].Gen != 0 {
+		t.Fatalf("pre-flush: %d solvers built, want one at epoch 0", len(*captured))
 	}
 
 	p.cache.Flush()
@@ -51,21 +71,12 @@ func TestPoolFlushResetsSolvers(t *testing.T) {
 	if err != nil || !sat {
 		t.Fatalf("post-flush solve: sat=%v err=%v", sat, err)
 	}
-	// Every solver the post-flush solve actually borrowed must carry
-	// the new epoch; solvers sync.Pool dropped in between never served
-	// it and legitimately keep the old tag.
 	want := uint64(p.cache.flushes.Load())
 	if want == 0 {
 		t.Fatal("flush was not counted")
 	}
-	stamped := 0
-	for _, s := range *captured {
-		if s.Gen == want {
-			stamped++
-		}
-	}
-	if stamped == 0 {
-		t.Fatalf("no pooled solver adopted flush epoch %d", want)
+	if len(*captured) != 1 || (*captured)[0].Gen != want {
+		t.Fatalf("post-flush: %d solvers built; want the run's one solver at flush epoch %d", len(*captured), want)
 	}
 }
 
@@ -82,14 +93,14 @@ func TestPoolAlgoVerdictsAgree(t *testing.T) {
 		solver.NewAnd(bvar("p"), solver.NewNot(bvar("p"))),
 		solver.NewOr(bvar("p"), solver.Eq{X: solver.IntVar{Name: "x"}, Y: solver.IntConst{Val: 3}}),
 	}
-	var built atomic.Int64
+	built := 0
 	reference := func() *solver.Solver {
-		built.Add(1)
+		built++
 		return solver.NewReference()
 	}
 	for qi, q := range queries {
 		var verdicts []bool
-		for _, o := range []Options{{Workers: 1}, {Workers: 1, NewSolver: reference}} {
+		for _, o := range []Options{{}, {NewSolver: reference}} {
 			e := New(o)
 			sat, err := e.Sat(q)
 			e.Close()
@@ -107,7 +118,7 @@ func TestPoolAlgoVerdictsAgree(t *testing.T) {
 			t.Fatalf("query %d: verdicts diverge (cdcl pool, dpll pool, dpll direct): %v", qi, verdicts)
 		}
 	}
-	if built.Load() == 0 {
+	if built == 0 {
 		t.Fatal("the pool never built a reference solver")
 	}
 }

@@ -48,13 +48,12 @@ func orChain(n int) solver.Formula {
 	return f
 }
 
-// tightEngine builds a single-worker engine whose pooled solvers carry
-// the given bounds, so pipeline-stage limit handling can be exercised
-// without huge formulas.
+// tightEngine builds an engine whose solver carries the given bounds,
+// so pipeline-stage limit handling can be exercised without huge
+// formulas.
 func tightEngine(t *testing.T, maxAtoms, maxDecisions int) *engine.Engine {
 	t.Helper()
 	eng := engine.New(engine.Options{
-		Workers: 1,
 		NewSolver: func() *solver.Solver {
 			s := solver.New()
 			if maxAtoms > 0 {
@@ -129,7 +128,7 @@ func TestAtomGateMapsToErrLimit(t *testing.T) {
 func TestCancellationNotMemoized(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := engine.New(engine.Options{Workers: 1, Context: ctx})
+	eng := engine.New(engine.Options{Context: ctx})
 	defer eng.Close()
 
 	f := iffChain(4)
@@ -158,7 +157,7 @@ func TestCancellationNotMemoized(t *testing.T) {
 // deadline context into each pooled solve; an already-expired budget
 // must classify as a timeout fault and stay out of the memo.
 func TestSolverTimeoutClassifiesTimeout(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 1, SolverTimeout: time.Nanosecond})
+	eng := engine.New(engine.Options{SolverTimeout: time.Nanosecond})
 	defer eng.Close()
 
 	_, err := eng.Sat(iffChain(4))
@@ -185,7 +184,7 @@ func TestSolverTimeoutClassifiesTimeout(t *testing.T) {
 func TestMidSearchInjectionReachesDecisionLoop(t *testing.T) {
 	t.Run("cdcl", func(t *testing.T) {
 		inj := fault.NewInjector(1).Plan(fault.MidSearch, fault.Plan{Class: fault.SolverLimit})
-		eng := engine.New(engine.Options{Workers: 1, FaultInjector: inj})
+		eng := engine.New(engine.Options{FaultInjector: inj})
 		defer eng.Close()
 
 		// ~80 decisions (two per link): comfortably past the

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mix/internal/fault"
@@ -16,8 +15,8 @@ import (
 )
 
 // memoShards is the shard count of the memo table; a small power of
-// two keeps per-shard mutexes cheap without contention at the worker
-// counts the scheduler runs.
+// two keeps per-shard mutexes cheap without contention between the
+// concurrent runs that share one Cache.
 const memoShards = 16
 
 // defaultMemoSize bounds the memo table when CacheOptions.MemoSize is 0.
@@ -26,8 +25,8 @@ const defaultMemoSize = 1 << 14
 // cexCacheSize bounds the counterexample (model) cache.
 const cexCacheSize = 64
 
-// SolverPool is the engine's concurrency-safe solver frontend. Every
-// query runs the incremental pipeline
+// SolverPool is the engine's solver frontend. Every query runs the
+// incremental pipeline
 //
 //	simplify → interval fast path → independence slicing →
 //	per-component memo → counterexample cache → CDCL search
@@ -49,14 +48,20 @@ const cexCacheSize = 64
 //
 // The cached half of the pipeline (memo, model ring) lives in a Cache,
 // which is private to this pool (the default) or shared across runs
-// via Options.Cache — the serving daemon's warm path. Construct via
-// New; the zero value is not ready.
+// via Options.Cache — the serving daemon's warm path. Like its engine,
+// a pool belongs to one goroutine. Construct via New; the zero value
+// is not ready.
 type SolverPool struct {
 	// eng points back at the owning engine for the run context and the
 	// fault injector; nil only in direct-pool unit tests.
 	eng     *Engine
 	timeout time.Duration // per-query solver timeout (0 = none)
-	solvers *sync.Pool
+	// solver is the run's one CDCL instance, taken at its first search
+	// (from the Cache's pool, or built once by newSolver) and kept
+	// until release, so its learned clauses and encodings stay warm for
+	// the whole run whatever the garbage collector does.
+	solver    *solver.Solver
+	newSolver func() *solver.Solver
 	// cache holds the memo and model state.
 	cache *Cache
 
@@ -66,16 +71,16 @@ type SolverPool struct {
 	queryHist *obs.Histogram
 	dpllHist  *obs.Histogram
 
-	queries   atomic.Int64
-	quick     atomic.Int64
-	slices    atomic.Int64
-	sliceConj atomic.Int64
-	maxSlice  atomic.Int64
-	cexHits   atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	unknown   atomic.Int64
-	nanos     atomic.Int64
+	queries   int64
+	quick     int64
+	slices    int64
+	sliceConj int64
+	maxSlice  int64
+	cexHits   int64
+	hits      int64
+	misses    int64
+	unknown   int64
+	nanos     int64
 }
 
 type memoShard struct {
@@ -97,18 +102,34 @@ func newSolverPool(e *Engine, o Options) *SolverPool {
 		queryHist: o.Metrics.Histogram("solver.query.ns"),
 		dpllHist:  o.Metrics.Histogram("solver.dpll.ns"),
 		cache:     o.Cache,
+		newSolver: o.NewSolver,
 	}
 	if p.cache == nil {
 		p.cache = NewCache(CacheOptions{})
 	}
-	// The cache owns the warm per-worker solver instances, unless a
-	// test substitutes its own through Options.NewSolver.
-	if o.NewSolver == nil {
-		p.solvers = &p.cache.solvers
-	} else {
-		p.solvers = &sync.Pool{New: func() any { return o.NewSolver() }}
-	}
 	return p
+}
+
+// acquire returns the run's solver, taking it on first use.
+func (p *SolverPool) acquire() *solver.Solver {
+	if p.solver == nil {
+		if p.newSolver != nil {
+			p.solver = p.newSolver()
+		} else {
+			p.solver = p.cache.solvers.Get().(*solver.Solver)
+		}
+	}
+	return p.solver
+}
+
+// release hands the run's solver back to the Cache for the next run.
+// A solver built by Options.NewSolver is dropped instead: its bounds
+// are the test's own.
+func (p *SolverPool) release() {
+	if p.solver != nil && p.newSolver == nil {
+		p.cache.solvers.Put(p.solver)
+	}
+	p.solver = nil
 }
 
 // Cache exposes the pool's cache.
@@ -136,8 +157,8 @@ func (p *SolverPool) Valid(f solver.Formula) (bool, error) {
 // re-running them would only rediscover the same exhaustion. Faults —
 // timeouts, cancellations, injected errors — are transient, so they
 // continue to the remaining components (a definite UNSAT from any
-// component still refutes the whole conjunction, which keeps verdicts
-// deterministic across worker counts) but are never memoized. Hard
+// component still refutes the whole conjunction, whatever order the
+// components are decided in) but are never memoized. Hard
 // errors are returned immediately, unmemoized.
 func (p *SolverPool) SatPC(pc *solver.PC, extras ...solver.Formula) (bool, error) {
 	return p.SatPCSpan(nil, pc, extras...)
@@ -160,7 +181,7 @@ func verdictOf(sat bool, err error) string {
 
 // SatPCSpan is SatPC with observability attached to sp: the query's
 // final verdict is recorded as a solve event (both trace modes — the
-// verdict is deterministic across worker counts), pipeline stages as
+// verdict is deterministic from run to run), pipeline stages as
 // timing-mode stage/memo-hit/cex-hit events, and the per-query
 // duration in the solver.query.ns histogram. A nil span records
 // metrics only; a nil span and nil registry cost two nil tests.
@@ -187,7 +208,7 @@ func (p *SolverPool) SatPCSpan(sp *obs.Span, pc *solver.PC, extras ...solver.For
 
 // satPC is the undecorated pipeline body behind SatPC/SatPCSpan.
 func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula) (bool, error) {
-	p.queries.Add(1)
+	p.queries++
 	// The pre-solve injection point fires per query, before the quick
 	// paths: a planned fault must reach callers whose queries would
 	// otherwise be interval- or memo-decided.
@@ -197,13 +218,13 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 		}
 	}
 	if pc.Dead() {
-		p.quick.Add(1)
+		p.quick++
 		sp.Stage("quick", "unsat", 0)
 		return false, nil
 	}
 	xs, ok := splitExtras(extras)
 	if !ok {
-		p.quick.Add(1)
+		p.quick++
 		sp.Stage("quick", "unsat", 0)
 		return false, nil
 	}
@@ -212,7 +233,7 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 	// guard's, not the path's. The conjunct slice is built only for
 	// the few queries it cannot decide.
 	if sat, decided := pc.Quick(xs); decided {
-		p.quick.Add(1)
+		p.quick++
 		sp.Stage("quick", verdictOf(sat, nil), 0)
 		return sat, nil
 	}
@@ -263,19 +284,14 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 	// still be interval-decidable.
 	if len(comp) < len(cs) {
 		if sat, decided := solver.QuickConj(sub); decided {
-			p.quick.Add(1)
+			p.quick++
 			sp.Stage("quick", verdictOf(sat, nil), 0)
 			return sat, nil
 		}
 	}
-	p.slices.Add(1)
-	p.sliceConj.Add(int64(len(comp)))
-	for {
-		max := p.maxSlice.Load()
-		if int64(len(comp)) <= max || p.maxSlice.CompareAndSwap(max, int64(len(comp))) {
-			break
-		}
-	}
+	p.slices++
+	p.sliceConj += int64(len(comp))
+	p.maxSlice = max(p.maxSlice, int64(len(comp)))
 
 	key := memoKey(sub)
 	sh := g.shard(key)
@@ -284,16 +300,16 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 		sh.lru.MoveToFront(el)
 		ent := el.Value.(*memoEntry)
 		sh.mu.Unlock()
-		p.hits.Add(1)
+		p.hits++
 		p.cache.hits.Add(1)
 		sp.MemoHit()
 		if ent.err != nil {
-			p.unknown.Add(1)
+			p.unknown++
 		}
 		return ent.sat, ent.err
 	}
 	sh.mu.Unlock()
-	p.misses.Add(1)
+	p.misses++
 	p.cache.misses.Add(1)
 
 	// Small components only (see slice.go): below the gate a fresh
@@ -302,7 +318,7 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 	small := len(comp) <= cexMaxConjuncts && tokens <= cexMaxTokens
 	if small {
 		if m := g.cex.lookup(solver.Conj(sub...)); m != nil {
-			p.cexHits.Add(1)
+			p.cexHits++
 			p.cache.cexHits.Add(1)
 			sp.CexHit()
 			p.memoStore(sh, key, true, nil)
@@ -386,17 +402,16 @@ func (p *SolverPool) memoStore(sh *memoShard, key string, sat bool, err error) {
 	sh.mu.Unlock()
 }
 
-// solve runs one query on a pooled per-worker solver instance, wired
-// to the run context (plus the per-query timeout, if configured) and
-// the fault injector for the duration of the query. The component's
-// conjuncts are handed over as separate assumption formulas, not one
-// flat conjunction: a warm CDCL instance has already encoded the
-// shared prefix of the path condition, so the query pays only for its
-// new conjunct.
+// solve runs one query on the run's solver, wired to the run context
+// (plus the per-query timeout, if configured) and the fault injector
+// for the duration of the query. The component's conjuncts are handed
+// over as separate assumption formulas, not one flat conjunction: a
+// warm CDCL instance has already encoded the shared prefix of the path
+// condition, so the query pays only for its new conjunct.
 func (p *SolverPool) solve(sub []solver.Formula, wantModel bool) (bool, *solver.Model, error) {
-	s := p.solvers.Get().(*solver.Solver)
-	// A pooled instance retains learned clauses and encodings across
-	// queries (that is the point), but never across cache generations:
+	s := p.acquire()
+	// The solver retains learned clauses and encodings across queries
+	// and runs (that is the point), but never across cache generations:
 	// a flush marks "start over", and the solver follows it.
 	if epoch := uint64(p.cache.flushes.Load()); s.Gen != epoch {
 		s.Reset()
@@ -422,31 +437,30 @@ func (p *SolverPool) solve(sub []solver.Formula, wantModel bool) (bool, *solver.
 		sat, err = s.SatAssuming(sub...)
 	}
 	d := time.Since(t0)
-	p.nanos.Add(int64(d))
+	p.nanos += int64(d)
 	p.dpllHist.Observe(int64(d))
-	// Reset before Put: a pooled instance must never carry a stale
-	// context or injector into its next borrower.
+	// The solver outlives this query, and later the run: it must never
+	// carry a stale context or injector into its next one.
 	s.Ctx, s.Injector = nil, nil
 	if cancel != nil {
 		cancel()
 	}
-	p.solvers.Put(s)
 	if err != nil && errors.Is(err, solver.ErrLimit) {
-		p.unknown.Add(1)
+		p.unknown++
 	}
 	return sat, model, err
 }
 
 // addTo folds the pool's counters into an engine Stats snapshot.
 func (p *SolverPool) addTo(s *Stats) {
-	s.MemoHits = p.hits.Load()
-	s.MemoMisses = p.misses.Load()
-	s.SolverQueries = p.queries.Load()
-	s.SolverUnknown = p.unknown.Load()
-	s.SolverTime = time.Duration(p.nanos.Load())
-	s.QuickDecided = p.quick.Load()
-	s.Slices = p.slices.Load()
-	s.SliceConjuncts = p.sliceConj.Load()
-	s.MaxSlice = p.maxSlice.Load()
-	s.CexHits = p.cexHits.Load()
+	s.MemoHits = p.hits
+	s.MemoMisses = p.misses
+	s.SolverQueries = p.queries
+	s.SolverUnknown = p.unknown
+	s.SolverTime = time.Duration(p.nanos)
+	s.QuickDecided = p.quick
+	s.Slices = p.slices
+	s.SliceConjuncts = p.sliceConj
+	s.MaxSlice = p.maxSlice
+	s.CexHits = p.cexHits
 }

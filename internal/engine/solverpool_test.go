@@ -18,7 +18,7 @@ func vle(a, b string) solver.Formula {
 }
 
 func TestPoolMemoHit(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	f := vle("x", "y")
 	for i := 0; i < 5; i++ {
 		sat, err := e.Sat(f)
@@ -36,7 +36,7 @@ func TestPoolMemoHit(t *testing.T) {
 // and single-variable interval guards are decided by the fast path and
 // generate no memo traffic at all.
 func TestPoolTrivialBypass(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	x := solver.IntVar{Name: "x"}
 	queries := []struct {
 		f   solver.Formula
@@ -64,7 +64,7 @@ func TestPoolTrivialBypass(t *testing.T) {
 }
 
 func TestPoolMemoKeysByStructure(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	// Component keys are conjunct-set keys: structurally equal
 	// conjunctions share one entry regardless of conjunct order.
 	ab, bc := vle("a", "b"), vle("b", "c")
@@ -85,7 +85,7 @@ func TestPoolMemoKeysByStructure(t *testing.T) {
 // query sharing one component with an earlier query memo-hits that
 // component.
 func TestPoolSlicing(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	// Two independent components: {a,b} and {p,q}.
 	f1 := solver.NewAnd(vle("a", "b"), vle("p", "q"))
 	if sat, err := e.Sat(f1); err != nil || !sat {
@@ -115,7 +115,7 @@ func TestPoolSlicing(t *testing.T) {
 // TestPoolCexCache: a model proving one query satisfiable is reused,
 // after Eval verification, for later queries it happens to satisfy.
 func TestPoolCexCache(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	if sat, err := e.Sat(solver.NewAnd(vle("a", "b"), vle("b", "c"))); err != nil || !sat {
 		t.Fatalf("seed query = %v, %v", sat, err)
 	}
@@ -134,7 +134,7 @@ func TestPoolCexCache(t *testing.T) {
 }
 
 func TestPoolValidSharesSatEntry(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	f := vle("x", "y")
 	// Valid(f) is Sat(¬f); a direct Sat(¬f) afterwards must hit.
 	if _, err := e.Valid(f); err != nil {
@@ -164,7 +164,7 @@ func limitFormula() solver.Formula {
 }
 
 func TestPoolMemoizesUnknown(t *testing.T) {
-	e := New(Options{Workers: 1, NewSolver: func() *solver.Solver {
+	e := New(Options{NewSolver: func() *solver.Solver {
 		s := solver.New()
 		s.MaxAtoms = 4
 		return s
@@ -185,7 +185,7 @@ func TestPoolMemoizesUnknown(t *testing.T) {
 }
 
 func TestPoolUnknownKeepsPath(t *testing.T) {
-	e := New(Options{Workers: 1, NewSolver: func() *solver.Solver {
+	e := New(Options{NewSolver: func() *solver.Solver {
 		s := solver.New()
 		s.MaxAtoms = 4
 		return s
@@ -198,7 +198,7 @@ func TestPoolUnknownKeepsPath(t *testing.T) {
 func TestPoolLRUEviction(t *testing.T) {
 	// A tiny memo forces eviction; correctness (answers) must be
 	// unaffected, only hit rate.
-	e := New(Options{Workers: 1, Cache: NewCache(CacheOptions{MemoSize: memoShards})}) // one entry per shard
+	e := New(Options{Cache: NewCache(CacheOptions{MemoSize: memoShards})}) // one entry per shard
 	for i := 0; i < 100; i++ {
 		sat, err := e.Sat(vle(fmt.Sprintf("v%d", i), fmt.Sprintf("w%d", i)))
 		if err != nil || !sat {
@@ -216,13 +216,18 @@ func TestPoolLRUEviction(t *testing.T) {
 	}
 }
 
+// TestPoolConcurrentSat runs eight engines over one Cache at once, as
+// the daemon's concurrent requests do: the shared memo answers most of
+// their queries, and each engine counts only its own.
 func TestPoolConcurrentSat(t *testing.T) {
-	e := New(Options{Workers: 8})
+	c := NewCache(CacheOptions{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			e := New(Options{Cache: c})
+			defer e.Close()
 			for i := 0; i < 50; i++ {
 				f := solver.NewAnd(vle(fmt.Sprintf("c%d", i%10), "shared"), vle("shared", fmt.Sprintf("d%d", i%10)))
 				sat, err := e.Sat(f)
@@ -231,12 +236,15 @@ func TestPoolConcurrentSat(t *testing.T) {
 					return
 				}
 			}
+			if s := e.Snapshot(); s.SolverQueries != 50 || s.MemoHits+s.MemoMisses != 50 {
+				t.Errorf("engine stats = %+v", s)
+			}
 		}()
 	}
 	wg.Wait()
-	s := e.Snapshot()
-	if s.SolverQueries != 400 || s.MemoHits+s.MemoMisses != 400 {
-		t.Fatalf("stats = %+v", s)
+	s := c.Stats()
+	if s.MemoHits+s.MemoMisses != 400 {
+		t.Fatalf("cache stats = %+v", s)
 	}
 	if s.MemoHits < 300 {
 		t.Fatalf("only %d hits of 400 queries over 10 distinct formulas", s.MemoHits)
@@ -246,7 +254,7 @@ func TestPoolConcurrentSat(t *testing.T) {
 // TestPoolSatPC drives the incremental path-condition interface the
 // executors use: shared tails, per-node id caching, and extra guards.
 func TestPoolSatPC(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	x := solver.IntVar{Name: "x"}
 	base := solver.PCTrue.And(vle("a", "b")) // non-trivial prefix
 	tpc := base.And(solver.Lt{X: x, Y: solver.IntConst{Val: 10}})

@@ -148,7 +148,7 @@ func FromContext(op, budget string, err error) *Fault {
 
 // FromPanic converts a recovered panic value into a WorkerPanic fault.
 // If the panic value is itself an error it becomes the cause (so an
-// injected fault panicking through a worker keeps its identity).
+// injected fault panicking through a task keeps its identity).
 func FromPanic(op string, v any) *Fault {
 	err, ok := v.(error)
 	if !ok {

@@ -60,10 +60,10 @@ type planState struct {
 type Injector struct {
 	plans [numPoints]*planState
 
-	// probabilistic mode: seeded PRNG under a mutex. Call order still
-	// decides outcomes, so this mode is reproducible only for
-	// single-worker runs; the deterministic Plan mode is what the
-	// workers=1-vs-N chaos assertions use.
+	// probabilistic mode: seeded PRNG under a mutex. Call order
+	// decides outcomes, so this mode is reproducible run over run
+	// because exploration is sequential; the chaos class assertions
+	// use the deterministic Plan mode.
 	mu     sync.Mutex
 	rng    *rand.Rand
 	chance [numPoints]float64

@@ -17,7 +17,7 @@ func runFixpointChaos(t *testing.T) *Analysis {
 	t.Helper()
 	inj := fault.NewInjector(1).
 		Plan(fault.FixpointIter, fault.Plan{Class: fault.Timeout})
-	eng := engine.New(engine.Options{Workers: 1, FaultInjector: inj})
+	eng := engine.New(engine.Options{FaultInjector: inj})
 	defer eng.Close()
 	a, err := Run(mustParse(corpus.SyntheticVsftpd(8, 2)), Options{Engine: eng})
 	if err != nil {

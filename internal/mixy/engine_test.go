@@ -28,31 +28,30 @@ func TestEngineMatchesNoEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		eng := engine.New(engine.Options{Workers: workers})
-		a, err := Run(mustParse(src), Options{Engine: eng})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got, want := strings.Join(warningStrings(a), "\n"), strings.Join(warningStrings(base), "\n"); got != want {
-			t.Fatalf("workers=%d warnings differ\nbase:\n%s\nengine:\n%s", workers, want, got)
-		}
-		if a.Stats.FixpointIters != base.Stats.FixpointIters ||
-			a.Stats.BlocksAnalyzed != base.Stats.BlocksAnalyzed {
-			t.Fatalf("workers=%d fixpoint trajectory differs: %+v vs %+v", workers, a.Stats, base.Stats)
-		}
-		s := eng.Snapshot()
-		// The fixpoint re-proves formulas; each repeat must be absorbed
-		// before DPLL — by the interval fast path, the counterexample
-		// cache, or the memo table.
-		if s.QuickDecided+s.MemoHits+s.CexHits == 0 {
-			t.Fatalf("workers=%d: no query deduplication at all (stats %+v)", workers, s)
-		}
-		// Every query is accounted for: decided by the fast path or
-		// routed through the per-component memo.
-		if s.QuickDecided+s.MemoHits+s.MemoMisses < s.SolverQueries {
-			t.Fatalf("workers=%d: pipeline accounting off: %+v", workers, s)
-		}
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
+	a, err := Run(mustParse(src), Options{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(warningStrings(a), "\n"), strings.Join(warningStrings(base), "\n"); got != want {
+		t.Fatalf("warnings differ\nbase:\n%s\nengine:\n%s", want, got)
+	}
+	if a.Stats.FixpointIters != base.Stats.FixpointIters ||
+		a.Stats.BlocksAnalyzed != base.Stats.BlocksAnalyzed {
+		t.Fatalf("fixpoint trajectory differs: %+v vs %+v", a.Stats, base.Stats)
+	}
+	s := eng.Snapshot()
+	// The fixpoint re-proves formulas; each repeat must be absorbed
+	// before DPLL — by the interval fast path, the counterexample
+	// cache, or the memo table.
+	if s.QuickDecided+s.MemoHits+s.CexHits == 0 {
+		t.Fatalf("no query deduplication at all (stats %+v)", s)
+	}
+	// Every query is accounted for: decided by the fast path or
+	// routed through the per-component memo.
+	if s.QuickDecided+s.MemoHits+s.MemoMisses < s.SolverQueries {
+		t.Fatalf("pipeline accounting off: %+v", s)
 	}
 }
 

@@ -28,7 +28,7 @@ func runMergeChaos(t *testing.T, mode engine.MergeMode) *Analysis {
 	t.Helper()
 	inj := fault.NewInjector(1).
 		Plan(fault.PreSolve, fault.Plan{Count: 1, Panic: true, Class: fault.Timeout})
-	eng := engine.New(engine.Options{Workers: 1, FaultInjector: inj})
+	eng := engine.New(engine.Options{FaultInjector: inj})
 	defer eng.Close()
 	a, err := Run(mustParse(corpus.SyntheticVsftpd(8, 2)), Options{Engine: eng, Merge: mode})
 	if err != nil {
@@ -90,7 +90,7 @@ func TestMergeChaosOverApproximates(t *testing.T) {
 		}
 		inj := fault.NewInjector(1).
 			Plan(fault.PreSolve, fault.Plan{After: 5, Count: 1, Panic: true, Class: fault.Timeout})
-		eng := engine.New(engine.Options{Workers: 1, FaultInjector: inj})
+		eng := engine.New(engine.Options{FaultInjector: inj})
 		a, err := Run(mustParse(corpus.SyntheticVsftpd(8, 2)), Options{Engine: eng, Merge: mode})
 		eng.Close()
 		if err != nil {

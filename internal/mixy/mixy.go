@@ -62,11 +62,8 @@ type Options struct {
 	// fallback stays observable through the Summarizer's counters.
 	Summaries symexec.Summarizer
 	// Engine, when non-nil, routes all solver queries through the
-	// engine's memoizing pool and evaluates the symbolic-to-typed
-	// translation queries of each block in parallel across its
-	// workers. Path exploration itself stays serial (the executor
-	// hooks mutate the shared qualifier inference), so results are
-	// identical to a run without an engine.
+	// engine's memoizing pool and supplies the run's budgets, so
+	// results are identical to a run without an engine.
 	Engine *engine.Engine
 	// Tracer records fixpoint-loop structure (per-iteration frontier
 	// sizes, block-cache hits and misses, analyzed blocks, degradation
@@ -77,7 +74,7 @@ type Options struct {
 	// NewSolver is a test seam: it builds the per-block executor's own
 	// solver (used when Engine is nil) in place of solver.New, so the
 	// differential tests can run it on solver.NewReference. With an
-	// engine, the pool's solvers come from engine.Options.NewSolver.
+	// engine, the pool's solver comes from engine.Options.NewSolver.
 	NewSolver func() *solver.Solver
 }
 
@@ -551,9 +548,8 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 	// path condition. Cells are visited in sorted order — Memory is a
 	// map, and the visit order decides both the constraint reasons and
 	// the cached qualifier list, so it must be reproducible. The
-	// queries are independent of each other, so with an engine they
-	// evaluate in parallel across its workers; constraints are then
-	// applied serially in the deterministic order.
+	// queries run first, each behind a panic boundary; constraints are
+	// then applied in the same order.
 	type nullCheck struct {
 		q      *qual.QVar
 		pc     *solver.PC
@@ -586,9 +582,9 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 	}
 	m.Stats.SolverQueries += len(checks)
 	// mayNull starts all-true so a query that never completes — a
-	// worker panic or cancellation inside Map skips remaining indices —
-	// degrades to the pessimistic (sound) answer, not the optimistic
-	// one. A completed query overwrites its slot either way.
+	// panic inside Map skips the remaining indices — degrades to the
+	// pessimistic (sound) answer, not the optimistic one. A completed
+	// query overwrites its slot either way.
 	mayNull := make([]bool, len(checks))
 	for i := range mayNull {
 		mayNull[i] = true
@@ -598,14 +594,8 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 		mayNull[i] = err != nil || sat
 		return nil
 	}
-	if m.eng != nil {
-		if err := m.eng.Map(len(checks), query); err != nil && fault.Degradable(err) {
-			m.degrade(err, false)
-		}
-	} else {
-		for i := range checks {
-			_ = query(i)
-		}
+	if err := m.eng.Map(len(checks), query); err != nil {
+		m.degrade(err, false)
 	}
 	var constrained []*qual.QVar
 	changed := false

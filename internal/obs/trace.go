@@ -46,7 +46,7 @@ type Event struct {
 }
 
 // Event kinds. Kinds marked (timing-only) depend on scheduling —
-// which worker warmed the memo table first, how long a query ran —
+// which run warmed a shared memo table first, how long a query ran —
 // and are suppressed in deterministic mode; everything else is a
 // pure function of (program, seed) and appears in both modes.
 const (
@@ -72,10 +72,10 @@ const traceShards = 16
 
 // TraceOptions configures a Tracer.
 type TraceOptions struct {
-	// Deterministic makes traces byte-comparable across runs and
-	// worker counts: wall-clock fields are zeroed, schedule-dependent
-	// kinds (stage, memo-hit, cex-hit) are suppressed, and the flush
-	// orders events by (path, pseq) before numbering seq.
+	// Deterministic makes traces byte-comparable across runs:
+	// wall-clock fields are zeroed, schedule-dependent kinds (stage,
+	// memo-hit, cex-hit) are suppressed, and the flush orders events by
+	// (path, pseq) before numbering seq.
 	Deterministic bool
 	// Cap bounds total buffered events across all shards; each shard
 	// is a ring, so when a shard wraps its oldest events are
@@ -298,7 +298,7 @@ func (s *Span) Stage(stage, verdict string, durNs int64) {
 }
 
 // MemoHit records a memo-table hit (timing-mode only: hits depend on
-// which worker populated the shard first).
+// which run populated the shared shard first).
 func (s *Span) MemoHit() {
 	if s == nil || s.t.det {
 		return
@@ -387,7 +387,7 @@ func (t *Tracer) Events() []Event {
 
 // WriteJSONL writes the trace as one JSON object per line, in final
 // event order. Deterministic-mode output is byte-identical across
-// runs and worker counts for the same (program, seed).
+// runs for the same (program, seed).
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	for _, e := range t.Events() {
 		line, err := json.Marshal(e)

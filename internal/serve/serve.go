@@ -6,8 +6,8 @@
 // The server owns two caches that outlive any single request:
 //
 //   - a shared engine.Cache (per-component solver memo, counterexample
-//     models, warm per-worker solver instances), which
-//     every engine-backed request reads and extends,
+//     models, idle warm solver instances), which every request reads
+//     and extends,
 //   - a shared summary.Store, so function summaries computed for one
 //     request answer later requests that analyze the same code, and
 //   - a request-level verdict cache, answering byte-identical repeat
@@ -34,6 +34,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -407,9 +408,7 @@ func (s *Server) analysisHandler(kind string) http.Handler {
 		}
 
 		var req Request
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
 			s.badRequests.Inc()
 			finish(http.StatusBadRequest)
 			s.reject(w, http.StatusBadRequest, 0, "bad request body: "+err.Error())
@@ -466,6 +465,20 @@ func (s *Server) analysisHandler(kind string) http.Handler {
 	})
 }
 
+// decodeRequest reads a body that is exactly one JSON object of known
+// fields; anything but whitespace after it is an error.
+func decodeRequest(body io.Reader, req *Request) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if dec.Decode(&struct{}{}) != io.EOF {
+		return errors.New("data after the JSON object")
+	}
+	return nil
+}
+
 // verdictOf summarizes a 200 response for the flight recorder.
 func verdictOf(resp *Response) (verdict, faultClass string) {
 	switch {
@@ -482,8 +495,10 @@ func verdictOf(resp *Response) (verdict, faultClass string) {
 
 // cacheKey is the verdict-cache key: kind, source, and the canonical
 // JSON of the analysis options (struct field order, so it is
-// deterministic).
+// deterministic). Workers is left out: every request runs the same
+// engine, so "workers": 0 and 1 ask for the same analysis.
 func cacheKey(kind, source string, a cliflags.Analysis) string {
+	a.Workers = 0
 	opts, _ := json.Marshal(a)
 	h := sha256.New()
 	h.Write([]byte(kind))
@@ -526,6 +541,19 @@ func (s *Server) run(kind string, req *Request) (*Response, int, string) {
 		}
 	}
 
+	// Options are checked before the verdict cache, whose key does not
+	// see every option: a request the facade rejects (a negative
+	// deadline, "workers": 2) must never be answered from it.
+	var err error
+	if kind == "core" {
+		err = req.Analysis.MixConfig().Validate()
+	} else {
+		err = req.Analysis.CConfig().Validate()
+	}
+	if err != nil {
+		return nil, http.StatusBadRequest, err.Error()
+	}
+
 	key := cacheKey(kind, req.Source, req.Analysis)
 	cacheable := !req.Trace && !req.Metrics
 	if cacheable {
@@ -552,9 +580,6 @@ func (s *Server) run(kind string, req *Request) (*Response, int, string) {
 		cfg.Cache = s.cache
 		cfg.Deadline = s.deadline(req)
 		cfg.Metrics, cfg.Tracer = reg, tr
-		if err := cfg.Validate(); err != nil {
-			return nil, http.StatusBadRequest, err.Error()
-		}
 		res := mix.Check(req.Source, cfg)
 		cr := &CheckResult{
 			Type:          res.Type,
@@ -591,9 +616,6 @@ func (s *Server) run(kind string, req *Request) (*Response, int, string) {
 		}
 		cfg.Deadline = s.deadline(req)
 		cfg.Metrics, cfg.Tracer = reg, tr
-		if err := cfg.Validate(); err != nil {
-			return nil, http.StatusBadRequest, err.Error()
-		}
 		res, err := mix.AnalyzeC(req.Source, cfg)
 		if err != nil {
 			// Parse passed, so this is a program the analyzer cannot

@@ -64,7 +64,7 @@ func ladderRequest(n int) Request {
 	req.Source = src
 	req.Symbolic = true
 	req.Env = env
-	req.Workers = 2
+	req.Workers = 1
 	req.Merge = "off"
 	return req
 }
@@ -78,7 +78,7 @@ func memoRequest() Request {
 		else (if y < x then 2 else (if x < y then {t 1 + true t} else 3)) s}`
 	req.Symbolic = true
 	req.Env = map[string]string{"x": "int", "y": "int"}
-	req.Workers = 2
+	req.Workers = 1
 	req.Merge = "off"
 	return req
 }
@@ -86,7 +86,7 @@ func memoRequest() Request {
 func vsftpdRequest(nFuncs int) Request {
 	var req Request
 	req.Source = corpus.SyntheticVsftpd(nFuncs, 2)
-	req.Workers = 2
+	req.Workers = 1
 	req.Merge = "joins"
 	req.MergeCap = 8
 	req.Entry = "main"
@@ -149,7 +149,7 @@ func TestWarmColdDifferential(t *testing.T) {
 			var r Request
 			r.Source = corpus.VsftpdMini.Source
 			r.Entry = corpus.VsftpdMini.Entry
-			r.Workers = 2
+			r.Workers = 1
 			r.Merge = "joins"
 			r.MergeCap = 8
 			return r
@@ -326,7 +326,7 @@ func TestDrainZeroDrop(t *testing.T) {
 		// Drain fires.
 		var slow Request
 		slow.Source = corpus.SyntheticVsftpd(18+i, 3)
-		slow.Workers = 2
+		slow.Workers = 1
 		slow.Merge = "joins"
 		slow.MergeCap = 8
 		slow.Entry = "main"
@@ -374,35 +374,46 @@ func TestDrainZeroDrop(t *testing.T) {
 	}
 }
 
-// TestBadRequests pins the 400 surface: malformed JSON, unknown
-// fields, missing source, parse errors, and facade validation errors
-// all come back as descriptive 400s.
+// badRequests is the 400 surface: malformed JSON, trailing bytes,
+// unknown fields, missing source, parse errors, and facade validation
+// errors. TestBadRequests pins each row; FuzzRequest seeds from them.
+var badRequests = []struct {
+	name, path, body, want string
+}{
+	{"malformed", "/check", `{`, "bad request body"},
+	{"trailing bytes", "/check", `{"source":"1 + 2"} trailing`, "data after the JSON object"},
+	{"second object", "/check", `{"source":"1 + 2"} {}`, "data after the JSON object"},
+	{"unknown field", "/check", `{"source":"1","bogus":true}`, "bad request body"},
+	{"missing source", "/check", `{"workers":1}`, `missing "source"`},
+	{"core parse error", "/check", `{"source":"let let"}`, "parse"},
+	{"microc parse error", "/analyze", `{"source":"int f("}`, "parse"},
+	{"bad merge", "/check", `{"source":"1 + 2","merge":"sometimes"}`, "bad Merge mode"},
+	{"orphan merge cap", "/analyze", `{"source":"int main() { return 0; }","merge_cap":4}`, "without a Merge mode"},
+	{"negative workers", "/check", `{"source":"1 + 2","workers":-1}`, "negative Workers"},
+	// Exploration is sequential: a request for more than one worker is
+	// rejected, not silently run on one.
+	{"workers above one", "/check", `{"source":"1 + 2","workers":2}`, "exploration is sequential"},
+	{"workers above one microc", "/analyze", `{"source":"int main() { return 0; }","workers":4}`, "exploration is sequential"},
+	// A negative deadline is an error, as a negative solver_timeout
+	// is, not a request for the server default.
+	{"negative deadline", "/check", `{"source":"1 + 2","deadline":"-5ms"}`, "negative Deadline"},
+	{"negative deadline ns", "/analyze", `{"source":"int main() { return 0; }","deadline":-1}`, "negative Deadline"},
+	// The search-core selector and the solver bound overrides are
+	// gone; a request that still carries one is rejected, not
+	// silently run at the fixed configuration.
+	{"removed solver", "/check", `{"source":"1 + 2","solver":"dpll"}`, "unknown field"},
+	{"removed max_atoms", "/analyze", `{"source":"int main() { return 0; }","max_atoms":2}`, "unknown field"},
+	{"removed max_decisions", "/check", `{"source":"1 + 2","max_decisions":1}`, "unknown field"},
+	{"removed max_learned", "/analyze", `{"source":"int main() { return 0; }","max_learned":8}`, "unknown field"},
+	// Every engine memoizes now, and aggressive merging is no
+	// longer a request mode.
+	{"removed no_memo", "/check", `{"source":"1 + 2","no_memo":true}`, "unknown field"},
+	{"removed aggressive merge", "/analyze", `{"source":"int main() { return 0; }","merge":"aggressive"}`, `bad Merge mode "aggressive"`},
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	cases := []struct {
-		name, path, body, want string
-	}{
-		{"malformed", "/check", `{`, "bad request body"},
-		{"unknown field", "/check", `{"source":"1","bogus":true}`, "bad request body"},
-		{"missing source", "/check", `{"workers":1}`, `missing "source"`},
-		{"core parse error", "/check", `{"source":"let let"}`, "parse"},
-		{"microc parse error", "/analyze", `{"source":"int f("}`, "parse"},
-		{"bad merge", "/check", `{"source":"1 + 2","merge":"sometimes"}`, "bad Merge mode"},
-		{"orphan merge cap", "/analyze", `{"source":"int main() { return 0; }","merge_cap":4}`, "without a Merge mode"},
-		{"negative workers", "/check", `{"source":"1 + 2","workers":-1}`, "negative Workers"},
-		// The search-core selector and the solver bound overrides are
-		// gone; a request that still carries one is rejected, not
-		// silently run at the fixed configuration.
-		{"removed solver", "/check", `{"source":"1 + 2","solver":"dpll"}`, "unknown field"},
-		{"removed max_atoms", "/analyze", `{"source":"int main() { return 0; }","max_atoms":2}`, "unknown field"},
-		{"removed max_decisions", "/check", `{"source":"1 + 2","max_decisions":1}`, "unknown field"},
-		{"removed max_learned", "/analyze", `{"source":"int main() { return 0; }","max_learned":8}`, "unknown field"},
-		// Every engine memoizes now, and aggressive merging is no
-		// longer a request mode.
-		{"removed no_memo", "/check", `{"source":"1 + 2","no_memo":true}`, "unknown field"},
-		{"removed aggressive merge", "/analyze", `{"source":"int main() { return 0; }","merge":"aggressive"}`, `bad Merge mode "aggressive"`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
@@ -419,6 +430,39 @@ func TestBadRequests(t *testing.T) {
 				t.Fatalf("error = %s, want substring %q", buf.Bytes(), tc.want)
 			}
 		})
+	}
+}
+
+// TestVerdictCacheIgnoresWorkers: every request runs the same engine,
+// so a request that spells out "workers": 1 is answered from the entry
+// of one that leaves it out, while "workers": 2 is still a 400, not a
+// cached 200.
+func TestVerdictCacheIgnoresWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for i, tc := range []struct {
+		body       string
+		code       int
+		wantCached bool
+	}{
+		{`{"source":"1 + 2"}`, http.StatusOK, false},
+		{`{"source":"1 + 2","workers":1}`, http.StatusOK, true},
+		{`{"source":"1 + 2","workers":2}`, http.StatusBadRequest, false},
+	} {
+		resp, err := http.Post(ts.URL+"/check", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Fatalf("request %d %s = %d, want %d: %s", i, tc.body, resp.StatusCode, tc.code, buf.Bytes())
+		}
+		if tc.code == http.StatusOK {
+			if r := decode(t, buf.Bytes()); r.Cached != tc.wantCached {
+				t.Fatalf("request %d %s: cached = %v, want %v", i, tc.body, r.Cached, tc.wantCached)
+			}
+		}
 	}
 }
 

@@ -261,10 +261,11 @@ func TestChainMatchesAnd(t *testing.T) {
 	}
 }
 
-// TestPCSharedAcrossGoroutines: sibling paths on several workers read
-// one path condition's nodes at once — the interval state and the
-// support tokens a node publishes on its first Head call — and extend
-// it concurrently. Run it under -race.
+// TestPCSharedAcrossGoroutines: concurrent checks, such as the
+// daemon's requests, can read one path condition's nodes at once (every
+// path starts from PCTrue) — the interval state and the support tokens
+// a node publishes on its first Head call — and extend it
+// concurrently. Run it under -race.
 func TestPCSharedAcrossGoroutines(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var pc *PC

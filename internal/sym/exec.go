@@ -2,8 +2,6 @@ package sym
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"mix/internal/engine"
 	"mix/internal/fault"
@@ -87,12 +85,10 @@ type Executor struct {
 	// MaxSteps bounds evaluation steps per Run; closures stored in
 	// references can tie Landin's knot, so execution needs fuel.
 	MaxSteps int
-	steps    atomic.Int64
-	// Engine, when non-nil, runs the two branches of each conditional
-	// fork as parallel scheduler tasks (joined in branch order, so
-	// results keep the sequential depth-first order) and enforces the
-	// engine's path and depth budgets. A nil Engine gives the original
-	// sequential executor.
+	steps    int64
+	// Engine, when non-nil, enforces the engine's path budget and
+	// deadline and routes solver queries through its memoizing pool. A
+	// nil Engine gives the original executor.
 	Engine *engine.Engine
 	// TypBlock, when non-nil, analyzes {t e t} blocks; this is the
 	// seam where the SETYPBLOCK mix rule plugs in. A nil TypBlock
@@ -107,20 +103,16 @@ type Executor struct {
 	// stopped flips when a classified fault truncates exploration; the
 	// remaining work unwinds promptly (run returns empty result sets,
 	// not errors) so completed sibling paths keep their results.
-	stopped atomic.Bool
+	stopped bool
 	// imprecise counts degradation events absorbed during the current
 	// Run; the mix layer treats any increase as "this block's result
 	// set may be incomplete" and falls back to the typed
 	// over-approximation instead of trusting partial path coverage.
-	imprecise atomic.Int64
+	imprecise int64
+	// degraded is the first absorbed fault of the Run.
+	degraded error
 
-	// degradedMu guards degraded, the first absorbed fault of the Run.
-	degradedMu sync.Mutex
-	degraded   error
-
-	// statsMu guards Stats when branches execute in parallel.
-	statsMu sync.Mutex
-	Stats   Stats
+	Stats Stats
 }
 
 // NewExecutor returns an executor with default settings: forking
@@ -158,11 +150,9 @@ func (x *Executor) Run(env *Env, st State, e lang.Expr) ([]Result, error) {
 		// order, so root IDs are deterministic.
 		st.span = x.Engine.Tracer().Root("sym.run")
 	}
-	x.steps.Store(int64(x.MaxSteps))
-	x.stopped.Store(false)
-	x.degradedMu.Lock()
+	x.steps = int64(x.MaxSteps)
+	x.stopped = false
 	x.degraded = nil
-	x.degradedMu.Unlock()
 	rs, err := x.protectedRun(env, st, e)
 	if err != nil {
 		return nil, err
@@ -174,16 +164,14 @@ func (x *Executor) Run(env *Env, st State, e lang.Expr) ([]Result, error) {
 		}
 		kept = append(kept, r)
 	}
-	x.statsMu.Lock()
 	x.Stats.Paths += len(kept)
-	x.statsMu.Unlock()
 	x.Engine.AddPaths(len(kept))
 	return kept, nil
 }
 
 // protectedRun is the Run root with a panic boundary: a panic anywhere
-// on the root path (stolen branches have their own boundary inside the
-// engine) becomes a worker-panic degradation, not a crash.
+// on the root path (forked branches have their own boundary inside
+// engine.Fork2) becomes a worker-panic degradation, not a crash.
 func (x *Executor) protectedRun(env *Env, st State, e lang.Expr) (rs []Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -200,29 +188,23 @@ func (x *Executor) protectedRun(env *Env, st State, e lang.Expr) (rs []Result, e
 // before the stop remain valid (each is a genuine explored path); the
 // imprecision count tells the caller the set may be incomplete.
 func (x *Executor) degrade(sp *obs.Span, err error) {
-	x.degradedMu.Lock()
 	if x.degraded == nil {
 		x.degraded = err
 	}
-	x.degradedMu.Unlock()
-	x.imprecise.Add(1)
+	x.imprecise++
 	sp.Degrade(fault.ClassOf(err).String(), "exploration truncated")
 	x.Engine.Faults().RecordErr(err)
-	x.stopped.Store(true)
+	x.stopped = true
 }
 
 // Degraded returns the first classified fault absorbed by the current
 // Run, or nil when exploration was exhaustive.
-func (x *Executor) Degraded() error {
-	x.degradedMu.Lock()
-	defer x.degradedMu.Unlock()
-	return x.degraded
-}
+func (x *Executor) Degraded() error { return x.degraded }
 
 // ImprecisionCount reports the cumulative number of degradation events
 // absorbed by this executor; callers snapshot it around a Run to
 // detect truncation.
-func (x *Executor) ImprecisionCount() int64 { return x.imprecise.Load() }
+func (x *Executor) ImprecisionCount() int64 { return x.imprecise }
 
 // errResult builds a single-element error result list.
 func errResult(st State, pos lang.Pos, format string, args ...any) []Result {
@@ -268,17 +250,18 @@ func (x *Executor) seq(env *Env, st State, e lang.Expr, k func(State, Val) ([]Re
 func one(st State, v Val) []Result { return []Result{{State: st, Val: v}} }
 
 func (x *Executor) run(env *Env, st State, e lang.Expr) ([]Result, error) {
-	if x.stopped.Load() {
+	if x.stopped {
 		return nil, nil
 	}
-	if n := x.steps.Add(-1); n < 0 {
+	x.steps--
+	if x.steps < 0 {
 		// Step-budget exhaustion (possible divergence through stored
 		// closures) degrades like the path budget: stop, record, keep
 		// what completed.
 		x.degrade(st.span, fault.New(fault.StepBudget, "sym.run",
 			fmt.Sprintf("max-steps=%d", x.MaxSteps), nil))
 		return nil, nil
-	} else if n&63 == 0 {
+	} else if x.steps&63 == 0 {
 		if err := x.Engine.Interrupted("sym.run"); err != nil {
 			x.degrade(st.span, err)
 			return nil, nil
@@ -617,10 +600,8 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 		switch x.Mode {
 		case ForkIf:
 			// SEIF-TRUE and SEIF-FALSE: fork, extending the path
-			// condition with the choice made. With an engine the two
-			// branches run as parallel tasks; the ordered join keeps
-			// then-results before else-results, reproducing the
-			// sequential result order exactly.
+			// condition with the choice made. The then-branch runs
+			// first, so then-results precede else-results.
 			if err := x.Engine.Charge(); err != nil {
 				if fault.Degradable(err) {
 					x.degrade(s1.span, err)
@@ -628,19 +609,17 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 				}
 				return nil, err
 			}
-			x.statsMu.Lock()
 			x.Stats.Forks++
-			x.statsMu.Unlock()
 			thenSt := s1
 			thenSt.Guard = MkAnd(s1.Guard, g1)
 			elseSt := s1
 			elseSt.Guard = MkAnd(s1.Guard, MkNot(g1))
-			// Each branch owns a fresh child span: the two tasks may
-			// run on different workers and must never share a span.
+			// Each branch owns a fresh child span, so the trace names
+			// each path by its fork decisions.
 			s1.span.Fork(2)
 			thenSt.span = s1.span.Child()
 			elseSt.span = s1.span.Child()
-			thenRs, elseRs, err := engine.Fork2(x.Engine,
+			thenRs, elseRs, err := engine.Fork2(
 				func() ([]Result, error) { return x.run(env, thenSt, e.Then) },
 				func() ([]Result, error) { return x.run(env, elseSt, e.Else) })
 			if err != nil {
@@ -665,7 +644,7 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 			// SEIF-DEFER: execute both branches and merge with
 			// conditional symbolic expressions, giving the solver the
 			// disjunction instead of forking. The two branch executions
-			// are still independent, so they parallelize the same way.
+			// keep the same panic boundaries as a fork.
 			thenSt := s1
 			thenSt.Guard = MkAnd(s1.Guard, g1)
 			elseSt := s1
@@ -673,7 +652,7 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 			s1.span.Fork(2)
 			thenSt.span = s1.span.Child()
 			elseSt.span = s1.span.Child()
-			thenRs, elseRs, err := engine.Fork2(x.Engine,
+			thenRs, elseRs, err := engine.Fork2(
 				func() ([]Result, error) { return x.run(env, thenSt, e.Then) },
 				func() ([]Result, error) { return x.run(env, elseSt, e.Else) })
 			if err != nil {
@@ -712,9 +691,7 @@ func (x *Executor) runIf(env *Env, st State, e lang.If) ([]Result, error) {
 							"branches of deferred if have types %s and %s", rt.Val.T, re.Val.T)...)
 						continue
 					}
-					x.statsMu.Lock()
 					x.Stats.Merges++
-					x.statsMu.Unlock()
 					merged := State{
 						Guard: Val{CondOp{g1, rt.State.Guard, re.State.Guard}, types.Bool},
 						Mem:   condMem(g1, rt.State.Mem, re.State.Mem),

@@ -61,9 +61,7 @@ func (x *Executor) mergeResults(s1 State, g1 Val, pos lang.Pos, thenRs, elseRs [
 		Val: condVal(g1, rt.Val, re.Val),
 	}
 
-	x.statsMu.Lock()
 	x.Stats.Merges++
-	x.statsMu.Unlock()
 	// The sym executor merges whole states, not cells: n counts the
 	// diverging components folded under a guard (value, memory), n2 the
 	// components the arms agreed on.

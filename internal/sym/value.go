@@ -9,7 +9,6 @@ package sym
 
 import (
 	"fmt"
-	"sync"
 
 	"mix/internal/lang"
 	"mix/internal/obs"
@@ -238,8 +237,7 @@ func (e *Env) Names() []string {
 // generator is shared across an entire mixed analysis so that
 // freshness conditions (α ∉ Σ, S) hold globally.
 type Fresh struct {
-	mu sync.Mutex
-	n  int
+	n int
 }
 
 // NewFresh returns a fresh-name generator.
@@ -247,28 +245,18 @@ func NewFresh() *Fresh { return &Fresh{} }
 
 // Var returns a fresh symbolic variable of type t.
 func (f *Fresh) Var(t types.Type, hint string) Val {
-	f.mu.Lock()
 	f.n++
-	n := f.n
-	f.mu.Unlock()
-	return Val{SymVar{ID: n, Name: hint}, t}
+	return Val{SymVar{ID: f.n, Name: hint}, t}
 }
 
 // Memory returns a fresh arbitrary memory μ.
 func (f *Fresh) Memory() Mem {
-	f.mu.Lock()
 	f.n++
-	n := f.n
-	f.mu.Unlock()
-	return MemVar{ID: n}
+	return MemVar{ID: f.n}
 }
 
 // Count reports how many fresh names have been drawn (used in tests).
-func (f *Fresh) Count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
+func (f *Fresh) Count() int { return f.n }
 
 // TrueVal and FalseVal are the boolean constants as typed values.
 var (

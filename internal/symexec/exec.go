@@ -2,8 +2,6 @@ package symexec
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"mix/internal/engine"
 	"mix/internal/fault"
@@ -114,9 +112,7 @@ type Executor struct {
 
 	// Engine, when non-nil, routes feasibility queries through the
 	// engine's memoizing solver pool and supplies the run's context,
-	// fault injector and tracer. Path exploration stays on the calling
-	// goroutine either way: MIXY's InitCell/TypedCall hooks mutate the
-	// shared qualifier inference, which must not run concurrently.
+	// fault injector and tracer.
 	Engine *engine.Engine
 
 	Reports []Report
@@ -126,13 +122,10 @@ type Executor struct {
 	// cancellation, recovered panic, injected abort); statement
 	// execution then unwinds promptly with empty flow sets, keeping
 	// every already-completed path and its reports.
-	stopped atomic.Bool
-	// degradedMu guards degraded, the first run-stopping fault.
-	degradedMu sync.Mutex
-	degraded   error
+	stopped bool
+	// degraded is the first run-stopping fault.
+	degraded error
 
-	// mu guards the executor-global tables below (and Reports/Stats).
-	mu       sync.Mutex
 	nextID   int
 	varObjs  map[*microc.VarDecl]*Object
 	locObjs  map[string]*Object
@@ -144,31 +137,24 @@ type Executor struct {
 // the run-wide counters and as an Imprecision report naming the fault
 // class), then stop further exploration.
 func (x *Executor) degrade(st State, err error, pos microc.Pos) {
-	if !x.stopped.CompareAndSwap(false, true) {
+	if x.stopped {
 		return
 	}
-	x.degradedMu.Lock()
-	if x.degraded == nil {
-		x.degraded = err
-	}
-	x.degradedMu.Unlock()
+	x.stopped = true
+	x.degraded = err
 	x.Engine.Faults().RecordErr(err)
 	st.span.Degrade(fault.ClassOf(err).String(), "exploration stopped")
 	x.report(st, Imprecision, pos, "exploration degraded (%s): %v", fault.ClassOf(err), err)
 }
 
 // Degraded returns the first run-stopping fault, or nil.
-func (x *Executor) Degraded() error {
-	x.degradedMu.Lock()
-	defer x.degradedMu.Unlock()
-	return x.degraded
-}
+func (x *Executor) Degraded() error { return x.degraded }
 
 // interrupted polls the stop flag and the run context at a statement
 // boundary; true means the caller should unwind with an empty flow
 // set (completed sibling paths keep their results).
 func (x *Executor) interrupted(st State, pos microc.Pos) bool {
-	if x.stopped.Load() {
+	if x.stopped {
 		return true
 	}
 	if err := x.Engine.Interrupted("symexec.exec"); err != nil {
@@ -193,15 +179,11 @@ func New(prog *microc.Program, pa *pointer.Analysis) *Executor {
 // report records a finding, unless an identical one was already
 // recorded.
 func (x *Executor) report(st State, kind ReportKind, pos microc.Pos, format string, args ...any) {
-	r := Report{Kind: kind, Pos: pos, Msg: fmt.Sprintf(format, args...)}
-	x.mu.Lock()
-	x.addReportLocked(r)
-	x.mu.Unlock()
+	x.addReport(Report{Kind: kind, Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-// addReportLocked appends r unless an identical report was already
-// recorded. Callers hold x.mu.
-func (x *Executor) addReportLocked(r Report) {
+// addReport appends r unless an identical report was already recorded.
+func (x *Executor) addReport(r Report) {
 	key := r.String()
 	if x.reported[key] {
 		return
@@ -222,11 +204,8 @@ func (x *Executor) ReportsOf(kind ReportKind) []Report {
 }
 
 func (x *Executor) freshID() int {
-	x.mu.Lock()
 	x.nextID++
-	id := x.nextID
-	x.mu.Unlock()
-	return id
+	return x.nextID
 }
 
 // FreshInt returns a fresh symbolic integer.
@@ -242,7 +221,7 @@ func (x *Executor) FreshBool(hint string) solver.Formula {
 // feasible decides satisfiability of a path condition plus extra
 // guards, erring toward feasible on solver resource errors
 // (conservative: keeps reports). With an engine the query goes through
-// its sliced, memoizing, per-worker solver pipeline, which classifies
+// its sliced, memoizing solver pipeline, which classifies
 // resource-exhausted queries the same way: unknown → keep the path.
 // The querying path's span (nil when tracing is off) receives the
 // verdict as a solve event.
@@ -267,8 +246,6 @@ func (x *Executor) feasible(st State, pc *solver.PC, extras ...solver.Formula) b
 // VarObj returns the (unique, conflated across invocations) object of
 // a declared variable.
 func (x *Executor) VarObj(d *microc.VarDecl) *Object {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	if o, ok := x.varObjs[d]; ok {
 		return o
 	}
@@ -296,8 +273,6 @@ func (x *Executor) LocObj(l pointer.Loc) (*Object, bool) {
 		return x.VarObj(l.Var), true
 	case pointer.MallocLoc:
 		key := l.String()
-		x.mu.Lock()
-		defer x.mu.Unlock()
 		if o, ok := x.locObjs[key]; ok {
 			return o, true
 		}
@@ -313,8 +288,6 @@ func (x *Executor) LocObj(l pointer.Loc) (*Object, bool) {
 				ty = fd.Type
 			}
 		}
-		x.mu.Lock()
-		defer x.mu.Unlock()
 		if o, ok := x.locObjs[key]; ok {
 			return o, true
 		}
@@ -429,16 +402,14 @@ func (x *Executor) initPointer(obj *Object, field string, ty microc.PtrType) Val
 		}
 	}
 	if v == nil || isOnlyNull(v) && len(targets) == 0 {
-		// No known targets: a fresh anonymous object (one per cell,
-		// created under the lock so parallel paths agree on it).
-		x.mu.Lock()
+		// No known targets: a fresh anonymous object, one per cell, so
+		// every path that reads the cell agrees on it.
 		anon, ok := x.anonObjs[cellKey{obj, field}]
 		if !ok {
 			x.nextID++
 			anon = &Object{ID: x.nextID, Name: obj.Name + "." + field + ".tgt", Type: ty.Elem}
 			x.anonObjs[cellKey{obj, field}] = anon
 		}
-		x.mu.Unlock()
 		if ty.Qual == microc.QNonNull {
 			return VObj{Obj: anon}
 		}

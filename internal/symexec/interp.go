@@ -86,17 +86,14 @@ func (x *Executor) RunFunc(f *microc.FuncDef, st State, args []Value) ([]Outcome
 	for i, o := range outs {
 		result[i] = Outcome{St: o.st, Ret: o.v}
 	}
-	x.mu.Lock()
 	x.Stats.Paths += len(result)
-	x.mu.Unlock()
 	x.Engine.AddPaths(len(result))
 	return result, nil
 }
 
-// protectedCall is the RunFunc root with a panic boundary: a panic on
-// the root path (stolen branches have their own boundary in the
-// engine) becomes a worker-panic degradation with an empty outcome
-// set, never a crash of the batch run.
+// protectedCall is the RunFunc root with a panic boundary: a panic
+// anywhere in the call becomes a worker-panic degradation with an
+// empty outcome set, never a crash of the batch run.
 func (x *Executor) protectedCall(st State, f *microc.FuncDef, args []Value) (outs []evalOut, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -303,9 +300,7 @@ func (x *Executor) execStmt(st State, s microc.Stmt, depth int) ([]flowOutcome, 
 			thenOK := x.feasible(c.st, thenPC)
 			elseOK := x.feasible(c.st, elsePC)
 			if thenOK && elseOK {
-				x.mu.Lock()
 				x.Stats.Forks++
-				x.mu.Unlock()
 				if x.MergeMode != engine.MergeOff {
 					// Join-point merging runs both arms and folds them
 					// into one continuation.

@@ -28,17 +28,16 @@ func (x *Executor) mergeCap() int {
 	return 8
 }
 
-// mergeIf executes both feasible arms of a conditional sequentially on
-// the current task (the merged continuation is one task, so there is
-// nothing to parallelize at this fork) and attempts a join-point merge
+// mergeIf executes both feasible arms of a conditional, then-arm first,
+// and attempts a join-point merge
 // of the live outgoing flows. Returned and infeasible flows always
 // pass through unmerged; if the merge is declined — wrong arm shape
 // for joins mode, or too many diverging cells — the forked flows are
 // returned exactly as the fork-only executor would produce them.
 func (x *Executor) mergeIf(st State, s *microc.IfStmt, thenPC, elsePC *solver.PC, depth int) ([]flowOutcome, error) {
 	base := st.PC
-	// Same span tree shape as the sequential and parallel forks, so
-	// traces keep matching across fork strategies; the merged
+	// Same span tree shape as an unmerged fork, so traces keep
+	// matching across merge modes; the merged
 	// continuation proceeds on the parent span after the join.
 	st.span.Fork(2)
 	tst := st.Clone()
@@ -170,11 +169,9 @@ func (x *Executor) mergeStates(span *obs.Span, site string, base *solver.PC, sta
 		}
 		merged.Mem.Write(k.obj, k.field, acc)
 	}
-	x.mu.Lock()
 	x.Stats.Merges++
 	x.Stats.MergedCells += len(diverging)
 	x.Stats.CollapsedCells += collapsed
-	x.mu.Unlock()
 	span.Merge(site, int64(len(diverging)), int64(collapsed))
 	return merged, true
 }

@@ -119,8 +119,7 @@ type cellKey struct {
 
 // hashCell hashes a cell address deterministically: by the object's
 // stable ID, never its pointer, so HAMT layout — and thus every
-// iteration order downstream — is identical across runs and across
-// worker schedules.
+// iteration order downstream — is identical across runs.
 func hashCell(k cellKey) uint64 {
 	return persist.HashU64(uint64(k.obj.ID)) ^ persist.HashString(k.field)
 }

