@@ -357,7 +357,7 @@ func (e *Engine) Charge() error {
 // protect runs one task with a panic boundary: a panic becomes a
 // classified worker-panic fault instead of tearing down the process,
 // so the task's sibling keeps its results.
-func protect[T any](fn func() (T, error)) (v T, err error) {
+func protect(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fault.FromPanic("engine.task", r)
@@ -367,17 +367,17 @@ func protect[T any](fn func() (T, error)) (v T, err error) {
 }
 
 // Fork2 runs left and then right — the two branches of a conditional
-// fork — on the calling goroutine and returns both results in branch
-// order. Each branch has its own panic boundary: a panic is recovered
-// as a worker-panic fault, and left's results survive a panic in
-// right. An error from left is returned without running right, so the
-// left error always wins.
-func Fork2[T any](left, right func() (T, error)) (lv, rv T, err error) {
-	if lv, err = protect(left); err != nil {
-		return
+// fork — on the calling goroutine. The branches deliver their results
+// themselves (the symbolic executor appends them to its accumulator in
+// branch order). Each branch has its own panic boundary: a panic is
+// recovered as a worker-panic fault, and what left delivered survives
+// a panic in right. An error from left is returned without running
+// right, so the left error always wins.
+func Fork2(left, right func() error) error {
+	if err := protect(left); err != nil {
+		return err
 	}
-	rv, err = protect(right)
-	return
+	return protect(right)
 }
 
 // Map runs fn(0), ..., fn(n-1) in index order and returns the first
@@ -385,7 +385,7 @@ func Fork2[T any](left, right func() (T, error)) (lv, rv T, err error) {
 // as a worker-panic fault for its index. Safe on a nil engine.
 func (e *Engine) Map(n int, fn func(i int) error) error {
 	for i := 0; i < n; i++ {
-		if _, err := protect(func() (struct{}, error) { return struct{}{}, fn(i) }); err != nil {
+		if err := protect(func() error { return fn(i) }); err != nil {
 			return err
 		}
 	}

@@ -10,11 +10,11 @@ import (
 
 func TestFork2NilEngineSequential(t *testing.T) {
 	var order []string
-	l, r, err := Fork2(
-		func() (string, error) { order = append(order, "L"); return "left", nil },
-		func() (string, error) { order = append(order, "R"); return "right", nil })
-	if err != nil || l != "left" || r != "right" {
-		t.Fatalf("Fork2 = %q, %q, %v", l, r, err)
+	err := Fork2(
+		func() error { order = append(order, "L"); return nil },
+		func() error { order = append(order, "R"); return nil })
+	if err != nil {
+		t.Fatalf("Fork2 = %v", err)
 	}
 	if fmt.Sprint(order) != "[L R]" {
 		t.Fatalf("Fork2 must run left before right, got %v", order)
@@ -22,23 +22,23 @@ func TestFork2NilEngineSequential(t *testing.T) {
 }
 
 // TestFork2BranchOrderDeterministic: nested forks explore depth-first
-// in branch order, so a tree of forks visits and returns its leaves
+// in branch order, so a tree of forks visits and delivers its leaves
 // left to right on every run.
 func TestFork2BranchOrderDeterministic(t *testing.T) {
-	var visited []int
-	var tree func(lo, hi int) ([]int, error)
-	tree = func(lo, hi int) ([]int, error) {
+	var visited, leaves []int
+	var tree func(lo, hi int) error
+	tree = func(lo, hi int) error {
 		if hi-lo == 1 {
 			visited = append(visited, lo)
-			return []int{lo}, nil
+			leaves = append(leaves, lo)
+			return nil
 		}
 		mid := (lo + hi) / 2
-		l, r, err := Fork2(
-			func() ([]int, error) { return tree(lo, mid) },
-			func() ([]int, error) { return tree(mid, hi) })
-		return append(l, r...), err
+		return Fork2(
+			func() error { return tree(lo, mid) },
+			func() error { return tree(mid, hi) })
 	}
-	leaves, err := tree(0, 16)
+	err := tree(0, 16)
 	want := "[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15]"
 	if err != nil || fmt.Sprint(leaves) != want || fmt.Sprint(visited) != want {
 		t.Fatalf("leaves %v, visited %v, err %v; want both %s", leaves, visited, err, want)
@@ -49,22 +49,24 @@ func TestFork2LeftErrorWins(t *testing.T) {
 	lErr := errors.New("left failed")
 	rErr := errors.New("right failed")
 	ranRight := false
-	_, _, err := Fork2(
-		func() (int, error) { return 0, lErr },
-		func() (int, error) { ranRight = true; return 0, rErr })
+	err := Fork2(
+		func() error { return lErr },
+		func() error { ranRight = true; return rErr })
 	if err != lErr || ranRight {
 		t.Fatalf("want the left error without running right, got %v (right ran: %v)", err, ranRight)
 	}
 }
 
 // TestFork2PanicKeepsSibling: each branch has its own panic boundary;
-// a panic in right is a worker-panic fault and left's result survives.
+// a panic in right is a worker-panic fault and what left delivered
+// survives.
 func TestFork2PanicKeepsSibling(t *testing.T) {
-	l, _, err := Fork2(
-		func() (int, error) { return 1, nil },
-		func() (int, error) { panic("boom") })
+	l := 0
+	err := Fork2(
+		func() error { l = 1; return nil },
+		func() error { panic("boom") })
 	if l != 1 || fault.ClassOf(err) != fault.WorkerPanic {
-		t.Fatalf("Fork2 = %d, %v; want left's 1 and a worker-panic fault", l, err)
+		t.Fatalf("Fork2 left %d, %v; want left's 1 and a worker-panic fault", l, err)
 	}
 }
 

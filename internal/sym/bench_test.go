@@ -30,10 +30,11 @@ func benchLadder(n int) (lang.Expr, func(x *Executor) *Env) {
 }
 
 func BenchmarkForkingExecution(b *testing.B) {
-	for _, n := range []int{4, 8} {
+	for _, n := range []int{4, 8, 11} {
 		n := n
 		e, mkEnv := benchLadder(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				x := NewExecutor()
 				if _, err := x.Run(mkEnv(x), x.InitialState(), e); err != nil {
@@ -45,10 +46,11 @@ func BenchmarkForkingExecution(b *testing.B) {
 }
 
 func BenchmarkDeferredExecution(b *testing.B) {
-	for _, n := range []int{4, 8} {
+	for _, n := range []int{4, 8, 11} {
 		n := n
 		e, mkEnv := benchLadder(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				x := NewExecutor()
 				x.Mode = DeferIf
@@ -57,6 +59,28 @@ func BenchmarkDeferredExecution(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestForkingExecutionAllocs pins what a forking path costs in heap
+// objects: one Run of the ladder with no engine, executor and
+// environment included, allocates at most 16 objects per path. Path
+// state is shared (environment frames, guards, memories) and results
+// go to one accumulator per Run, so the count grows with the guards
+// and bindings a path adds, not with copies of result lists.
+func TestForkingExecutionAllocs(t *testing.T) {
+	const n, maxPerPath = 8, 16
+	e, mkEnv := benchLadder(n)
+	allocs := testing.AllocsPerRun(20, func() {
+		x := NewExecutor()
+		rs, err := x.Run(mkEnv(x), x.InitialState(), e)
+		if err != nil || len(rs) != 1<<n {
+			t.Fatalf("ladder-%d: %d paths, %v", n, len(rs), err)
+		}
+	})
+	if perPath := allocs / (1 << n); perPath > maxPerPath {
+		t.Fatalf("ladder-%d allocates %.0f objects per Run, %.1f per path; want at most %d per path",
+			n, allocs, perPath, maxPerPath)
 	}
 }
 

@@ -16,38 +16,28 @@ import (
 // memory, disjoined guard), so k sequential diamonds explore O(k)
 // states instead of O(2^k) paths.
 
-// mergeResults attempts to fold the two arms' results into one. Error
-// results always pass through unmerged — they are per-path findings
-// whose feasibility the mix layer checks individually. Returns false
-// (fall back to plain forking, preserving fork-mode behavior exactly)
-// unless each arm reaches the join with exactly one live path and the
-// two values share a type.
-func (x *Executor) mergeResults(s1 State, g1 Val, pos lang.Pos, thenRs, elseRs []Result) ([]Result, bool) {
-	var pass []Result
-	var thenOK, elseOK []Result
-	for _, r := range thenRs {
-		if r.Err != nil {
-			pass = append(pass, r)
-		} else {
-			thenOK = append(thenOK, r)
-		}
-	}
-	for _, r := range elseRs {
-		if r.Err != nil {
-			pass = append(pass, r)
-		} else {
-			elseOK = append(elseOK, r)
-		}
-	}
+// mergeResults attempts to fold the two arms' results, out[start:mid]
+// and out[mid:], into one. Error results always pass through unmerged,
+// ahead of the merged result — they are per-path findings whose
+// feasibility the mix layer checks individually. Returns false (fall
+// back to plain forking, preserving fork-mode behavior exactly) unless
+// each arm reaches the join with exactly one live path and the two
+// values share a type.
+func (x *Executor) mergeResults(out []Result, start, mid int, s1 State, g1 Val, pos lang.Pos) ([]Result, bool) {
 	// The canonical diamond: exactly one live path per arm.
-	if len(thenOK) != 1 || len(elseOK) != 1 {
-		return nil, false
+	ti, ok := onlyLive(out[start:mid])
+	if !ok {
+		return out, false
 	}
-	rt, re := thenOK[0], elseOK[0]
+	ei, ok := onlyLive(out[mid:])
+	if !ok {
+		return out, false
+	}
+	rt, re := out[start+ti], out[mid+ei]
 	if !types.Equal(rt.Val.T, re.Val.T) && !(isFunTyped(rt.Val) && isFunTyped(re.Val)) {
 		// Forking is what makes per-path types sound; arms of
 		// different types stay separate paths.
-		return nil, false
+		return out, false
 	}
 	// The two arms merge on the branch condition itself — the exact
 	// SEIF-DEFER result shape. The merged continuation proceeds on the
@@ -77,7 +67,29 @@ func (x *Executor) mergeResults(s1 State, g1 Val, pos lang.Pos, thenRs, elseRs [
 		eq++
 	}
 	s1.span.Merge(pos.String(), div, eq)
-	return append(pass, merged), true
+	n := start
+	for _, r := range out[start:] {
+		if r.Err != nil {
+			out[n] = r
+			n++
+		}
+	}
+	return append(out[:n], merged), true
+}
+
+// onlyLive returns the index of the one successful result in rs, and
+// false unless there is exactly one.
+func onlyLive(rs []Result) (int, bool) {
+	live := -1
+	for i := range rs {
+		if rs[i].Err == nil {
+			if live >= 0 {
+				return 0, false
+			}
+			live = i
+		}
+	}
+	return live, live >= 0
 }
 
 // condVal builds g ? x : y, collapsing arms the paths agree on.

@@ -1,9 +1,11 @@
 package sym
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"mix/internal/engine"
 	"mix/internal/fault"
 	"mix/internal/lang"
 	"mix/internal/solver"
@@ -312,6 +314,78 @@ func TestMaxPathsBound(t *testing.T) {
 		}
 		if d := x.Degraded(); fault.ClassOf(d) != fault.PathBudget || !strings.Contains(d.Error(), "max-paths=3") {
 			t.Fatalf("%s: degradation cause = %v, want path-budget naming max-paths=3", src, d)
+		}
+	}
+}
+
+// TestPathBudgetKeepsFirstPaths: a path budget keeps exactly the first
+// MaxPaths results of the unbounded run, in order, and degrades naming
+// the budget — also when an operand's or a let's bound value's result
+// set exceeds the budget before any path has finished, and when a join
+// folds arms back together.
+func TestPathBudgetKeepsFirstPaths(t *testing.T) {
+	ladder, _ := benchLadder(4)
+	for _, tc := range []struct {
+		e        lang.Expr
+		off, jns int // unbounded paths with merging off and at joins
+	}{
+		{ladder, 16, 1},
+		{lang.MustParse("(if a then (if b then 1 else 2) else 3) + (if c then (if d then 1 else 2) else 3)"), 9, 1},
+		{lang.MustParse("let f = fun x -> if x then 1 else 2 in (f a) + (f b) + (if c then f d else 3)"), 12, 1},
+		{lang.MustParse("let t0 = (if a then 1 else true) in let t1 = (if b then 1 else 2) in (if c then t0 + t1 else t1)"), 8, 3},
+		{lang.MustParse("let _ = (if a then 1 else 2) in let _ = (if b then 1 else 2) in if c then 1 else 2"), 8, 1},
+		{lang.MustParse("let z = 0 in if a then (if b then z else 1) else (if c then 2 else 3)"), 4, 1},
+	} {
+		for _, mode := range []engine.MergeMode{engine.MergeOff, engine.MergeJoins} {
+			run := func(budget int) (*Executor, []string) {
+				x := NewExecutor()
+				x.MergeMode = mode
+				x.MaxPaths = budget
+				env := EmptyEnv()
+				for _, name := range []string{"a", "b", "c", "d", "b0", "b1", "b2", "b3"} {
+					env = env.Extend(name, x.Fresh.Var(types.Bool, name))
+				}
+				rs, err := x.Run(env, x.InitialState(), tc.e)
+				if err != nil {
+					t.Fatalf("%s, merge %s, max-paths %d: %v", tc.e, mode, budget, err)
+				}
+				var out []string
+				for _, r := range rs {
+					if r.Err != nil {
+						out = append(out, "error "+r.Err.Error())
+					} else {
+						out = append(out, r.Val.String()+" in "+r.State.String())
+					}
+				}
+				return x, out
+			}
+			x, all := run(0)
+			want := tc.off
+			if mode == engine.MergeJoins {
+				want = tc.jns
+			}
+			if len(all) != want || x.Degraded() != nil {
+				t.Fatalf("%s, merge %s: unbounded run gives %d paths (degraded: %v), want %d",
+					tc.e, mode, len(all), x.Degraded(), want)
+			}
+			for budget := 1; budget <= len(all); budget++ {
+				x, got := run(budget)
+				if strings.Join(got, "\n") != strings.Join(all[:budget], "\n") {
+					t.Fatalf("%s, merge %s, max-paths %d: got\n%s\nwant the first %d paths\n%s",
+						tc.e, mode, budget, strings.Join(got, "\n"), budget, strings.Join(all[:budget], "\n"))
+				}
+				d := x.Degraded()
+				if budget == len(all) {
+					if d != nil {
+						t.Fatalf("%s, merge %s: a budget of exactly %d paths degraded: %v", tc.e, mode, budget, d)
+					}
+					continue
+				}
+				if fault.ClassOf(d) != fault.PathBudget || !strings.Contains(d.Error(), fmt.Sprintf("max-paths=%d", budget)) {
+					t.Fatalf("%s, merge %s, max-paths %d: degradation cause = %v, want path-budget naming it",
+						tc.e, mode, budget, d)
+				}
+			}
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"mix/internal/lang"
 	"mix/internal/obs"
-	"mix/internal/persist"
 	"mix/internal/types"
 )
 
@@ -182,41 +181,31 @@ func (s State) String() string {
 
 // Env is a symbolic environment Σ mapping variables to typed symbolic
 // expressions. Like types.Env it is persistent: Extend returns a new
-// environment sharing all existing bindings. The frame chain preserves
-// the innermost-first Names() order (and gives closures their identity
-// for ≡), while the bindings live in a structurally shared hash map so
-// Lookup costs O(1) expected instead of O(scope depth) — deep chains
-// of let-bindings and closure captures no longer make every variable
-// reference linear.
+// environment that shares its parent's bindings, one frame per
+// binding. Lookup walks the frames innermost first, so a shadowing
+// binding wins; the frame also gives closures their identity for ≡.
 type Env struct {
 	name   string
 	val    Val
 	parent *Env
-	vals   persist.Map[string, Val]
 }
 
 // EmptyEnv is the empty symbolic environment.
 func EmptyEnv() *Env { return nil }
 
-// bindings returns the persistent binding map (empty for a nil Env).
-func (e *Env) bindings() persist.Map[string, Val] {
-	if e == nil {
-		return persist.NewMap[string, Val](persist.HashString)
-	}
-	return e.vals
-}
-
 // Extend binds name to v, shadowing previous bindings.
 func (e *Env) Extend(name string, v Val) *Env {
-	return &Env{name: name, val: v, parent: e, vals: e.bindings().Set(name, v)}
+	return &Env{name: name, val: v, parent: e}
 }
 
 // Lookup finds the value bound to name.
 func (e *Env) Lookup(name string) (Val, bool) {
-	if e == nil {
-		return Val{}, false
+	for ; e != nil; e = e.parent {
+		if e.name == name {
+			return e.val, true
+		}
 	}
-	return e.vals.Get(name)
+	return Val{}, false
 }
 
 // Names returns the domain, innermost first, without shadowed
