@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mixy [-pure] [-entry main] [-nocache] [-merge mode] [-merge-cap n]
-//	     [-summaries] [-summary-cap n] [-cache-dir dir]
+//	     [-summaries] [-cache-dir dir]
 //	     [-workers 0|1]
 //	     [-deadline d] [-solver-timeout d]
 //	     [-stats] [-metrics] [-trace file] [-trace-det] [-pprof addr]
@@ -29,8 +29,8 @@
 //
 // -summaries analyzes each eligible (int-only, non-MIX) function once
 // into guarded summary arms and instantiates those at call sites
-// instead of re-inlining the body (DESIGN.md section 14); -summary-cap
-// bounds the arms per summary (over it, the call inlines as before).
+// instead of re-inlining the body (DESIGN.md section 14); a summary
+// holds at most 16 arms (over that, the call inlines as before).
 // -cache-dir persists the summaries — and the engine's solver memo and
 // counterexample models — under a directory, so repeat runs over
 // unchanged functions skip their symbolic exploration entirely.

@@ -20,11 +20,11 @@ func countingReference(n *int) func() *solver.Solver {
 
 // TestSearchCoresMatchOnGeneratedC: MIXY warnings over generated C
 // programs must be byte-identical under the CDCL core with its
-// incremental assumption stacks and under the chronological DPLL
-// reference (solver.NewReference), both with a direct per-run solver
-// and through the engine's pooled solvers. Any learned clause that
-// survives where it shouldn't, or any assumption that leaks across a
-// pop, shows up here as a warning diff.
+// incremental assumptions and under the chronological DPLL reference
+// (solver.NewReference), both with a direct per-run solver and through
+// the engine's pooled solvers. Any learned clause that survives where
+// it shouldn't, or any assumption that leaks into a later query, shows
+// up here as a warning diff.
 func TestSearchCoresMatchOnGeneratedC(t *testing.T) {
 	const programs = 60
 	cfg := DefaultConfig()

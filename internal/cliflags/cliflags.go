@@ -96,12 +96,11 @@ type Analysis struct {
 	MaxPaths int               `json:"max_paths,omitempty"`
 
 	// MicroC options (mixy CLI, kind "microc" requests).
-	Pure       bool   `json:"pure,omitempty"`
-	Entry      string `json:"entry,omitempty"`
-	NoCache    bool   `json:"nocache,omitempty"`
-	MergeCap   int    `json:"merge_cap,omitempty"`
-	Summaries  bool   `json:"summaries,omitempty"`
-	SummaryCap int    `json:"summary_cap,omitempty"`
+	Pure      bool   `json:"pure,omitempty"`
+	Entry     string `json:"entry,omitempty"`
+	NoCache   bool   `json:"nocache,omitempty"`
+	MergeCap  int    `json:"merge_cap,omitempty"`
+	Summaries bool   `json:"summaries,omitempty"`
 
 	// Shared options.
 	Merge         string   `json:"merge,omitempty"`
@@ -173,7 +172,6 @@ func (a *Analysis) Register(fs *flag.FlagSet, kind Kind) {
 		fs.BoolVar(&a.NoCache, "nocache", false, "disable block caching")
 		fs.IntVar(&a.MergeCap, "merge-cap", 8, "max diverging cells per joins-mode merge")
 		fs.BoolVar(&a.Summaries, "summaries", false, "answer eligible calls from compositional function summaries")
-		fs.IntVar(&a.SummaryCap, "summary-cap", 0, "max arms per function summary (0 = default, 16)")
 	}
 }
 
@@ -208,7 +206,6 @@ func (a Analysis) CConfig() mix.CConfig {
 		Merge:         a.Merge,
 		MergeCap:      a.MergeCap,
 		Summaries:     a.Summaries,
-		SummaryCap:    a.SummaryCap,
 		Workers:       a.Workers,
 		Deadline:      time.Duration(a.Deadline),
 		SolverTimeout: time.Duration(a.SolverTimeout),

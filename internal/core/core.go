@@ -49,8 +49,6 @@ type Options struct {
 	// SolverAddrEq uses the solver to decide address equality in the
 	// OVERWRITE-OK rule instead of syntactic equivalence.
 	SolverAddrEq bool
-	// MaxPaths bounds symbolic paths per block (0 = default).
-	MaxPaths int
 	// EffectAware enables the paper's Section 3.2 refinement: "if we
 	// were to use a type and effect system rather than just a type
 	// system, we could avoid introducing a completely fresh memory μ′
@@ -117,9 +115,6 @@ func New(opts Options) *Checker {
 	c.exec.MergeMode = opts.Merge
 	c.exec.ConcreteFold = !opts.NoConcreteFold
 	c.exec.Concolic = opts.Concolic
-	if opts.MaxPaths > 0 {
-		c.exec.MaxPaths = opts.MaxPaths
-	}
 	c.exec.TypBlock = c.seTypBlock
 	c.exec.MemCheck = c.memOK
 	c.exec.Engine = opts.Engine
@@ -170,7 +165,7 @@ func (c *Checker) tSymBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 	}
 	degraded := c.exec.ImprecisionCount() > before
 
-	var okResults []sym.Result
+	okResults := make([]sym.Result, 0, len(results))
 	for _, r := range results {
 		if r.Err == nil {
 			okResults = append(okResults, r)

@@ -227,16 +227,6 @@ func (e *Engine) Tracer() *obs.Tracer {
 	return e.tracer
 }
 
-// Metrics exposes the run-scoped metrics registry (nil when metrics
-// are off or the engine is nil; a nil registry hands out inert
-// handles).
-func (e *Engine) Metrics() *obs.Registry {
-	if e == nil {
-		return nil
-	}
-	return e.metrics
-}
-
 // PublishMetrics mirrors the engine's aggregate counters — exploration,
 // solver pipeline, fault taxonomy — into the run's metrics registry
 // under their canonical dotted names (DESIGN.md section 11). The live

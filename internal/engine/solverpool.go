@@ -132,9 +132,6 @@ func (p *SolverPool) release() {
 	p.solver = nil
 }
 
-// Cache exposes the pool's cache.
-func (p *SolverPool) Cache() *Cache { return p.cache }
-
 // Sat decides satisfiability of f through the sliced pipeline.
 func (p *SolverPool) Sat(f solver.Formula) (bool, error) {
 	return p.SatPC(nil, f)

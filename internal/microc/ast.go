@@ -415,22 +415,21 @@ func (*Field) isExpr()   {}
 func (*Malloc) isExpr()  {}
 func (*Cast) isExpr()    {}
 
+// String methods print text the parser reads back as the same
+// expression. Binary subterms are fully parenthesized; elsewhere a
+// subterm is parenthesized exactly where the parser would otherwise
+// bind it differently.
+
 func (e *IntLit) String() string  { return fmt.Sprintf("%d", e.Val) }
 func (e *NullLit) String() string { return "NULL" }
 func (e *VarRef) String() string  { return e.Name }
-func (e *Unary) String() string   { return unaryNames[e.Op] + e.X.String() }
+func (e *Unary) String() string   { return unaryNames[e.Op] + operandString(e.X) }
 func (e *Binary) String() string {
-	return "(" + e.X.String() + " " + binaryNames[e.Op] + " " + e.Y.String() + ")"
+	return "(" + operandString(e.X) + " " + binaryNames[e.Op] + " " + operandString(e.Y) + ")"
 }
 func (e *Assign) String() string { return e.LHS.String() + " = " + e.RHS.String() }
 func (e *Call) String() string {
-	fun := e.Fun.String()
-	// A call through a dereferenced function pointer needs parens:
-	// (*f)() is not *(f()).
-	if u, ok := e.Fun.(*Unary); ok && u.Op == OpDeref {
-		fun = "(" + fun + ")"
-	}
-	s := fun + "("
+	s := postfixBaseString(e.Fun) + "("
 	for i, a := range e.Args {
 		if i > 0 {
 			s += ", "
@@ -444,7 +443,30 @@ func (e *Field) String() string {
 	if e.Arrow {
 		sep = "->"
 	}
-	return e.X.String() + sep + e.Name
+	return postfixBaseString(e.X) + sep + e.Name
 }
+
 func (e *Malloc) String() string { return "malloc(sizeof(" + e.ElemType.String() + "))" }
-func (e *Cast) String() string   { return "(" + e.To.String() + ")" + e.X.String() }
+func (e *Cast) String() string   { return "(" + e.To.String() + ")" + operandString(e.X) }
+
+// operandString prints an operand of a unary, binary or cast, where
+// an unparenthesized assignment would take over the rest of the
+// expression.
+func operandString(e Expr) string {
+	if _, ok := e.(*Assign); ok {
+		return "(" + e.String() + ")"
+	}
+	return e.String()
+}
+
+// postfixBaseString prints the base of a field access or call. A
+// postfix operator binds tighter than a prefix one, so a unary, cast
+// or assignment base needs parentheses: (*p)->f is not *(p->f), and
+// (*f)() is not *(f()).
+func postfixBaseString(e Expr) string {
+	switch e.(type) {
+	case *Unary, *Cast, *Assign:
+		return "(" + e.String() + ")"
+	}
+	return e.String()
+}

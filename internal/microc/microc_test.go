@@ -201,6 +201,7 @@ func TestResolverErrors(t *testing.T) {
 		{"int f(int *p) { int x = p; return x; }", "cannot assign"},
 		{"int f(void) { if (1) return 1 }", "expected ';'"},
 		{"int f(", "expected"},
+		{"struct", "expected identifier"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

@@ -120,7 +120,8 @@ func (p *cparser) parsePointerSuffix(base Type) Type {
 func (p *cparser) parseProgram() (*Program, error) {
 	prog := &Program{}
 	for !p.at(tEOF) {
-		if p.at(tKwStruct) && p.toks[p.i+2].kind == tLBrace {
+		// "struct" then EOF leaves no token two ahead.
+		if p.at(tKwStruct) && p.i+2 < len(p.toks) && p.toks[p.i+2].kind == tLBrace {
 			sd, err := p.parseStructDef()
 			if err != nil {
 				return nil, err

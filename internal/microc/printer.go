@@ -6,8 +6,9 @@ import (
 )
 
 // Print renders a resolved program back to MicroC source. Printing
-// then reparsing is a fixed point (tested property), which makes the
-// printer usable for corpus tooling and program transformation.
+// then reparsing is a fixed point (tested and fuzzed by FuzzParseC),
+// which makes the printer usable for corpus tooling and program
+// transformation.
 func Print(p *Program) string {
 	var b strings.Builder
 	for _, s := range p.Structs {
@@ -146,7 +147,11 @@ func exprString(e Expr) string {
 	switch e := e.(type) {
 	case *Cast:
 		base, stars := splitType(e.To)
-		return "(" + base + " " + stars + ")" + exprString(e.X)
+		x := exprString(e.X)
+		if _, ok := e.X.(*Assign); ok {
+			x = "(" + x + ")"
+		}
+		return "(" + base + " " + stars + ")" + x
 	default:
 		return e.String()
 	}

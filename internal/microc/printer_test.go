@@ -3,6 +3,8 @@ package microc
 import (
 	"strings"
 	"testing"
+
+	"mix/internal/corpus"
 )
 
 // roundTrip checks Print ∘ Parse is a fixed point on src.
@@ -72,6 +74,17 @@ void fire(void) {
   cb = handler;
   if (cb != NULL) { (*cb)(); }
 }
+int bases(struct foo **pp, void *v, int *p, int *q, int x) {
+  int s = (*pp)->bar;
+  s = ((struct foo *) v)->bar;
+  s = ((*pp) = *pp)->bar;
+  ((fnptr) v)();
+  s = (x = 1) + 2;
+  s = *(p = q);
+  p = (int *) (p = q);
+  int *r = (int *) (p = q);
+  return s;
+}
 `)
 }
 
@@ -91,9 +104,9 @@ int f(int n) {
 }
 
 func TestPrintCorpusRoundTrips(t *testing.T) {
-	// Every corpus case survives print→parse→print. (Sources come from
-	// the test file to avoid an import cycle.)
+	// Every corpus case survives print→parse→print.
 	srcs := []string{
+		corpus.SyntheticVsftpd(8, 2), // (*p_conn)->state
 		`struct hostent { int h_addrtype; };
 		 int arbitrary_choice(void);
 		 struct hostent *gethostbyname(int *p_name) {

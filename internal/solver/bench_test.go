@@ -70,7 +70,7 @@ func BenchmarkTrichotomyValid(b *testing.B) {
 	x := IntVar{"x"}
 	zero := IntConst{0}
 	for i := 0; i < b.N; i++ {
-		taut, err := New().Tautology(Gt(x, zero), Eq{x, zero}, Lt{x, zero})
+		taut, err := New().Valid(Disj(Gt(x, zero), Eq{x, zero}, Lt{x, zero}))
 		if err != nil {
 			b.Fatal(err)
 		}

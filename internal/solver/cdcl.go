@@ -434,7 +434,7 @@ func (d *cdcl) solve(fs []Formula, wantModel bool) (bool, *Model, error) {
 	// clients that hand in one monolithic path condition per query
 	// (Sat(pc1 ∧ ... ∧ pcn)) still share root encodings for the long
 	// common prefix with their previous queries, exactly as if they had
-	// used the assumption stack conjunct by conjunct.
+	// passed SatAssuming the conjuncts one by one.
 	d.conjBuf = d.conjBuf[:0]
 	for _, f := range fs {
 		d.conjBuf = flattenConj(f, d.conjBuf)
@@ -492,8 +492,8 @@ func (d *cdcl) solve(fs []Formula, wantModel bool) (bool, *Model, error) {
 // search is the CDCL main loop: propagate to fixpoint, check the
 // theory, resolve conflicts by 1-UIP learning and backjumping, assert
 // assumptions as successive decision levels, then branch on the most
-// active relevant variable. Assumptions re-assert themselves after
-// restarts and deep backjumps because the assumption levels are
+// active relevant variable. The assumption levels re-assert
+// themselves after restarts and deep backjumps because they are
 // re-walked whenever the decision level drops below len(assumps).
 func (d *cdcl) search(assumps []int, wantModel bool) (bool, *Model, error) {
 	budget := d.s.MaxDecisions

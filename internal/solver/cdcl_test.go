@@ -258,11 +258,12 @@ func TestReduceDBForgets(t *testing.T) {
 	}
 }
 
-// TestAssumptionPushPopPinning: verdicts under a Push must match the
-// conjunction solved fresh, and a Pop must restore exactly the
-// pre-push verdicts even after the incremental core has accumulated
-// learned clauses — learned clauses derive from the permanent database
-// only, so no pop can unsoundly constrain a later query.
+// TestAssumptionPushPopPinning: verdicts under an assumption must
+// match the conjunction solved fresh, and a later plain query must
+// give exactly the verdict it gave before, even after the incremental
+// core has accumulated learned clauses — learned clauses derive from
+// the permanent database only, so no assumption can unsoundly
+// constrain a later query.
 func TestAssumptionPushPopPinning(t *testing.T) {
 	r := rand.New(rand.NewSource(1317))
 	s := New() // one long-lived incremental solver
@@ -282,27 +283,25 @@ func TestAssumptionPushPopPinning(t *testing.T) {
 			t.Fatalf("#%d incremental base verdict %v, fresh %v (f2=%s)", i, base, wantBase, f2)
 		}
 
-		s.Push(f1)
-		under, err := s.Sat(f2)
+		under, err := s.SatAssuming(f1, f2)
 		if err != nil {
-			t.Fatalf("#%d under push: %v", i, err)
+			t.Fatalf("#%d under assumption: %v", i, err)
 		}
 		want, err := New().Sat(NewAnd(f1, f2))
 		if err != nil {
 			t.Fatalf("#%d fresh conj: %v", i, err)
 		}
 		if under != want {
-			t.Fatalf("#%d pushed verdict %v, fresh conjunction %v (f1=%s f2=%s)",
+			t.Fatalf("#%d assumed verdict %v, fresh conjunction %v (f1=%s f2=%s)",
 				i, under, want, f1, f2)
 		}
-		s.Pop()
 
 		after, err := s.Sat(f2)
 		if err != nil {
-			t.Fatalf("#%d after pop: %v", i, err)
+			t.Fatalf("#%d after assumption: %v", i, err)
 		}
 		if after != base {
-			t.Fatalf("#%d pop did not restore the verdict: before=%v after=%v (f1=%s f2=%s)",
+			t.Fatalf("#%d assumption leaked into a later query: before=%v after=%v (f1=%s f2=%s)",
 				i, base, after, f1, f2)
 		}
 	}
@@ -376,18 +375,18 @@ func TestIncrementalReuseKeepsClauses(t *testing.T) {
 
 // TestResetDropsIncrementalState: Reset must return the solver to a
 // blank slate — same verdicts, fresh statistics baseline semantics —
-// so pooled solvers can follow cache flushes.
+// so pooled solvers can follow cache flushes, and an assumption made
+// before it constrains nothing after it.
 func TestResetDropsIncrementalState(t *testing.T) {
 	s := New()
 	f := hardMix(4)
 	if sat, err := s.Sat(f); err != nil || sat {
 		t.Fatalf("pre-reset: sat=%v err=%v", sat, err)
 	}
-	s.Push(BoolVar{"p"})
-	s.Reset()
-	if n := s.Assumptions(); n != 0 {
-		t.Fatalf("reset left %d assumptions", n)
+	if sat, err := s.SatAssuming(NewNot(BoolVar{"p"}), f); err != nil || sat {
+		t.Fatalf("pre-reset under assumption: sat=%v err=%v", sat, err)
 	}
+	s.Reset()
 	if sat, err := s.Sat(f); err != nil || sat {
 		t.Fatalf("post-reset: sat=%v err=%v", sat, err)
 	}
@@ -415,22 +414,21 @@ func TestRestartsFire(t *testing.T) {
 }
 
 // TestTheoryConflictsIncremental: theory reasoning must hold across
-// the assumption stack — integer constraints pushed as assumptions
-// must participate in conflicts with the query's own atoms.
+// assumption levels — an integer constraint passed as an assumption
+// must participate in conflicts with the query's own atoms, and must
+// not constrain the next query.
 func TestTheoryConflictsIncremental(t *testing.T) {
 	s := New()
-	s.Push(Lt{x(), c(0)})
-	sat, err := s.Sat(Gt(x(), c(0)))
+	sat, err := s.SatAssuming(Lt{x(), c(0)}, Gt(x(), c(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sat {
 		t.Fatal("x<0 ∧ x>0 must be unsat")
 	}
-	s.Pop()
 	sat, err = s.Sat(Gt(x(), c(0)))
 	if err != nil || !sat {
-		t.Fatalf("after pop x>0 must be sat: sat=%v err=%v", sat, err)
+		t.Fatalf("after the assumption x>0 must be sat: sat=%v err=%v", sat, err)
 	}
 }
 

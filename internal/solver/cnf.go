@@ -317,8 +317,6 @@ func (h *varHeap) clear() {
 	h.data = h.data[:0]
 }
 
-func (h *varHeap) contains(v int) bool { return h.pos[v] >= 0 }
-
 func (h *varHeap) push(v int) {
 	if h.pos[v] >= 0 {
 		return

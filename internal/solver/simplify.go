@@ -18,8 +18,6 @@ import (
 //     x ∧ ¬x → false, x ∨ ¬x → true — on a disjunction of branch
 //     guards factored by shared prefixes (sym.Translator.Disjunction)
 //     these collapse a complete fork tree level by level
-//   - the consensus rule on flat disjunctions of conjunction-of-literal
-//     clauses: (A ∧ x) ∨ (A ∧ ¬x) → A, applied to fixpoint
 //
 // Simplify never errors: formulas it cannot improve (including nil or
 // unknown variants) come back unchanged, and the solver's own
@@ -169,10 +167,6 @@ func simplifyAnd(f And) Formula {
 	return Conj(kept...)
 }
 
-// mergeLimit bounds the consensus pass; beyond it the disjunction is
-// rebuilt as-is (the pass is quadratic in the worst case).
-const mergeLimit = 4096
-
 func simplifyOr(f Or) Formula {
 	var leaves []Formula
 	flattenInto(f.X, false, &leaves)
@@ -196,189 +190,12 @@ func simplifyOr(f Or) Formula {
 		seen[k] = true
 		kept = append(kept, l)
 	}
-	if len(kept) > 1 && len(kept) <= mergeLimit {
-		kept = mergeDisjuncts(kept)
-	}
 	return Disj(kept...)
 }
 
-// literal is one conjunct of a disjunct, viewed atomically: any
-// non-And subformula, with negation split off as polarity. Atoms are
-// interned to small integers once per pass, so clause signatures hash
-// integers instead of concatenating key strings.
-type literal struct {
-	f    Formula // the positive form
-	atom int
-	pos  bool
-}
-
-// clause is one disjunct decomposed into literals sorted by atom id.
-type clause struct {
-	lits   []literal
-	dead   bool
-	frozen bool // already merged this round; settle next round
-}
-
-// mergeDisjuncts applies the consensus rule (A ∧ x) ∨ (A ∧ ¬x) → A to
-// fixpoint over disjuncts that decompose into conjunctions of
-// literals. Guards produced by forking at k conditionals form a
-// complete binary tree of 2^k such clauses, which this pass collapses
-// level by level to a single clause (or to true). Each round indexes
-// every live clause once by hashed signatures and performs all
-// non-overlapping merges it finds, so the complete-tree case costs
-// O(k · total literals) over its k rounds rather than rebuilding the
-// index per merge. Hash collisions are harmless: a probe verifies the
-// clauses literal by literal before merging.
-func mergeDisjuncts(ds []Formula) []Formula {
-	atomIDs := map[string]int{}
-	clauses := make([]clause, len(ds))
-	for i, d := range ds {
-		var parts []Formula
-		collectLeaves(d, true, &parts)
-		cl := clause{lits: make([]literal, 0, len(parts))}
-		for _, p := range parts {
-			lit := literal{f: p, pos: true}
-			if n, ok := p.(Not); ok {
-				lit.f, lit.pos = n.X, false
-			}
-			key := FormulaKey(lit.f)
-			id, ok := atomIDs[key]
-			if !ok {
-				id = len(atomIDs)
-				atomIDs[key] = id
-			}
-			lit.atom = id
-			cl.lits = append(cl.lits, lit)
-		}
-		sortLits(cl.lits)
-		clauses[i] = cl
-	}
-	for {
-		merged := false
-		type cand struct{ ci, li int }
-		index := make(map[uint64]cand, len(clauses))
-		for ci := range clauses {
-			cl := &clauses[ci]
-			if cl.dead || cl.frozen {
-				continue
-			}
-			for li := range cl.lits {
-				h := clauseHashWithout(cl.lits, li)
-				prev, ok := index[h]
-				if !ok {
-					index[h] = cand{ci, li}
-					continue
-				}
-				p := &clauses[prev.ci]
-				if p.dead || p.frozen ||
-					p.lits[prev.li].atom != cl.lits[li].atom ||
-					!sameExcept(p.lits, prev.li, cl.lits, li) {
-					continue
-				}
-				if p.lits[prev.li].pos == cl.lits[li].pos {
-					// Identical clauses (can arise after earlier
-					// rounds): keep the first.
-					cl.dead = true
-					merged = true
-					break
-				}
-				// Consensus: drop the literal from the earlier clause
-				// (it keeps its position), kill the later one.
-				p.lits = append(p.lits[:prev.li:prev.li], p.lits[prev.li+1:]...)
-				p.frozen = true
-				cl.dead = true
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			break
-		}
-		for i := range clauses {
-			clauses[i].frozen = false
-		}
-	}
-	var out []Formula
-	for _, cl := range clauses {
-		if cl.dead {
-			continue
-		}
-		if len(cl.lits) == 0 {
-			return []Formula{True}
-		}
-		fs := make([]Formula, len(cl.lits))
-		for i, lit := range cl.lits {
-			if lit.pos {
-				fs[i] = lit.f
-			} else {
-				fs[i] = NewNot(lit.f)
-			}
-		}
-		out = append(out, Conj(fs...))
-	}
-	return out
-}
-
-// clauseHashWithout hashes a clause's literal sequence (sorted by atom
-// id) with one literal's polarity-and-identity replaced by just its
-// atom: two clauses agreeing on it share the remainder and pivot on
-// the same atom.
-func clauseHashWithout(lits []literal, skip int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i, lit := range lits {
-		var v uint64
-		if i == skip {
-			v = uint64(lit.atom)*4 + 2
-		} else {
-			v = uint64(lit.atom) * 4
-			if lit.pos {
-				v++
-			}
-		}
-		h = (h ^ v) * prime64
-	}
-	return h
-}
-
-// sameExcept reports whether two literal sequences agree (atom and
-// polarity) everywhere except the two skipped positions.
-func sameExcept(a []literal, ai int, b []literal, bi int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, j := 0, 0; ; i, j = i+1, j+1 {
-		if i == ai {
-			i++
-		}
-		if j == bi {
-			j++
-		}
-		if i >= len(a) || j >= len(b) {
-			return i >= len(a) && j >= len(b)
-		}
-		if a[i].atom != b[j].atom || a[i].pos != b[j].pos {
-			return false
-		}
-	}
-}
-
-// sortLits orders a clause's literals by atom id (insertion sort:
-// clause widths are small).
-func sortLits(lits []literal) {
-	for i := 1; i < len(lits); i++ {
-		for j := i; j > 0 && lits[j].atom < lits[j-1].atom; j-- {
-			lits[j], lits[j-1] = lits[j-1], lits[j]
-		}
-	}
-}
-
 func sortStrings(s []string) {
-	// Insertion sort: clause widths are small (one literal per fork
-	// depth), so this beats sort.Strings' interface overhead.
+	// Insertion sort: supports are small, so this beats sort.Strings'
+	// interface overhead.
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {
 			s[j], s[j-1] = s[j-1], s[j]

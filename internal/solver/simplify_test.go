@@ -133,44 +133,6 @@ func TestSimplifyIff(t *testing.T) {
 	}
 }
 
-// TestSimplifyConsensus pins the (A ∧ x) ∨ (A ∧ ¬x) → A rule and its
-// iterated form: the complete guard tree of k fork decisions collapses
-// to true without any search.
-func TestSimplifyConsensus(t *testing.T) {
-	p, b := BoolVar{"p"}, BoolVar{"b"}
-	or := NewOr(NewAnd(p, b), NewAnd(p, Not{X: b}))
-	if got := Simplify(or); !formulaEq(got, p) {
-		t.Fatalf("(p&&b)||(p&&!b) = %v, want p", got)
-	}
-
-	// Complete tree over 6 guards: 64 disjuncts, each a conjunction of
-	// literals over b0..b5 covering every sign pattern.
-	const k = 6
-	var disjuncts []Formula
-	for bits := 0; bits < 1<<k; bits++ {
-		var conj Formula = True
-		for i := 0; i < k; i++ {
-			var lit Formula = BoolVar{Name: "b" + string(rune('0'+i))}
-			if bits&(1<<i) == 0 {
-				lit = Not{X: lit}
-			}
-			conj = NewAnd(conj, lit)
-		}
-		disjuncts = append(disjuncts, conj)
-	}
-	if got := Simplify(Disj(disjuncts...)); !formulaEq(got, True) {
-		t.Fatalf("complete guard tree simplified to %v, want true", got)
-	}
-
-	// Arithmetic guards collapse the same way.
-	x := IntVar{"x"}
-	g := Lt{x, IntConst{0}}
-	or2 := NewOr(NewAnd(g, b), NewAnd(g, Not{X: b}))
-	if got := Simplify(or2); !formulaEq(got, g) {
-		t.Fatalf("(g&&b)||(g&&!b) = %v, want g", got)
-	}
-}
-
 func TestSupportTokens(t *testing.T) {
 	x, y := IntVar{"x"}, IntVar{"y"}
 	f := NewAnd(NewOr(BoolVar{"p"}, Lt{x, IntConst{1}}), Eq{App{Fn: "f", Args: []Term{y}}, IntConst{0}})

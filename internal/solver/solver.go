@@ -56,9 +56,8 @@ type Solver struct {
 	Gen   uint64
 	Stats Stats
 
-	d         *cdcl     // persistent CDCL state, created on first use
-	stack     []Formula // assumption stack (Push/Pop)
-	reference bool      // answer with satDPLL instead of the CDCL core
+	d         *cdcl // persistent CDCL state, created on first use
+	reference bool  // answer with satDPLL instead of the CDCL core
 }
 
 // New returns a Solver with default resource bounds.
@@ -132,9 +131,8 @@ func (s *Solver) poll() error {
 	return s.Injector.At(fault.MidSearch)
 }
 
-// sat answers one query through the dispatch in assume.go, so plain
-// Sat/SatModel calls see the assumption stack exactly like
-// SatAssuming does.
+// sat answers one query through the dispatch in assume.go, the same
+// path SatAssuming takes.
 func (s *Solver) sat(f Formula, wantModel bool) (bool, *Model, error) {
 	return s.satAssuming(wantModel, []Formula{f})
 }
@@ -170,12 +168,6 @@ func (s *Solver) Valid(f Formula) (bool, error) {
 		return false, err
 	}
 	return !sat, nil
-}
-
-// Tautology reports whether the disjunction of gs is valid. This is
-// the exhaustive(g1, ..., gn) check of the TSYMBLOCK mix rule.
-func (s *Solver) Tautology(gs ...Formula) (bool, error) {
-	return s.Valid(Disj(gs...))
 }
 
 // searchCtx is the state of one DPLL search. order mirrors assign as a

@@ -100,7 +100,7 @@ func TestInequalities(t *testing.T) {
 	mustValid(t, NewOr(Le{x(), c(0)}, Gt(x(), c(0))))
 	// Trichotomy as a tautology: the exhaustive() check for the
 	// sign-refinement example in Section 2 of the paper.
-	taut, err := New().Tautology(Gt(x(), c(0)), Eq{x(), c(0)}, Lt{x(), c(0)})
+	taut, err := New().Valid(Disj(Gt(x(), c(0)), Eq{x(), c(0)}, Lt{x(), c(0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestInequalities(t *testing.T) {
 		t.Fatal("trichotomy should be a tautology")
 	}
 	// Dropping one disjunct is not exhaustive.
-	taut, err = New().Tautology(Gt(x(), c(0)), Lt{x(), c(0)})
+	taut, err = New().Valid(Disj(Gt(x(), c(0)), Lt{x(), c(0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +203,14 @@ func TestIteEncodedGuards(t *testing.T) {
 	g := BoolVar{"g"}
 	pc1 := Gt(x(), c(0))
 	pc2 := Le{x(), c(0)}
-	taut, err := New().Tautology(NewAnd(g, pc1), NewAnd(g, NewNot(pc1)), NewNot(g))
+	taut, err := New().Valid(Disj(NewAnd(g, pc1), NewAnd(g, NewNot(pc1)), NewNot(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !taut {
 		t.Fatal("guard split should be exhaustive")
 	}
-	taut, err = New().Tautology(NewAnd(g, pc1), NewAnd(NewNot(g), pc2))
+	taut, err = New().Valid(Disj(NewAnd(g, pc1), NewAnd(NewNot(g), pc2)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -418,7 +418,7 @@ func TestGuardsTranslateAndSolve(t *testing.T) {
 		}
 		guards = append(guards, g)
 	}
-	taut, err := s.Tautology(guards...)
+	taut, err := s.Valid(solver.Disj(guards...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,9 +182,6 @@ func (m *Memory) Delete(obj *Object, field string) {
 	m.cells = m.cells.Delete(cellKey{obj, field})
 }
 
-// Len reports the number of initialized cells.
-func (m *Memory) Len() int { return m.cells.Len() }
-
 // Cells iterates over all initialized cells in deterministic (hash)
 // order; callers needing a semantic order still sort.
 func (m *Memory) Cells(f func(obj *Object, field string, v Value)) {

@@ -371,10 +371,8 @@ type CConfig struct {
 	// non-MIX-annotated int-fragment function is analyzed once into
 	// guarded arms, and call sites instantiate the arms by substitution
 	// instead of re-inlining the body. Verdicts are identical to
-	// inlining; ineligible calls fall back observably. SummaryCap
-	// bounds the arms per summary (0 = default, 16).
-	Summaries  bool
-	SummaryCap int
+	// inlining; ineligible calls fall back observably.
+	Summaries bool
 	// SummaryStore, when non-nil (and Summaries is set), is a shared
 	// cross-run summary cache (summary.NewStore); the daemon shares one
 	// across requests. Nil with Summaries set builds a store from
@@ -485,10 +483,6 @@ func (cfg CConfig) Validate() error {
 		return fmt.Errorf("mix: negative MergeCap %d (0 means the joins-mode default)", cfg.MergeCap)
 	case cfg.MergeCap > 0 && cfg.Merge == "":
 		return fmt.Errorf("mix: MergeCap %d set without a Merge mode — the cap only applies to the merging executor (set Merge to \"joins\")", cfg.MergeCap)
-	case cfg.SummaryCap < 0:
-		return fmt.Errorf("mix: negative SummaryCap %d (0 means the default, %d)", cfg.SummaryCap, summary.DefaultCap)
-	case cfg.SummaryCap > 0 && !cfg.Summaries:
-		return fmt.Errorf("mix: SummaryCap %d set without Summaries — the cap only applies to summary construction (set Summaries)", cfg.SummaryCap)
 	case cfg.SummaryStore != nil && !cfg.Summaries:
 		return fmt.Errorf("mix: SummaryStore set without Summaries — the store is only consulted when summaries are enabled")
 	}
@@ -554,7 +548,7 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 		if store == nil {
 			store = summary.NewStore(cfg.CacheDir)
 		}
-		sums = store.Precompute(prog, cfg.SummaryCap)
+		sums = store.Precompute(prog, 0)
 	}
 	// The memory counters are process-wide and monotone; this run's
 	// contribution is the before/after delta.
@@ -567,7 +561,6 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 		Merge:             mergeMode,
 		MergeCap:          cfg.MergeCap,
 		Engine:            eng,
-		Tracer:            cfg.Tracer,
 	}
 	if sums != nil {
 		mopts.Summaries = sums

@@ -187,11 +187,10 @@ func ladderInput(n int) (string, map[string]string) {
 	return src, env
 }
 
-// A ladder-13 block has 8,192 paths, more than the consensus pass of
-// solver.Simplify takes on one flat disjunction. Its guards' factored
-// disjunction still collapses level by level, so the block's one
-// exhaustiveness query is decided on the quick path, with no slice
-// left for the search core. Ladder-10 and ladder-12 are held to the
+// A ladder-13 block has 8,192 paths. Its guards' factored disjunction
+// collapses level by level under solver.Simplify's x ∨ ¬x → true
+// rule, so the block's one exhaustiveness query is decided on the
+// quick path, with no slice left for the search core. Ladder-10 and ladder-12 are held to the
 // same count, so easy workloads never depend on the search core;
 // perfbench's core-explore times them.
 func TestLadder13ExhaustivenessDecidedQuick(t *testing.T) {
