@@ -660,7 +660,7 @@ func tableX9() {
 	dir, err := os.MkdirTemp("", "mixbench-x9-")
 	must(err)
 	defer os.RemoveAll(dir)
-	base := mix.CConfig{Entry: "entry", Merge: "joins", MergeCap: 8}
+	base := mix.CConfig{Entry: "entry", Merge: "joins"}
 	prime := base
 	prime.Summaries, prime.SummaryStore = true, summary.NewStore(dir)
 	_, err = mix.AnalyzeC(src, prime)

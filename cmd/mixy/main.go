@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mixy [-pure] [-entry main] [-nocache] [-merge mode] [-merge-cap n]
+//	mixy [-pure] [-entry main] [-nocache] [-merge mode]
 //	     [-summaries] [-cache-dir dir]
 //	     [-workers 0|1]
 //	     [-deadline d] [-solver-timeout d]
@@ -24,8 +24,8 @@
 // -merge selects veritesting-style state merging in the per-block
 // symbolic executor (DESIGN.md section 12): "joins" (the default)
 // folds the two arms of a forked conditional into one state with
-// guarded ite cells when both reach the join alive and at most
-// -merge-cap cells diverge, and "off" restores pure forking.
+// guarded ite cells when both reach the join alive and at most 8
+// cells diverge, and "off" restores pure forking.
 //
 // -summaries analyzes each eligible (int-only, non-MIX) function once
 // into guarded summary arms and instantiates those at call sites

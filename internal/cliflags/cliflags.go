@@ -36,7 +36,7 @@ const (
 	// -defer, -env, -max-paths) plus the shared set.
 	Core Kind = iota
 	// MicroC is the mixy CLI: MIXY flags (-pure, -entry, -nocache,
-	// -merge-cap) plus the shared set.
+	// -summaries) plus the shared set.
 	MicroC
 )
 
@@ -84,9 +84,9 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 
 // Analysis is one analysis invocation's options: the union of the mix
 // and mixy knobs. Zero value = all defaults off (note that Register
-// applies the CLI defaults — Merge "joins", Entry "main", MergeCap 8 —
-// which differ from the library's zero-value defaults on purpose: the
-// CLIs and daemon default to the production configuration).
+// applies the CLI defaults — Merge "joins", Entry "main" — which
+// differ from the library's zero-value defaults on purpose: the CLIs
+// and daemon default to the production configuration).
 type Analysis struct {
 	// Core-language options (mix CLI, kind "core" requests).
 	Symbolic bool              `json:"symbolic,omitempty"`
@@ -99,7 +99,6 @@ type Analysis struct {
 	Pure      bool   `json:"pure,omitempty"`
 	Entry     string `json:"entry,omitempty"`
 	NoCache   bool   `json:"nocache,omitempty"`
-	MergeCap  int    `json:"merge_cap,omitempty"`
 	Summaries bool   `json:"summaries,omitempty"`
 
 	// Shared options.
@@ -170,7 +169,6 @@ func (a *Analysis) Register(fs *flag.FlagSet, kind Kind) {
 		fs.BoolVar(&a.Pure, "pure", false, "ignore MIX annotations (pure qualifier inference)")
 		fs.StringVar(&a.Entry, "entry", "main", "entry function")
 		fs.BoolVar(&a.NoCache, "nocache", false, "disable block caching")
-		fs.IntVar(&a.MergeCap, "merge-cap", 8, "max diverging cells per joins-mode merge")
 		fs.BoolVar(&a.Summaries, "summaries", false, "answer eligible calls from compositional function summaries")
 	}
 }
@@ -204,7 +202,6 @@ func (a Analysis) CConfig() mix.CConfig {
 		PureTypes:     a.Pure,
 		NoCache:       a.NoCache,
 		Merge:         a.Merge,
-		MergeCap:      a.MergeCap,
 		Summaries:     a.Summaries,
 		Workers:       a.Workers,
 		Deadline:      time.Duration(a.Deadline),

@@ -51,16 +51,16 @@ func TestRegisterCoreFlags(t *testing.T) {
 func TestRegisterMicroCFlags(t *testing.T) {
 	defaults := parse(t, MicroC)
 	cfg := defaults.CConfig()
-	if cfg.Entry != "main" || cfg.Merge != "joins" || cfg.MergeCap != 8 {
+	if cfg.Entry != "main" || cfg.Merge != "joins" {
 		t.Fatalf("CLI defaults drifted: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default config should validate: %v", err)
 	}
 
-	a := parse(t, MicroC, "-pure", "-entry", "f", "-nocache", "-merge-cap", "3", "-workers", "1")
+	a := parse(t, MicroC, "-pure", "-entry", "f", "-nocache", "-summaries", "-workers", "1")
 	cfg = a.CConfig()
-	if !cfg.PureTypes || cfg.Entry != "f" || !cfg.NoCache || cfg.MergeCap != 3 || cfg.Workers != 1 {
+	if !cfg.PureTypes || cfg.Entry != "f" || !cfg.NoCache || !cfg.Summaries || cfg.Workers != 1 {
 		t.Fatalf("mixy flags lost: %+v", cfg)
 	}
 }

@@ -175,7 +175,8 @@ func (c *Checker) tSymBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 		if ferr != nil {
 			if unknownSat(ferr) {
 				// Solver resource limit: unknown → keep the path and
-				// its finding (conservative, same as engine.Feasible).
+				// its finding (conservative, the policy symexec's
+				// Engine.FeasiblePCSpan applies too).
 				feasible = true
 			} else {
 				return nil, fmt.Errorf("core: feasibility check failed: %w", ferr)

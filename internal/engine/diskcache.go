@@ -105,9 +105,9 @@ func openDiskStore(dir string) (*diskStore, error) {
 	if err := json.Unmarshal(f.Payload, &p); err != nil {
 		return d, fmt.Errorf("solver memo: bad payload: %v", err)
 	}
-	if p.Verdicts != nil {
-		d.verdicts = p.Verdicts
-	}
+	// Decode every model before adopting anything: a file rejected
+	// halfway must still read as empty.
+	var models []*solver.Model
 	for _, dm := range p.Models {
 		m := &solver.Model{Ints: map[string]*big.Rat{}, Bools: dm.Bools}
 		if m.Bools == nil {
@@ -120,8 +120,12 @@ func openDiskStore(dir string) (*diskStore, error) {
 			}
 			m.Ints[name] = r
 		}
-		d.models = append(d.models, m)
+		models = append(models, m)
 	}
+	if p.Verdicts != nil {
+		d.verdicts = p.Verdicts
+	}
+	d.models = models
 	return d, nil
 }
 

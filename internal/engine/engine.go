@@ -261,14 +261,8 @@ func (e *Engine) PublishMetrics() {
 	}
 }
 
-// Pool exposes the memoizing solver frontend.
-func (e *Engine) Pool() *SolverPool { return e.pool }
-
 // Sat decides satisfiability through the memoizing pool.
 func (e *Engine) Sat(f solver.Formula) (bool, error) { return e.pool.Sat(f) }
-
-// Valid decides validity through the memoizing pool.
-func (e *Engine) Valid(f solver.Formula) (bool, error) { return e.pool.Valid(f) }
 
 // SatPC decides satisfiability of pc ∧ extras through the sliced,
 // memoizing pipeline; the shared PC tail makes repeat queries along a
@@ -277,30 +271,12 @@ func (e *Engine) SatPC(pc *solver.PC, extras ...solver.Formula) (bool, error) {
 	return e.pool.SatPC(pc, extras...)
 }
 
-// Feasible reports whether f is satisfiable, treating solver resource
-// exhaustion — and any other solver failure — as "unknown → keep the
-// path", so budget-limited solving conservatively keeps paths and
-// their reports instead of silently dropping them.
-func (e *Engine) Feasible(f solver.Formula) bool {
-	sat, err := e.pool.Sat(f)
-	if err != nil {
-		return true
-	}
-	return sat
-}
-
-// FeasiblePC is Feasible over an incremental path condition plus extra
-// guards (same unknown → keep-path policy).
-func (e *Engine) FeasiblePC(pc *solver.PC, extras ...solver.Formula) bool {
-	sat, err := e.pool.SatPC(pc, extras...)
-	if err != nil {
-		return true
-	}
-	return sat
-}
-
-// FeasiblePCSpan is FeasiblePC with the query's verdict and pipeline
-// stages recorded on sp (nil span → metrics only).
+// FeasiblePCSpan reports whether pc ∧ extras is satisfiable, recording
+// the query's verdict and pipeline stages on sp (nil span → metrics
+// only). Solver resource exhaustion — and any other solver failure —
+// reads as "unknown → keep the path", so budget-limited solving
+// conservatively keeps paths and their reports instead of silently
+// dropping them.
 func (e *Engine) FeasiblePCSpan(sp *obs.Span, pc *solver.PC, extras ...solver.Formula) bool {
 	sat, err := e.pool.SatPCSpan(sp, pc, extras...)
 	if err != nil {

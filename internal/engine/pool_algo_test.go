@@ -56,7 +56,7 @@ func TestOneSolverPerRun(t *testing.T) {
 // cache generation that justified them.
 func TestPoolFlushResetsSolvers(t *testing.T) {
 	e, captured := capturePool(t, Options{})
-	p := e.Pool()
+	p := e.pool
 
 	q := []solver.Formula{vle("a", "b")}
 	if _, _, err := p.solve(q, false); err != nil {

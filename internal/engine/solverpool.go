@@ -137,17 +137,6 @@ func (p *SolverPool) Sat(f solver.Formula) (bool, error) {
 	return p.SatPC(nil, f)
 }
 
-// Valid decides validity of f. It is implemented as Sat of the
-// negation so that the executors' direct Sat(¬f) queries and Valid(f)
-// share one memo entry.
-func (p *SolverPool) Valid(f solver.Formula) (bool, error) {
-	sat, err := p.Sat(solver.NewNot(f))
-	if err != nil {
-		return false, err
-	}
-	return !sat, nil
-}
-
 // SatPC decides satisfiability of pc ∧ extras. "Unknown" answers
 // (solver resource exhaustion, wrapping solver.ErrLimit) are memoized
 // per component: they are deterministic for fixed solver bounds, and

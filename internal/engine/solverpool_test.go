@@ -133,11 +133,13 @@ func TestPoolCexCache(t *testing.T) {
 	}
 }
 
+// TestPoolValidSharesSatEntry: a validity check is Sat of the
+// negation, whether an executor poses ¬f on its path condition or as
+// a direct query; both share one memo entry.
 func TestPoolValidSharesSatEntry(t *testing.T) {
 	e := New(Options{})
 	f := vle("x", "y")
-	// Valid(f) is Sat(¬f); a direct Sat(¬f) afterwards must hit.
-	if _, err := e.Valid(f); err != nil {
+	if _, err := e.SatPC(solver.PCTrue.And(solver.NewNot(f))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Sat(solver.NewNot(f)); err != nil {
@@ -145,7 +147,7 @@ func TestPoolValidSharesSatEntry(t *testing.T) {
 	}
 	s := e.Snapshot()
 	if s.MemoHits != 1 || s.MemoMisses != 1 {
-		t.Fatalf("stats = %+v, want Valid and Sat(¬f) to share one entry", s)
+		t.Fatalf("stats = %+v, want SatPC(¬f) and Sat(¬f) to share one entry", s)
 	}
 }
 
@@ -190,7 +192,7 @@ func TestPoolUnknownKeepsPath(t *testing.T) {
 		s.MaxAtoms = 4
 		return s
 	}})
-	if !e.Feasible(limitFormula()) {
+	if !e.FeasiblePCSpan(nil, nil, limitFormula()) {
 		t.Fatal("resource-exhausted query must be treated as feasible (unknown → keep path)")
 	}
 }
@@ -277,8 +279,8 @@ func TestPoolSatPC(t *testing.T) {
 		t.Fatalf("SatPC with contradictory extra = %v, %v, want unsat", sat, err)
 	}
 	// A dead PC short-circuits without any solver work.
-	if e.FeasiblePC(tpc.And(solver.False)) {
-		t.Fatal("dead PC must be infeasible")
+	if sat, err := e.SatPC(tpc.And(solver.False)); err != nil || sat {
+		t.Fatalf("dead PC = %v, %v, want unsat", sat, err)
 	}
 }
 

@@ -21,7 +21,7 @@ func Print(p *Program) string {
 	for _, g := range p.Globals {
 		b.WriteString(declString(g))
 		if g.Init != nil {
-			b.WriteString(" = " + exprString(g.Init))
+			b.WriteString(" = " + g.Init.String())
 		}
 		b.WriteString(";\n")
 	}
@@ -108,26 +108,26 @@ func printStmt(b *strings.Builder, s Stmt, depth int) {
 	case *DeclStmt:
 		b.WriteString(declString(s.Decl))
 		if s.Decl.Init != nil {
-			b.WriteString(" = " + exprString(s.Decl.Init))
+			b.WriteString(" = " + s.Decl.Init.String())
 		}
 		b.WriteString(";")
 	case *ExprStmt:
-		b.WriteString(exprString(s.X) + ";")
+		b.WriteString(s.X.String() + ";")
 	case *IfStmt:
-		b.WriteString("if (" + exprString(s.Cond) + ") ")
+		b.WriteString("if (" + s.Cond.String() + ") ")
 		printStmt(b, blockify(s.Then), depth)
 		if s.Else != nil {
 			b.WriteString(" else ")
 			printStmt(b, blockify(s.Else), depth)
 		}
 	case *WhileStmt:
-		b.WriteString("while (" + exprString(s.Cond) + ") ")
+		b.WriteString("while (" + s.Cond.String() + ") ")
 		printStmt(b, blockify(s.Body), depth)
 	case *ReturnStmt:
 		if s.X == nil {
 			b.WriteString("return;")
 		} else {
-			b.WriteString("return " + exprString(s.X) + ";")
+			b.WriteString("return " + s.X.String() + ";")
 		}
 	}
 }
@@ -139,20 +139,4 @@ func blockify(s Stmt) Stmt {
 		return s
 	}
 	return &BlockStmt{Stmts: []Stmt{s}}
-}
-
-// exprString renders an expression with full parenthesization of
-// binary subterms (matching Expr.String, which the parser round-trips).
-func exprString(e Expr) string {
-	switch e := e.(type) {
-	case *Cast:
-		base, stars := splitType(e.To)
-		x := exprString(e.X)
-		if _, ok := e.X.(*Assign); ok {
-			x = "(" + x + ")"
-		}
-		return "(" + base + " " + stars + ")" + x
-	default:
-		return e.String()
-	}
 }

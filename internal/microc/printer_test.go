@@ -88,6 +88,25 @@ int bases(struct foo **pp, void *v, int *p, int *q, int x) {
 `)
 }
 
+// TestPrintCastOneWay pins that a cast prints the same whether it is a
+// statement's whole expression or nested under another operator:
+// Print renders every expression with Expr.String.
+func TestPrintCastOneWay(t *testing.T) {
+	out := Print(mustParse(`
+int f(int **v, int x) {
+  int **a = (int **) v;
+  int *b = *(int **) v;
+  return (int) x;
+}
+`))
+	for _, want := range []string{"int **a = (int * *)v;", "int *b = *(int * *)v;", "return (int)x;"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Print lacks %q:\n%s", want, out)
+		}
+	}
+	roundTrip(t, out)
+}
+
 func TestPrintBranchesBlockified(t *testing.T) {
 	// Brace-less branches print as blocks.
 	prog := mustParse(`

@@ -50,10 +50,8 @@ type Options struct {
 	StrictInit bool
 	// Merge enables veritesting-style join-point state merging in the
 	// per-block executor (DESIGN.md section 12): MIX(symbolic) blocks
-	// with internal branching stop exploding the fixpoint. MergeCap is
-	// the joins-mode divergence cap (0 = executor default).
-	Merge    engine.MergeMode
-	MergeCap int
+	// with internal branching stop exploding the fixpoint.
+	Merge engine.MergeMode
 	// Summaries, when non-nil, answers eligible calls in the per-block
 	// executor from compositional function summaries
 	// (internal/summary.Store.Precompute) instead of inlining; every
@@ -161,7 +159,6 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 	m.Exec.InitCell = m.initCell
 	m.Exec.TypedCall = m.typedCall
 	m.Exec.MergeMode = opts.Merge
-	m.Exec.MergeCap = opts.MergeCap
 	m.Exec.Summaries = opts.Summaries
 	m.Exec.Engine = m.eng
 

@@ -90,9 +90,3 @@ func WriteChrome(w io.Writer, events []Event) error {
 		TraceEvents []chromeEvent `json:"traceEvents"`
 	}{out})
 }
-
-// WriteChromeTrace converts the tracer's buffered events; see
-// WriteChrome.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return WriteChrome(w, t.Events())
-}

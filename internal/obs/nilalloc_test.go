@@ -8,8 +8,8 @@ import (
 // TestNilReceiversAllocateNothing pins what "disabled instrumentation
 // is nil checks only" means: with no tracer and no registry, every
 // call the instrumented code makes returns without allocating.
-// WriteJSON, WriteProm and WriteChromeTrace are left out: they render
-// a document (an empty one on nil) once at exit, not per event.
+// WriteJSON and WriteProm are left out: they render a document (an
+// empty one on nil) once at exit, not per event.
 func TestNilReceiversAllocateNothing(t *testing.T) {
 	var (
 		tr *Tracer

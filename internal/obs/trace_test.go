@@ -232,7 +232,7 @@ func TestWriteChrome(t *testing.T) {
 	tr := NewTracer(TraceOptions{Deterministic: true})
 	walk(tr.Root("main"), 2)
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChrome(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -260,7 +260,7 @@ func TestWriteChrome(t *testing.T) {
 	s := tr2.Root("f")
 	s.Solve("sat", 5000)
 	buf.Reset()
-	if err := tr2.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChrome(&buf, tr2.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"ph":"X"`) {

@@ -88,7 +88,6 @@ func vsftpdRequest(nFuncs int) Request {
 	req.Source = corpus.SyntheticVsftpd(nFuncs, 2)
 	req.Workers = 1
 	req.Merge = "joins"
-	req.MergeCap = 8
 	req.Entry = "main"
 	return req
 }
@@ -151,7 +150,6 @@ func TestWarmColdDifferential(t *testing.T) {
 			r.Entry = corpus.VsftpdMini.Entry
 			r.Workers = 1
 			r.Merge = "joins"
-			r.MergeCap = 8
 			return r
 		}()},
 	}
@@ -328,7 +326,6 @@ func TestDrainZeroDrop(t *testing.T) {
 		slow.Source = corpus.SyntheticVsftpd(18+i, 3)
 		slow.Workers = 1
 		slow.Merge = "joins"
-		slow.MergeCap = 8
 		slow.Entry = "main"
 		wg.Add(1)
 		go func(i int, slow Request) {
@@ -388,7 +385,6 @@ var badRequests = []struct {
 	{"core parse error", "/check", `{"source":"let let"}`, "parse"},
 	{"microc parse error", "/analyze", `{"source":"int f("}`, "parse"},
 	{"bad merge", "/check", `{"source":"1 + 2","merge":"sometimes"}`, "bad Merge mode"},
-	{"orphan merge cap", "/analyze", `{"source":"int main() { return 0; }","merge_cap":4}`, "without a Merge mode"},
 	{"negative workers", "/check", `{"source":"1 + 2","workers":-1}`, "negative Workers"},
 	// Exploration is sequential: a request for more than one worker is
 	// rejected, not silently run on one.
@@ -408,6 +404,8 @@ var badRequests = []struct {
 	// Every engine memoizes now, and aggressive merging is no
 	// longer a request mode.
 	{"removed no_memo", "/check", `{"source":"1 + 2","no_memo":true}`, "unknown field"},
+	// The joins-mode divergence cap is the constant 8.
+	{"removed merge_cap", "/analyze", `{"source":"int main() { return 0; }","merge":"joins","merge_cap":4}`, "unknown field"},
 	{"removed aggressive merge", "/analyze", `{"source":"int main() { return 0; }","merge":"aggressive"}`, `bad Merge mode "aggressive"`},
 }
 
@@ -542,7 +540,6 @@ int entry(int x, int y) MIX(symbolic) {
 `
 	req.Entry = "entry"
 	req.Merge = "joins"
-	req.MergeCap = 8
 	req.Summaries = true
 	return req
 }

@@ -603,8 +603,8 @@ func (d *cdcl) pickBranchVar() int {
 // order. Best-effort, exactly like the DPLL capture — a nil model
 // never weakens the sat verdict.
 func (d *cdcl) captureModel() *Model {
-	ints, ok := d.th.set.model()
-	if !ok {
+	ints := d.th.set.model(d.s)
+	if ints == nil {
 		return nil
 	}
 	m := &Model{Ints: ints, Bools: map[string]bool{}}

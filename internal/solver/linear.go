@@ -185,21 +185,27 @@ func ctxDone(ctx context.Context) error {
 // to 2^len(diseqs) eliminations, so ctx is observed at every split and
 // every elimination round (per lower bound within a Fourier–Motzkin
 // round): once it is done the check stops with ctx.Err().
-func theoryConj(ctx context.Context, eqs []*lin, ineqs []ineq, diseqs []*lin) (bool, error) {
+//
+// With witness set, the eliminations also record each Gaussian pivot
+// and Fourier–Motzkin step, and a sat answer comes with a rational
+// witness back-substituted from them (witnessOf). The witness is nil
+// only when back-substitution meets a numeric corner; the sat verdict
+// stands either way.
+func theoryConj(ctx context.Context, eqs []*lin, ineqs []ineq, diseqs []*lin, witness bool) (bool, map[string]*big.Rat, error) {
 	// Case-split disequalities: l != 0 becomes l < 0 or -l < 0.
 	if len(diseqs) > 0 {
 		if err := ctxDone(ctx); err != nil {
-			return false, err
+			return false, nil, err
 		}
 		d, rest := diseqs[0], diseqs[1:]
 		lt := append(append([]ineq{}, ineqs...), ineq{d.clone(), true})
-		if sat, err := theoryConj(ctx, eqs, lt, rest); sat || err != nil {
-			return sat, err
+		if sat, m, err := theoryConj(ctx, eqs, lt, rest, witness); sat || err != nil {
+			return sat, m, err
 		}
 		neg := d.clone()
 		neg.scale(big.NewRat(-1, 1))
 		gt := append(append([]ineq{}, ineqs...), ineq{neg, true})
-		return theoryConj(ctx, eqs, gt, rest)
+		return theoryConj(ctx, eqs, gt, rest, witness)
 	}
 
 	// Copy so elimination does not alias the caller's slices.
@@ -213,21 +219,25 @@ func theoryConj(ctx context.Context, eqs []*lin, ineqs []ineq, diseqs []*lin) (b
 	}
 
 	// Gaussian elimination of equalities.
+	var gsteps []gaussStep
 	for len(eqs2) > 0 {
 		if err := ctxDone(ctx); err != nil {
-			return false, err
+			return false, nil, err
 		}
 		e := eqs2[0]
 		eqs2 = eqs2[1:]
 		if e.isConst() {
 			if e.k.Sign() != 0 {
-				return false, nil
+				return false, nil, nil
 			}
 			continue
 		}
 		ks := sortedKeys(e.coefs)
 		v := ks[0]
 		c := e.coefs[v]
+		if witness {
+			gsteps = append(gsteps, gaussStep{v: v, c: c, e: e})
+		}
 		// v = -(e - c*v)/c ; substitute: for every other constraint f
 		// with coefficient d on v, f := f - (d/c)*e.
 		for _, f := range eqs2 {
@@ -247,9 +257,10 @@ func theoryConj(ctx context.Context, eqs []*lin, ineqs []ineq, diseqs []*lin) (b
 	}
 
 	// Fourier–Motzkin elimination of inequalities.
+	var fsteps []fmStep
 	for {
 		if err := ctxDone(ctx); err != nil {
-			return false, err
+			return false, nil, err
 		}
 		// Find a variable still present.
 		var v string
@@ -277,12 +288,15 @@ func theoryConj(ctx context.Context, eqs []*lin, ineqs []ineq, diseqs []*lin) (b
 				lowers = append(lowers, in)
 			}
 		}
+		if witness {
+			fsteps = append(fsteps, fmStep{v: v, lowers: lowers, uppers: uppers})
+		}
 		for _, lo := range lowers {
 			// A round combines every lower with every upper bound, so
 			// one round can itself grow quadratically: observe ctx per
 			// lower bound as well.
 			if err := ctxDone(ctx); err != nil {
-				return false, err
+				return false, nil, err
 			}
 			for _, up := range uppers {
 				cl := lo.l.coefs[v] // negative
@@ -307,8 +321,11 @@ func theoryConj(ctx context.Context, eqs []*lin, ineqs []ineq, diseqs []*lin) (b
 		}
 		s := in.l.k.Sign()
 		if s > 0 || (s == 0 && in.strict) {
-			return false, nil
+			return false, nil, nil
 		}
 	}
-	return true, nil
+	if !witness {
+		return true, nil, nil
+	}
+	return true, witnessOf(gsteps, fsteps), nil
 }

@@ -89,7 +89,7 @@ func (m *Model) cmpSign(x, y Term) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.evalLin(l).Sign(), nil
+	return evalLinExcept(l, "", m.Ints).Sign(), nil
 }
 
 // resolveTerm rewrites t with every Ite replaced by the arm its guard
@@ -141,16 +141,6 @@ func (m *Model) resolveTerm(t Term) (Term, error) {
 	return t, nil
 }
 
-func (m *Model) evalLin(l *lin) *big.Rat {
-	v := new(big.Rat).Set(l.k)
-	for key, c := range l.coefs {
-		if mv, ok := m.Ints[key]; ok {
-			v.Add(v, new(big.Rat).Mul(c, mv))
-		}
-	}
-	return v
-}
-
 // gaussStep records one Gaussian pivot: e still contains c*v; after
 // every later variable is valued, v = -(e - c*v)/c.
 type gaussStep struct {
@@ -167,116 +157,10 @@ type fmStep struct {
 	lowers, uppers []ineq
 }
 
-// theoryModel mirrors theoryConj but records the elimination order so
-// that, on SAT, a concrete rational witness can be rebuilt by reverse
-// substitution. It returns (nil, false) when the conjunction is UNSAT.
-func theoryModel(eqs []*lin, ineqs []ineq, diseqs []*lin) (map[string]*big.Rat, bool) {
-	if len(diseqs) > 0 {
-		d, rest := diseqs[0], diseqs[1:]
-		lt := append(append([]ineq{}, ineqs...), ineq{d.clone(), true})
-		if m, ok := theoryModel(eqs, lt, rest); ok {
-			return m, true
-		}
-		neg := d.clone()
-		neg.scale(big.NewRat(-1, 1))
-		gt := append(append([]ineq{}, ineqs...), ineq{neg, true})
-		return theoryModel(eqs, gt, rest)
-	}
-
-	eqs2 := make([]*lin, len(eqs))
-	for i, e := range eqs {
-		eqs2[i] = e.clone()
-	}
-	ins := make([]ineq, len(ineqs))
-	for i, in := range ineqs {
-		ins[i] = ineq{in.l.clone(), in.strict}
-	}
-
-	var gsteps []gaussStep
-	for len(eqs2) > 0 {
-		e := eqs2[0]
-		eqs2 = eqs2[1:]
-		if e.isConst() {
-			if e.k.Sign() != 0 {
-				return nil, false
-			}
-			continue
-		}
-		ks := sortedKeys(e.coefs)
-		v := ks[0]
-		c := e.coefs[v]
-		gsteps = append(gsteps, gaussStep{v: v, c: c, e: e})
-		for _, f := range eqs2 {
-			if d, ok := f.coefs[v]; ok {
-				s := new(big.Rat).Quo(d, c)
-				s.Neg(s)
-				f.addScaled(e, s)
-			}
-		}
-		for i := range ins {
-			if d, ok := ins[i].l.coefs[v]; ok {
-				s := new(big.Rat).Quo(d, c)
-				s.Neg(s)
-				ins[i].l.addScaled(e, s)
-			}
-		}
-	}
-
-	var fsteps []fmStep
-	for {
-		var v string
-		found := false
-		for _, in := range ins {
-			if len(in.l.coefs) > 0 {
-				v = sortedKeys(in.l.coefs)[0]
-				found = true
-				break
-			}
-		}
-		if !found {
-			break
-		}
-		var lowers, uppers []ineq
-		var rest []ineq
-		for _, in := range ins {
-			c, ok := in.l.coefs[v]
-			switch {
-			case !ok:
-				rest = append(rest, in)
-			case c.Sign() > 0:
-				uppers = append(uppers, in)
-			default:
-				lowers = append(lowers, in)
-			}
-		}
-		fsteps = append(fsteps, fmStep{v: v, lowers: lowers, uppers: uppers})
-		for _, lo := range lowers {
-			for _, up := range uppers {
-				cl := lo.l.coefs[v]
-				cu := up.l.coefs[v]
-				comb := lo.l.clone()
-				comb.scale(cu)
-				scaledUp := up.l.clone()
-				negCl := new(big.Rat).Neg(cl)
-				scaledUp.scale(negCl)
-				comb.addScaled(scaledUp, big.NewRat(1, 1))
-				delete(comb.coefs, v)
-				rest = append(rest, ineq{comb, lo.strict || up.strict})
-			}
-		}
-		ins = rest
-	}
-
-	for _, in := range ins {
-		if !in.l.isConst() {
-			continue
-		}
-		s := in.l.k.Sign()
-		if s > 0 || (s == 0 && in.strict) {
-			return nil, false
-		}
-	}
-
+// witnessOf rebuilds a rational witness from the steps a sat
+// elimination recorded, or returns nil on a numeric corner (the caller
+// drops the witness; the sat verdict stands).
+func witnessOf(gsteps []gaussStep, fsteps []fmStep) map[string]*big.Rat {
 	// Back-substitute. FM steps first, newest-first: a step's bound rows
 	// may mention variables eliminated in later steps, which are then
 	// already valued; anything still unvalued reads as 0.
@@ -285,7 +169,7 @@ func theoryModel(eqs []*lin, ineqs []ineq, diseqs []*lin) (map[string]*big.Rat, 
 		st := fsteps[i]
 		v, ok := pickWithin(st, model)
 		if !ok {
-			return nil, false // numeric inconsistency; caller drops the model
+			return nil // numeric inconsistency
 		}
 		model[st.v] = v
 	}
@@ -298,11 +182,12 @@ func theoryModel(eqs []*lin, ineqs []ineq, diseqs []*lin) (map[string]*big.Rat, 
 		val.Quo(val, st.c)
 		model[st.v] = val
 	}
-	return model, true
+	return model
 }
 
 // evalLinExcept evaluates l under the partial model, skipping the v
-// term; unvalued variables read as 0.
+// term (v == "" skips nothing: no key is empty); unvalued variables
+// read as 0.
 func evalLinExcept(l *lin, v string, model map[string]*big.Rat) *big.Rat {
 	r := new(big.Rat).Set(l.k)
 	for key, c := range l.coefs {

@@ -290,8 +290,8 @@ func condition(n node, a *atom, v bool) (node, bool) {
 // capture extracts a model from the current (theory-consistent, NNF-
 // monotone-complete) assignment, walking the decision stack in order
 // so the witness is the same on every run. Extraction is best-effort:
-// on any numeric corner the model is dropped and the sat verdict
-// stands.
+// on any numeric corner, or once the solver's context is done, the
+// model is dropped and the sat verdict stands.
 func (c *searchCtx) capture() {
 	m := &Model{Ints: map[string]*big.Rat{}, Bools: map[string]bool{}}
 	var ls theoryLits
@@ -303,8 +303,8 @@ func (c *searchCtx) capture() {
 			ls.add(a, v)
 		}
 	}
-	ints, ok := ls.model()
-	if !ok {
+	ints := ls.model(c.solver)
+	if ints == nil {
 		c.model = nil
 		return
 	}

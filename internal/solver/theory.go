@@ -82,17 +82,23 @@ func (t *theoryLits) drop(a *atom, v bool) {
 // check observes s's context (see theoryConj); its expiry is the
 // classified fault the search loops' poll returns.
 func (t *theoryLits) consistent(s *Solver) (bool, error) {
-	ok, err := theoryConj(s.Ctx, t.eqs, t.ineqs, t.diseqs)
+	ok, _, err := theoryConj(s.Ctx, t.eqs, t.ineqs, t.diseqs, false)
 	if err != nil {
 		return false, fault.FromContext("solver.search", "", err)
 	}
 	return ok, nil
 }
 
-// model extracts a rational witness for the conjunction (best-effort;
-// see theoryModel).
-func (t *theoryLits) model() (map[string]*big.Rat, bool) {
-	return theoryModel(t.eqs, t.ineqs, t.diseqs)
+// model extracts a rational witness for a consistent conjunction
+// through the same elimination. Extraction is best-effort: the witness
+// is nil when back-substitution meets a numeric corner or s's context
+// is done first, and the caller's sat verdict stands either way.
+func (t *theoryLits) model(s *Solver) map[string]*big.Rat {
+	_, m, err := theoryConj(s.Ctx, t.eqs, t.ineqs, t.diseqs, true)
+	if err != nil {
+		return nil
+	}
+	return m
 }
 
 // thLit is one arithmetic literal on the CDCL theory trail, tagged

@@ -100,7 +100,7 @@ int f(int n) {
   (*cb)();
   return r0;
 }
-`, "f", engine.MergeJoins, 0)
+`, "f", engine.MergeJoins)
 	if len(x.ReportsOf(UnsupportedFnPtr)) != 0 {
 		t.Fatalf("merged fn ptr cases should resolve: %v", x.Reports)
 	}
@@ -123,7 +123,7 @@ int f(int n) {
   if (n > 5) { (*cb)(); return r0; }
   return 0;
 }
-`, "f", engine.MergeJoins, 0)
+`, "f", engine.MergeJoins)
 	for _, o := range outs {
 		if o.Ret.String() == "2" {
 			t.Fatalf("infeasible target executed: %v", outs)

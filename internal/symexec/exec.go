@@ -89,11 +89,6 @@ type Executor struct {
 	// of continuing as separate paths. The zero value is off — the
 	// classic fork-per-conditional discipline.
 	MergeMode engine.MergeMode
-	// MergeCap bounds the diverging cells a joins-mode merge may
-	// introduce ite values for (0 means the default, 8); a merge that
-	// would exceed it falls back to forking. Aggressive mode ignores
-	// the cap.
-	MergeCap int
 
 	// InitCell, when non-nil, provides the initial value of an
 	// uninitialized cell (MIXY installs the typed-to-symbolic

@@ -20,13 +20,10 @@ import (
 // solver queries — which the ite-elimination lowering in the solver and
 // the divergence cap keep bounded.
 
-// mergeCap returns the configured joins-mode divergence cap.
-func (x *Executor) mergeCap() int {
-	if x.MergeCap > 0 {
-		return x.MergeCap
-	}
-	return 8
-}
+// joinsDivergenceCap bounds the diverging cells a joins-mode merge may
+// introduce ite values for; a merge that would exceed it falls back to
+// forking. Aggressive mode ignores it.
+const joinsDivergenceCap = 8
 
 // mergeIf executes both feasible arms of a conditional, then-arm first,
 // and attempts a join-point merge
@@ -81,7 +78,7 @@ func (x *Executor) mergeIf(st State, s *microc.IfStmt, thenPC, elsePC *solver.PC
 		mergeable = false
 	}
 	if mergeable {
-		maxDiv := x.mergeCap()
+		maxDiv := joinsDivergenceCap
 		if x.MergeMode == engine.MergeAggressive {
 			maxDiv = 0
 		}

@@ -1,7 +1,9 @@
 package symexec
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"mix/internal/engine"
@@ -9,13 +11,12 @@ import (
 	"mix/internal/solver"
 )
 
-// runMerged executes entry with the given merge mode and cap.
-func runMerged(t *testing.T, src, entry string, mode engine.MergeMode, cap int) (*Executor, []Outcome) {
+// runMerged executes entry with the given merge mode.
+func runMerged(t *testing.T, src, entry string, mode engine.MergeMode) (*Executor, []Outcome) {
 	t.Helper()
 	prog := mustParse(src)
 	x := New(prog, pointer.Analyze(prog))
 	x.MergeMode = mode
-	x.MergeCap = cap
 	outs, err := x.Run(entry)
 	if err != nil {
 		t.Fatalf("Run(%s, merge=%s): %v", entry, mode, err)
@@ -37,14 +38,14 @@ int f(int a, int b, int c) {
 // benchmark: a ladder of k independent diamonds explodes to 2^k paths
 // forked but stays ONE merged state with k joins.
 func TestJoinsCollapsesLadder(t *testing.T) {
-	xOff, offOuts := runMerged(t, ladder3, "f", engine.MergeOff, 0)
+	xOff, offOuts := runMerged(t, ladder3, "f", engine.MergeOff)
 	if len(offOuts) != 8 {
 		t.Fatalf("forked paths = %d, want 2^3", len(offOuts))
 	}
 	if xOff.Stats.Merges != 0 {
 		t.Fatalf("merge off performed %d merges", xOff.Stats.Merges)
 	}
-	x, outs := runMerged(t, ladder3, "f", engine.MergeJoins, 0)
+	x, outs := runMerged(t, ladder3, "f", engine.MergeJoins)
 	if len(outs) != 1 {
 		t.Fatalf("merged paths = %d, want 1", len(outs))
 	}
@@ -75,7 +76,7 @@ int f(int a, int b) {
   return s;
 }
 `
-	x, outs := runMerged(t, src, "f", engine.MergeJoins, 0)
+	x, outs := runMerged(t, src, "f", engine.MergeJoins)
 	// The early return is one outcome; the two fall-through paths merge
 	// at the outer join into one.
 	if len(outs) != 2 {
@@ -86,31 +87,37 @@ int f(int a, int b) {
 	}
 }
 
-// TestMergeCapDeclines pins the divergence-cap heuristic: more
-// diverging cells than the cap and the join falls back to forking;
-// within the cap it merges.
-func TestMergeCapDeclines(t *testing.T) {
-	src := `
-int f(int a) {
-  int s = 0;
-  int u = 0;
-  if (a > 0) { s = 1; u = 1; } else { s = 2; u = 2; }
-  return s + u;
-}
-`
-	x, outs := runMerged(t, src, "f", engine.MergeJoins, 1)
-	if len(outs) != 2 || x.Stats.Merges != 0 {
-		t.Fatalf("cap=1 with 2 diverging cells: paths=%d merges=%d, want forked", len(outs), x.Stats.Merges)
+// divergingCells returns f(a): one diamond whose arms assign n cells
+// different values, so its join has n diverging cells.
+func divergingCells(n int) string {
+	var decls, then, els, sum strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&decls, "  int s%d = 0;\n", i)
+		fmt.Fprintf(&then, " s%d = 1;", i)
+		fmt.Fprintf(&els, " s%d = 2;", i)
+		fmt.Fprintf(&sum, " + s%d", i)
 	}
-	x, outs = runMerged(t, src, "f", engine.MergeJoins, 0) // default cap 8
+	return fmt.Sprintf("int f(int a) {\n%s  if (a > 0) {%s } else {%s }\n  return 0%s;\n}\n",
+		decls.String(), then.String(), els.String(), sum.String())
+}
+
+// TestMergeCapDeclines pins the divergence-cap heuristic: more
+// diverging cells than the joins-mode cap of 8 and the join falls back
+// to forking; within the cap it merges.
+func TestMergeCapDeclines(t *testing.T) {
+	x, outs := runMerged(t, divergingCells(9), "f", engine.MergeJoins)
+	if len(outs) != 2 || x.Stats.Merges != 0 {
+		t.Fatalf("joins with 9 diverging cells: paths=%d merges=%d, want forked", len(outs), x.Stats.Merges)
+	}
+	x, outs = runMerged(t, divergingCells(2), "f", engine.MergeJoins)
 	if len(outs) != 1 || x.Stats.Merges != 1 || x.Stats.MergedCells != 2 {
-		t.Fatalf("default cap: paths=%d merges=%d cells=%d, want one merge of both cells",
+		t.Fatalf("joins with 2 diverging cells: paths=%d merges=%d cells=%d, want one merge of both cells",
 			len(outs), x.Stats.Merges, x.Stats.MergedCells)
 	}
 	// Aggressive mode ignores the cap entirely.
-	x, outs = runMerged(t, src, "f", engine.MergeAggressive, 1)
+	x, outs = runMerged(t, divergingCells(9), "f", engine.MergeAggressive)
 	if len(outs) != 1 || x.Stats.Merges != 1 {
-		t.Fatalf("aggressive with cap=1: paths=%d merges=%d, want merged", len(outs), x.Stats.Merges)
+		t.Fatalf("aggressive with 9 diverging cells: paths=%d merges=%d, want merged", len(outs), x.Stats.Merges)
 	}
 }
 
@@ -125,7 +132,7 @@ int f(int a) {
   return s + u;
 }
 `
-	x, outs := runMerged(t, src, "f", engine.MergeJoins, 0)
+	x, outs := runMerged(t, src, "f", engine.MergeJoins)
 	if len(outs) != 1 || x.Stats.Merges != 1 {
 		t.Fatalf("paths=%d merges=%d, want one merged state", len(outs), x.Stats.Merges)
 	}
@@ -160,7 +167,7 @@ void g(int *p, int a) {
 
 func sortedReports(t *testing.T, src string, mode engine.MergeMode) string {
 	t.Helper()
-	x, _ := runMerged(t, src, "g", mode, 0)
+	x, _ := runMerged(t, src, "g", mode)
 	lines := make([]string, len(x.Reports))
 	for i, r := range x.Reports {
 		lines[i] = r.String()

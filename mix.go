@@ -112,8 +112,8 @@ type Config struct {
 	// fixed injection points (chaos tests only; nil in production).
 	FaultInjector *fault.Injector
 	// Tracer, when non-nil, records structured path-exploration events
-	// (fork/join/solve/degrade) for the run; flush it with WriteJSONL
-	// or WriteChromeTrace after the check returns.
+	// (fork/join/solve/degrade) for the run; flush it with WriteJSONL,
+	// or obs.WriteChrome of its Events, after the check returns.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives the run's metrics under their
 	// canonical dotted names once the check completes (plus live solver
@@ -361,11 +361,9 @@ type CConfig struct {
 	// uses.
 	StrictInit bool
 	// Merge selects the state-merging mode ("off" or "joins"; empty =
-	// off) for the per-block symbolic executor,
-	// and MergeCap the joins-mode divergence cap (0 = default, 8). See
-	// DESIGN.md section 12.
-	Merge    string
-	MergeCap int
+	// off) for the per-block symbolic executor. A joins-mode merge
+	// declines past 8 diverging cells. See DESIGN.md section 12.
+	Merge string
 	// Summaries answers eligible calls in the per-block executor from
 	// compositional function summaries (internal/summary): each
 	// non-MIX-annotated int-fragment function is analyzed once into
@@ -479,10 +477,6 @@ func (cfg CConfig) Validate() error {
 		return fmt.Errorf("mix: negative Deadline %v (0 means none)", cfg.Deadline)
 	case cfg.SolverTimeout < 0:
 		return fmt.Errorf("mix: negative SolverTimeout %v (0 means none)", cfg.SolverTimeout)
-	case cfg.MergeCap < 0:
-		return fmt.Errorf("mix: negative MergeCap %d (0 means the joins-mode default)", cfg.MergeCap)
-	case cfg.MergeCap > 0 && cfg.Merge == "":
-		return fmt.Errorf("mix: MergeCap %d set without a Merge mode — the cap only applies to the merging executor (set Merge to \"joins\")", cfg.MergeCap)
 	case cfg.SummaryStore != nil && !cfg.Summaries:
 		return fmt.Errorf("mix: SummaryStore set without Summaries — the store is only consulted when summaries are enabled")
 	}
@@ -559,7 +553,6 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 		NoCache:           cfg.NoCache,
 		StrictInit:        cfg.StrictInit,
 		Merge:             mergeMode,
-		MergeCap:          cfg.MergeCap,
 		Engine:            eng,
 	}
 	if sums != nil {

@@ -50,13 +50,10 @@ func TestCConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"zero value", CConfig{}, ""},
-		{"merge with cap", CConfig{Merge: "joins", MergeCap: 4}, ""},
 		{"negative workers", CConfig{Workers: -2}, "negative Workers"},
 		{"workers above one", CConfig{Workers: 4}, "exploration is sequential"},
 		{"negative deadline", CConfig{Deadline: -1}, "negative Deadline"},
 		{"negative solver timeout", CConfig{SolverTimeout: -time.Millisecond}, "negative SolverTimeout"},
-		{"negative merge cap", CConfig{MergeCap: -1}, "negative MergeCap"},
-		{"cap without merge", CConfig{MergeCap: 4}, "MergeCap 4 set without a Merge mode"},
 		{"bad merge", CConfig{Merge: "never"}, `bad Merge mode "never"`},
 		{"aggressive merge", CConfig{Merge: "aggressive"}, `bad Merge mode "aggressive"`},
 	}
@@ -83,8 +80,8 @@ func TestCheckRejectsInvalidConfig(t *testing.T) {
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "negative Workers") {
 		t.Fatalf("Check with Workers=-1: Err = %v, want negative-Workers error", res.Err)
 	}
-	if _, err := AnalyzeC("int main() { return 0; }", CConfig{MergeCap: 3}); err == nil ||
-		!strings.Contains(err.Error(), "without a Merge mode") {
-		t.Fatalf("AnalyzeC with orphan MergeCap: err = %v, want merge-cap error", err)
+	if _, err := AnalyzeC("int main() { return 0; }", CConfig{Workers: -1}); err == nil ||
+		!strings.Contains(err.Error(), "negative Workers") {
+		t.Fatalf("AnalyzeC with Workers=-1: err = %v, want negative-Workers error", err)
 	}
 }

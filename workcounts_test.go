@@ -67,7 +67,7 @@ func TestSummaryWorkCounts(t *testing.T) {
 		dir := t.TempDir()
 		run := func(mode string, cfg CConfig) CResult {
 			t.Helper()
-			cfg.Entry, cfg.Merge, cfg.MergeCap = "entry", "joins", 8
+			cfg.Entry, cfg.Merge = "entry", "joins"
 			res, err := AnalyzeC(src, cfg)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, mode, err)
