@@ -247,14 +247,14 @@ func (c *Checker) tSymBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 		for i, r := range okResults {
 			guards[i] = r.State.Guard
 		}
-		// Valid(g1 ∨ ... ∨ gn) given the side constraints: check that
-		// ¬(g1 ∨ ... ∨ gn) ∧ sides is unsatisfiable.
-		tr := sym.NewTranslator()
-		disj, err := tr.Disjunction(guards)
+		// Valid(g1 ∨ ... ∨ gn): check that ¬(g1 ∨ ... ∨ gn) is
+		// unsatisfiable. Disjunction has already decided the subtrees
+		// the guards cover, so a complete block asks about ¬true.
+		disj, err := sym.NewTranslator().Disjunction(guards)
 		if err != nil {
 			return nil, fmt.Errorf("core: translating guards: %w", err)
 		}
-		counter, err := c.sat(solver.NewAnd(solver.NewNot(disj), tr.Sides()))
+		counter, err := c.sat(solver.NewNot(disj))
 		if err != nil {
 			return nil, fmt.Errorf("core: exhaustiveness check failed: %w", err)
 		}
@@ -369,8 +369,8 @@ func (c *Checker) memOK(st sym.State) error {
 		if err != nil {
 			return false
 		}
-		// Valid under the path condition: g ∧ sides ∧ a≠b unsat.
-		sat, err := c.sat(solver.Conj(g, tr.Sides(), solver.Neq(ta, tb)))
+		// Valid under the path condition: g ∧ a≠b unsat.
+		sat, err := c.sat(solver.NewAnd(g, solver.Neq(ta, tb)))
 		return err == nil && !sat
 	}
 	return sym.MemOKWith(st.Mem, eq)
@@ -386,10 +386,9 @@ func unknownSat(err error) bool {
 
 // feasible checks whether a path condition is satisfiable.
 func (c *Checker) feasible(g sym.Val) (bool, error) {
-	tr := sym.NewTranslator()
-	f, err := tr.Formula(g)
+	f, err := sym.NewTranslator().Formula(g)
 	if err != nil {
 		return false, err
 	}
-	return c.sat(solver.NewAnd(f, tr.Sides()))
+	return c.sat(f)
 }

@@ -17,14 +17,14 @@ import (
 // factored disjunction of the block's guards (sym.Translator.
 // Disjunction). These tests hold it to the flat disjunction of
 // per-guard translations, which is kept here only as the oracle: on
-// every guard set, ¬D ∧ sides must be satisfiable for one exactly when
-// it is for the other, each decided on a fresh solver.
+// every guard set, ¬D must be satisfiable for one exactly when it is
+// for the other, each decided on a fresh solver.
 
-// counterexample reports whether ¬d ∧ sides is satisfiable, i.e.
-// whether the guards behind d are not exhaustive.
-func counterexample(t *testing.T, d, sides solver.Formula) bool {
+// counterexample reports whether ¬d is satisfiable, i.e. whether the
+// guards behind d are not exhaustive.
+func counterexample(t *testing.T, d solver.Formula) bool {
 	t.Helper()
-	sat, err := solver.New().Sat(solver.NewAnd(solver.NewNot(d), sides))
+	sat, err := solver.New().Sat(solver.NewNot(d))
 	if err != nil {
 		t.Fatalf("exhaustiveness query: %v", err)
 	}
@@ -44,19 +44,18 @@ func flatCounterexample(t *testing.T, guards []sym.Val) bool {
 		}
 		fs[i] = f
 	}
-	return counterexample(t, solver.Disj(fs...), tr.Sides())
+	return counterexample(t, solver.Disj(fs...))
 }
 
 // factoredCounterexample decides the same question on the factored
 // disjunction core and signs use.
 func factoredCounterexample(t *testing.T, guards []sym.Val) bool {
 	t.Helper()
-	tr := sym.NewTranslator()
-	d, err := tr.Disjunction(guards)
+	d, err := sym.NewTranslator().Disjunction(guards)
 	if err != nil {
 		t.Fatalf("Disjunction: %v", err)
 	}
-	return counterexample(t, d, tr.Sides())
+	return counterexample(t, d)
 }
 
 // sameExhaustiveness fails the test unless the factored and flat

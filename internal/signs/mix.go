@@ -108,7 +108,7 @@ func (m *Mixer) deriveSign(guard sym.Val, v sym.Val) (Sign, error) {
 		{Neg, solver.Lt{X: t, Y: zero}},
 	}
 	for _, c := range candidates {
-		counter, err := m.solv.Sat(solver.Conj(g, tr.Sides(), solver.NewNot(c.f)))
+		counter, err := m.solv.Sat(solver.NewAnd(g, solver.NewNot(c.f)))
 		if err != nil {
 			return Top, err
 		}
@@ -202,7 +202,7 @@ func (m *Mixer) tSymBlock(env *Env, e lang.Expr) (Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	counter, err := m.solv.Sat(solver.Conj(init, solver.NewNot(disj), tr.Sides()))
+	counter, err := m.solv.Sat(solver.NewAnd(init, solver.NewNot(disj)))
 	if err != nil {
 		return nil, err
 	}
@@ -279,10 +279,9 @@ func (m *Mixer) seSignBlock(env *sym.Env, st sym.State, e lang.Expr) (sym.Result
 }
 
 func (m *Mixer) feasible(g sym.Val) (bool, error) {
-	tr := sym.NewTranslator()
-	f, err := tr.Formula(g)
+	f, err := sym.NewTranslator().Formula(g)
 	if err != nil {
 		return false, err
 	}
-	return m.solv.Sat(solver.NewAnd(f, tr.Sides()))
+	return m.solv.Sat(f)
 }

@@ -15,9 +15,12 @@ import (
 //   - comparisons of syntactically equal terms: t = t → true,
 //     t <= t → true, t < t → false
 //   - duplicate and complementary conjuncts/disjuncts: x ∧ x → x,
-//     x ∧ ¬x → false, x ∨ ¬x → true — on a disjunction of branch
-//     guards factored by shared prefixes (sym.Translator.Disjunction)
-//     these collapse a complete fork tree level by level
+//     x ∧ ¬x → false, x ∨ ¬x → true
+//
+// A complete fork tree never reaches it: sym.Translator.Disjunction
+// decides the subtrees a block's guards cover in its trie, so an
+// exhaustiveness query arrives as ¬true, or as the undecided rest of
+// the tree.
 //
 // Simplify never errors: formulas it cannot improve (including nil or
 // unknown variants) come back unchanged, and the solver's own

@@ -409,7 +409,7 @@ func TestGuardsTranslateAndSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sat, err := s.Sat(solver.NewAnd(g, tr.Sides()))
+		sat, err := s.Sat(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func TestReadOverWriteTranslation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := solver.New()
-	valid, err := s.Valid(solver.Implies(tr.Sides(), solver.Eq{X: term, Y: solver.IntConst{Val: 2}}))
+	valid, err := s.Valid(solver.Eq{X: term, Y: solver.IntConst{Val: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestAllocDistinctness(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := solver.New()
-	valid, err := s.Valid(solver.Implies(tr.Sides(), solver.Eq{X: term, Y: solver.IntConst{Val: 1}}))
+	valid, err := s.Valid(solver.Eq{X: term, Y: solver.IntConst{Val: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

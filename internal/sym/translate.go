@@ -2,7 +2,6 @@ package sym
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"mix/internal/solver"
@@ -13,34 +12,24 @@ import (
 // and terms. Conditional expressions and ambiguous reads from write
 // logs lower to guarded solver.Ite terms — structural, hence canonical
 // across repeated translations of one value — which the solver itself
-// flattens to fresh variables ahead of DPLL. Queries about a value v
-// are still posed as
-//
-//	query(v) ∧ Sides()
-//
-// for any residual side constraints a lowering may accumulate; the
-// conjunction preserves satisfiability with respect to the original
-// variables.
+// replaces by fresh variables with defining clauses (solver.elimIte),
+// so a translation carries no side constraints: the query about a
+// value v is its formula alone.
 //
 // Pointers are modeled as integers. Distinct allocation sites yield
 // distinct symbolic variables; the translator resolves reads against
 // the write log, using syntactic address equality to take a write,
 // alloc-freshness to skip one, and an ITE split when neither applies.
 type Translator struct {
-	sides    []solver.Formula
 	allocIDs map[int]bool
 }
 
 // NewTranslator returns an empty translator. One translator should be
-// shared across all values of a single solver query so that fresh
-// variables and side constraints compose.
+// shared across all values of a single solver query, so that the
+// allocation sites it has seen in one value's memory count as distinct
+// addresses in the others.
 func NewTranslator() *Translator {
 	return &Translator{allocIDs: map[int]bool{}}
-}
-
-// Sides returns the conjunction of accumulated side constraints.
-func (t *Translator) Sides() solver.Formula {
-	return solver.Conj(t.sides...)
 }
 
 // Formula lowers a bool-typed value to a solver formula.
@@ -334,96 +323,134 @@ func (t *Translator) readEntryFormula(base Mem, addr, v, ptr Val) (solver.Formul
 }
 
 // Disjunction lowers a set of path guards to their disjunction,
-// factored by shared conjunct prefixes. Every fork extends its parent's
-// guard with one MkAnd, so a guard is a left-nested chain of conjuncts
-// and the guards of one exploration form a trie: sibling paths share
-// the chain up to their fork. The rewrite
+// factored by shared conjunct prefixes, with every subtree the guards
+// cover already decided true. Every fork extends its parent's guard
+// with one MkAnd, so a guard is a left-nested chain of conjuncts and
+// the guards of one exploration form a trie: sibling paths share the
+// chain up to their fork. The rewrite
 //
 //	(p ∧ a) ∨ (p ∧ b) ≡ p ∧ (a ∨ b)
 //
-// is exact, and it lets each distinct prefix conjunct be translated
-// once and appear once, instead of once per leaf below it. A guard
-// that ends at an inner node (a strict prefix of another guard) makes
-// that node's subtree true; duplicate guards share a leaf; a missing
-// leaf leaves its sibling's subtree alone under the fork, so a
+// is exact, and it lets each distinct prefix conjunct appear once,
+// instead of once per leaf below it. A trie node is complete when a
+// guard ends there (a strict prefix of another guard, or a duplicate,
+// covers its whole subtree) or when two of its children are
+// complementary — one's conjunct is the other's NotOp, the pair MkNot
+// builds at a fork — and both complete, since p ∧ c ∨ p ∧ ¬c ≡ p. A
+// complete node lowers to true with nothing below it translated, so a
+// complete fork tree is true before any conjunct is translated. Only
+// the incomplete nodes are translated and lowered, in preorder; a
+// missing leaf leaves its sibling alone under the fork, so a
 // non-exhaustive set still has a counterexample for the solver to
-// find. For a complete fork tree each node's children are a conjunct
-// and its negation over equal subtrees, the shape solver.Simplify
-// collapses level by level in time linear in the tree.
+// find.
 func (t *Translator) Disjunction(guards []Val) (solver.Formula, error) {
-	root := &guardNode{}
-	var chain []Val
+	// A fork tree with n leaves has 2n−1 nodes, the root included.
+	trie := guardTrie{nodes: make([]guardNode, 1, 2*len(guards)+1)}
 	for _, g := range guards {
-		chain = conjunctChain(g, chain)
-		n := root
-		for _, c := range chain {
-			var err error
-			if n, err = n.child(t, c); err != nil {
-				return nil, err
+		trie.nodes[trie.insert(g)].complete = true
+	}
+	trie.decide()
+	return trie.lower(t, 0)
+}
+
+// guardTrie is Disjunction's trie: one slice of nodes per call, linked
+// by index. Node 0 is the root, the empty prefix; a child is appended
+// after its parent, so no child has index 0 and 0 can mean "none".
+type guardTrie struct {
+	nodes []guardNode
+}
+
+// guardNode is one trie node: the conjunct that leads to it from its
+// parent, its first child and next sibling, and whether the guards
+// ending at or below it cover it.
+type guardNode struct {
+	conj        Val
+	first, next int32
+	complete    bool
+}
+
+// insert walks g's conjunct chain into the trie, oldest conjunct
+// first, and returns the node where g ends. The left spine of an AndOp
+// chain is its prefix; the constant true is the empty chain, and any
+// other non-AndOp value is a single conjunct.
+func (tr *guardTrie) insert(g Val) int32 {
+	if a, ok := g.U.(AndOp); ok {
+		return tr.child(tr.insert(a.X), a.Y)
+	}
+	if b, ok := g.U.(BoolConst); ok && b.Val {
+		return 0
+	}
+	return tr.child(0, g)
+}
+
+// child returns n's child for conjunct c, appending it as n's last
+// child when it is new. Siblings are few — a fork adds two — so a
+// linear scan beats hashing the conjunct.
+func (tr *guardTrie) child(n int32, c Val) int32 {
+	last := int32(0)
+	for ch := tr.nodes[n].first; ch != 0; ch = tr.nodes[ch].next {
+		if ValEqual(tr.nodes[ch].conj, c) {
+			return ch
+		}
+		last = ch
+	}
+	id := int32(len(tr.nodes))
+	tr.nodes = append(tr.nodes, guardNode{conj: c})
+	if last == 0 {
+		tr.nodes[n].first = id
+	} else {
+		tr.nodes[last].next = id
+	}
+	return id
+}
+
+// decide marks complete every node with two complementary complete
+// children. Children come after their parents in the slice, so one
+// backward pass decides each node's children before the node.
+func (tr *guardTrie) decide() {
+	for n := int32(len(tr.nodes)) - 1; n >= 0; n-- {
+		if !tr.nodes[n].complete {
+			tr.nodes[n].complete = tr.forkCovered(n)
+		}
+	}
+}
+
+// forkCovered reports whether some complete child of n has a conjunct
+// that is the NotOp of another complete child's.
+func (tr *guardTrie) forkCovered(n int32) bool {
+	for a := tr.nodes[n].first; a != 0; a = tr.nodes[a].next {
+		neg, ok := tr.nodes[a].conj.U.(NotOp)
+		if !ok || !tr.nodes[a].complete {
+			continue
+		}
+		for b := tr.nodes[n].first; b != 0; b = tr.nodes[b].next {
+			if tr.nodes[b].complete && ValEqual(tr.nodes[b].conj, neg.X) {
+				return true
 			}
 		}
-		n.leaf = true
 	}
-	return root.lower(), nil
-}
-
-// guardNode is one trie node of Disjunction: the conjunct that leads
-// to it from its parent, with its translation, and whether some guard
-// ends here.
-type guardNode struct {
-	conj     Val
-	f        solver.Formula
-	leaf     bool
-	children []*guardNode
-}
-
-// child returns n's child for conjunct c, translating c when it is new
-// under n. Siblings are few — a fork adds two — so a linear scan beats
-// hashing the conjunct.
-func (n *guardNode) child(t *Translator, c Val) (*guardNode, error) {
-	for _, ch := range n.children {
-		if ValEqual(ch.conj, c) {
-			return ch, nil
-		}
-	}
-	f, err := t.Formula(c)
-	if err != nil {
-		return nil, err
-	}
-	ch := &guardNode{conj: c, f: f}
-	n.children = append(n.children, ch)
-	return ch, nil
+	return false
 }
 
 // lower builds the disjunction of the guards ending at or below n,
-// relative to n's own prefix.
-func (n *guardNode) lower() solver.Formula {
-	if n.leaf {
-		return solver.True
+// relative to n's own prefix: true for a complete node, otherwise each
+// child's translated conjunct conjoined with the child's lowering, in
+// child order.
+func (tr *guardTrie) lower(t *Translator, n int32) (solver.Formula, error) {
+	if tr.nodes[n].complete {
+		return solver.True, nil
 	}
 	acc := solver.False
-	for _, ch := range n.children {
-		acc = solver.NewOr(acc, solver.NewAnd(ch.f, ch.lower()))
-	}
-	return acc
-}
-
-// conjunctChain refills buf with g's conjuncts, oldest first, by
-// walking the left spine of its AndOp chain. The constant true is the
-// empty chain; any other non-AndOp value is a single conjunct.
-func conjunctChain(g Val, buf []Val) []Val {
-	out := buf[:0]
-	for {
-		a, ok := g.U.(AndOp)
-		if !ok {
-			break
+	for ch := tr.nodes[n].first; ch != 0; ch = tr.nodes[ch].next {
+		f, err := t.Formula(tr.nodes[ch].conj)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, a.Y)
-		g = a.X
+		sub, err := tr.lower(t, ch)
+		if err != nil {
+			return nil, err
+		}
+		acc = solver.NewOr(acc, solver.NewAnd(f, sub))
 	}
-	if b, ok := g.U.(BoolConst); !ok || !b.Val {
-		out = append(out, g)
-	}
-	slices.Reverse(out)
-	return out
+	return acc, nil
 }
