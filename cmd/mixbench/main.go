@@ -199,7 +199,7 @@ func tableE4() {
 	fmt.Println("E4 — fork vs defer at conditionals (Section 3.1)")
 	fmt.Println("paper claim: SEIF-DEFER avoids forking but hands the solver harder disjunctive formulas")
 	w := newTab()
-	fmt.Fprintln(w, "conditionals\tmode\tpaths\tsolver atoms\tsolver decisions\ttime")
+	fmt.Fprintln(w, "conditionals\tmode\tpaths\tsolver queries\tsolver atoms\tsolver decisions\ttime")
 	for _, n := range []int{4, 6, 8, 10} {
 		src, env := corpus.Ladder(n)
 		for _, mode := range []string{"fork", "defer"} {
@@ -217,8 +217,8 @@ func tableE4() {
 			_, err := checker.CheckSymbolic(tenv, e)
 			must(err)
 			dur := time.Since(start)
-			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%v\n",
-				n, mode, checker.Executor().Stats.Paths,
+			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%d\t%v\n",
+				n, mode, checker.Executor().Stats.Paths, checker.Solver().Stats.SatQueries,
 				checker.Solver().Stats.Atoms, checker.Solver().Stats.Decisions,
 				dur.Round(time.Microsecond))
 		}

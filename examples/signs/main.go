@@ -1,11 +1,12 @@
 // Signs: the paper's "Local Refinements of Data" example (Section 2).
 //
-// A symbolic block splits on the sign of an unknown integer; each arm
-// is a typed block analyzed under the refinement. The mix rule
-// TSYMBLOCK then checks the three path conditions are exhaustive —
-// x > 0 has no < in the core language, so we use the equality-based
-// trichotomy x = 0 | x = 1 | otherwise, plus a deliberately
-// non-exhaustive variant to show the sound/unsound distinction.
+// A symbolic block splits an unknown integer three ways, x = 0 | x = 1
+// | otherwise; each arm is a typed block analyzed under the
+// refinement. TSYMBLOCK requires the three path conditions to be
+// exhaustive, and the forking executor covers them by construction,
+// so the accepted split costs no solver query. Two more blocks show a
+// refinement proving a nested branch dead and arms that disagree on
+// type.
 //
 // Run with: go run ./examples/signs
 package main

@@ -161,7 +161,7 @@ func (a *Analysis) Register(fs *flag.FlagSet, kind Kind) {
 	switch kind {
 	case Core:
 		fs.BoolVar(&a.Symbolic, "symbolic", false, "treat the outermost scope as a symbolic block")
-		fs.BoolVar(&a.Unsound, "unsound", false, "skip the exhaustive() check (bug-finding mode)")
+		fs.BoolVar(&a.Unsound, "unsound", false, "skip the exhaustive() check, which only -defer blocks send (bug-finding mode)")
 		fs.BoolVar(&a.Defer, "defer", false, "use SEIF-DEFER instead of forking at conditionals")
 		fs.Var(envValue{&a.Env}, "env", "free variables as name:type pairs, comma separated (types: int, bool, int ref, bool ref)")
 		fs.IntVar(&a.MaxPaths, "max-paths", 0, "engine path budget (0 = unlimited)")

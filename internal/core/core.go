@@ -7,7 +7,9 @@
 //     symbolic environment of fresh variables typed by Γ, runs the
 //     executor from ⟨true; μ⟩, demands every surviving path agree on
 //     one type and leave memory consistent, and demands the path
-//     conditions be exhaustive (their disjunction a tautology).
+//     conditions be exhaustive (their disjunction a tautology): a
+//     forking run covers ⟨true⟩ by construction, and deferring and
+//     concolic runs ask the solver.
 //   - SETYPBLOCK symbolically executes a typed block {t e t}: it
 //     abstracts Σ to a typing environment (⊢ Σ : Γ), requires the
 //     current memory be consistent, type checks the body, and returns
@@ -35,7 +37,9 @@ import (
 type Options struct {
 	// Unsound replaces the exhaustive(...) tautology check with the
 	// paper's "good enough check" (namely none), modeling how symbolic
-	// execution is typically deployed for bug finding.
+	// execution is typically deployed for bug finding. Only concolic
+	// and DeferIf blocks send that check: a forking run covers its
+	// guard by construction, so there Unsound changes nothing.
 	Unsound bool
 	// IfMode selects forking (SEIF-TRUE/FALSE) or deferring
 	// (SEIF-DEFER) at conditionals.
@@ -165,7 +169,8 @@ func (c *Checker) tSymBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 	}
 	degraded := c.exec.ImprecisionCount() > before
 
-	okResults := make([]sym.Result, 0, len(results))
+	// results is filtered in place down to the successful paths.
+	okResults := results[:0]
 	for _, r := range results {
 		if r.Err == nil {
 			okResults = append(okResults, r)
@@ -241,18 +246,23 @@ func (c *Checker) tSymBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 		}
 	}
 
-	// exhaustive(g(S_1), ..., g(S_n)).
-	if !c.opts.Unsound {
-		guards := make([]sym.Val, len(okResults))
-		for i, r := range okResults {
-			guards[i] = r.State.Guard
-		}
-		// Valid(g1 ∨ ... ∨ gn): check that ¬(g1 ∨ ... ∨ gn) is
-		// unsatisfiable. Disjunction has already decided the subtrees
-		// the guards cover, so a complete block asks about ¬true.
-		disj, err := sym.NewTranslator().Disjunction(guards)
-		if err != nil {
-			return nil, fmt.Errorf("core: translating guards: %w", err)
+	// exhaustive(g(S_1), ..., g(S_n)). The leaves of a run that did not
+	// degrade, ok and error alike, cover its initial guard, and every
+	// error leaf was refuted above, so in fork mode the premise holds by
+	// construction (DESIGN.md section 8, "The cover lemma"). Two rules
+	// leave part of a guard without a leaf: concolic SEVAR conjoins
+	// x = c with no sibling, and SEIF-DEFER drops an arm's successful
+	// results when the other arm has none. Those blocks keep the query:
+	// Valid(g1 ∨ ... ∨ gn), i.e. ¬(g1 ∨ ... ∨ gn) unsatisfiable.
+	if !c.opts.Unsound && (c.opts.Concolic || c.opts.IfMode == sym.DeferIf) {
+		tr := sym.NewTranslator()
+		disj := solver.False
+		for _, r := range okResults {
+			g, err := tr.Formula(r.State.Guard)
+			if err != nil {
+				return nil, fmt.Errorf("core: translating guards: %w", err)
+			}
+			disj = solver.NewOr(disj, g)
 		}
 		counter, err := c.sat(solver.NewNot(disj))
 		if err != nil {

@@ -184,10 +184,12 @@ func TestDeferModeEndToEnd(t *testing.T) {
 }
 
 func TestUnsoundModeSkipsExhaustiveness(t *testing.T) {
-	// Same program, sound and unsound: both accept here; unsound just
-	// performs fewer solver queries.
-	sound := New(Options{})
-	unsound := New(Options{Unsound: true})
+	// Same program, sound and unsound, both deferring: both accept
+	// here. A deferred block is where the exhaustiveness query is
+	// still sent (a forked one covers its guard by construction), so
+	// sound mode asks it once and unsound mode not at all.
+	sound := New(Options{IfMode: sym.DeferIf})
+	unsound := New(Options{IfMode: sym.DeferIf, Unsound: true})
 	env := types.EmptyEnv().Extend("b", types.Bool)
 	e := lang.MustParse("if b then 1 else 2")
 	if _, err := sound.CheckSymbolic(env, e); err != nil {
@@ -196,9 +198,11 @@ func TestUnsoundModeSkipsExhaustiveness(t *testing.T) {
 	if _, err := unsound.CheckSymbolic(env, e); err != nil {
 		t.Fatal(err)
 	}
-	if unsound.Solver().Stats.SatQueries >= sound.Solver().Stats.SatQueries {
-		t.Fatalf("unsound mode should issue fewer queries: %d vs %d",
-			unsound.Solver().Stats.SatQueries, sound.Solver().Stats.SatQueries)
+	if got := sound.Solver().Stats.SatQueries; got != 1 {
+		t.Fatalf("sound deferred block: %d solver queries, want 1", got)
+	}
+	if got := unsound.Solver().Stats.SatQueries; got != 0 {
+		t.Fatalf("unsound deferred block: %d solver queries, want 0", got)
 	}
 }
 

@@ -394,7 +394,7 @@ var CoreIdioms = []Idiom{
 	{
 		Name: "local-refinement",
 		// The paper's sign trichotomy: x > 0, x = 0, x < 0; each arm a
-		// typed block, with exhaustiveness proved by the solver.
+		// typed block, and the forking executor covers all three.
 		Source: `{s if 0 < x then {t 10 t}
 		           else (if x = 0 then {t 11 t} else {t 12 t}) s}`,
 		Stripped: `if 0 < x then 10

@@ -25,9 +25,9 @@ type chaosVerdict struct {
 	errMsg   string
 }
 
-func runLadderChaos(t *testing.T, configure func(*mix.Config)) (chaosVerdict, mix.Result) {
+// runChaos checks src symbolically on an engine armed by configure.
+func runChaos(t *testing.T, src string, envPairs [][2]string, configure func(*mix.Config)) (chaosVerdict, mix.Result) {
 	t.Helper()
-	src, envPairs := corpus.Ladder(8)
 	env := map[string]string{}
 	for _, p := range envPairs {
 		env[p[0]] = p[1]
@@ -42,7 +42,12 @@ func runLadderChaos(t *testing.T, configure func(*mix.Config)) (chaosVerdict, mi
 	return v, res
 }
 
+// TestChaosFaultClassesDeterministic runs each scenario on the ladder,
+// except solver-limit: a ladder asks the solver nothing (its forks cover
+// the block), so that one runs the plain deep conditional, whose
+// refuted arm takes one query.
 func TestChaosFaultClassesDeterministic(t *testing.T) {
+	deep, _, deepEnv := corpus.DeepConditionals(8)
 	scenarios := []struct {
 		name   string
 		class  string
@@ -78,8 +83,12 @@ func TestChaosFaultClassesDeterministic(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			var verdicts []chaosVerdict
+			src, envPairs := corpus.Ladder(8)
+			if sc.class == "solver-limit" {
+				src, envPairs = deep, deepEnv
+			}
 			for run := 0; run < 2; run++ {
-				v, res := runLadderChaos(t, sc.configure)
+				v, res := runChaos(t, src, envPairs, sc.configure)
 				if res.Err != nil {
 					t.Fatalf("run %d: fault must degrade, not reject: %v", run, res.Err)
 				}
@@ -165,10 +174,12 @@ func TestCorePathBudgetDegradesCheck(t *testing.T) {
 
 // TestChaosSeededChanceReproducible drives the probabilistic injection
 // mode: the same seed must produce byte-identical verdicts run over
-// run.
+// run. It runs the plain deep conditional, whose refuted arm reaches
+// the pre-solve injection site; a ladder sends no query.
 func TestChaosSeededChanceReproducible(t *testing.T) {
+	deep, _, deepEnv := corpus.DeepConditionals(8)
 	run := func() (chaosVerdict, mix.Result) {
-		return runLadderChaos(t, func(c *mix.Config) {
+		return runChaos(t, deep, deepEnv, func(c *mix.Config) {
 			c.FaultInjector = fault.NewInjector(42).
 				Chance(fault.PreSolve, 0.3, fault.SolverLimit)
 		})

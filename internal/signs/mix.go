@@ -16,13 +16,6 @@ type Mixer struct {
 	signs *Checker
 	exec  *sym.Executor
 	solv  *solver.Solver
-	// facts are sign constraints injected by seSignBlock on fresh
-	// result variables. They are assumptions (true of the concrete
-	// values the variables abstract), not branch choices, so the
-	// exhaustiveness check holds relative to them: each fact mentions
-	// only its own fresh variable, so conjoining all of them never
-	// constrains an unrelated path.
-	facts []sym.Val
 	// Reports collects discarded and confirmed findings, as in core.
 	Reports []string
 }
@@ -134,12 +127,14 @@ func (m *Mixer) tSymBlock(env *Env, e lang.Expr) (Type, error) {
 		}
 	}
 	state := sym.State{Guard: initGuard, Mem: m.exec.Fresh.Memory()}
+	before := m.exec.ImprecisionCount()
 	results, err := m.exec.Run(senv, state, e)
 	if err != nil {
 		return nil, err
 	}
 
-	var okResults []sym.Result
+	// results is filtered in place down to the successful paths.
+	okResults := results[:0]
 	for _, r := range results {
 		if r.Err == nil {
 			okResults = append(okResults, r)
@@ -154,6 +149,12 @@ func (m *Mixer) tSymBlock(env *Env, e lang.Expr) (Type, error) {
 			return nil, &Error{r.Err.Pos, r.Err.Msg}
 		}
 		m.Reports = append(m.Reports, "discarded (infeasible path): "+r.Err.Error())
+	}
+	// A truncated run (path or step budget, recovered panic) is missing
+	// leaves, so nothing below could certify the block; a feasible error
+	// found above still wins.
+	if m.exec.ImprecisionCount() > before {
+		return nil, &Error{e.Pos(), "symbolic block exploration truncated, cannot certify"}
 	}
 	if len(okResults) == 0 {
 		return nil, &Error{e.Pos(), "symbolic block has no surviving execution paths"}
@@ -179,36 +180,11 @@ func (m *Mixer) tSymBlock(env *Env, e lang.Expr) (Type, error) {
 		}
 	}
 
-	// Exhaustiveness relative to the initial sign constraints and the
-	// facts injected for sign-block results:
-	// init ∧ facts → g1 ∨ ... ∨ gn must be valid.
-	tr := sym.NewTranslator()
-	init, err := tr.Formula(initGuard)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range m.facts {
-		ff, err := tr.Formula(f)
-		if err != nil {
-			return nil, err
-		}
-		init = solver.NewAnd(init, ff)
-	}
-	guards := make([]sym.Val, len(okResults))
-	for i, r := range okResults {
-		guards[i] = r.State.Guard
-	}
-	disj, err := tr.Disjunction(guards)
-	if err != nil {
-		return nil, err
-	}
-	counter, err := m.solv.Sat(solver.NewAnd(init, solver.NewNot(disj)))
-	if err != nil {
-		return nil, err
-	}
-	if counter {
-		return nil, &Error{e.Pos(), "symbolic block executions are not exhaustive"}
-	}
+	// Exhaustiveness needs no query: the executor forks and is never
+	// concolic, so the leaves of a run that did not degrade cover
+	// init ∧ facts, where the facts are the signs seSignBlock conjoins
+	// onto its results (DESIGN.md section 8, "The cover lemma"), and
+	// every error leaf was refuted above.
 
 	// Join the per-path signs of an integer result.
 	sign := Zero
@@ -268,12 +244,11 @@ func (m *Mixer) seSignBlock(env *sym.Env, st sym.State, e lang.Expr) (sym.Result
 	out := st
 	out.Mem = m.exec.Fresh.Memory()
 	fresh := m.exec.Fresh.Var(baseOf(ty), "signblock")
-	// The richer back-translation: the sign becomes a constraint, both
-	// on this path's guard and as a recorded fact for exhaustiveness.
+	// The richer back-translation: the sign becomes a constraint on
+	// this path's guard. It is an assumption, true of the concrete
+	// values fresh abstracts, not a branch choice.
 	if it, ok := ty.(IntType); ok && it.S != Top {
-		fact := constraintVal(fresh, it.S)
-		out.Guard = sym.MkAnd(out.Guard, fact)
-		m.facts = append(m.facts, fact)
+		out.Guard = sym.MkAnd(out.Guard, constraintVal(fresh, it.S))
 	}
 	return sym.Result{State: out, Val: fresh}, nil
 }

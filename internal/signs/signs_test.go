@@ -168,6 +168,19 @@ func TestFeasibleErrorReported(t *testing.T) {
 	wantSignErr(t, src, env, "operand of +")
 }
 
+// A run cut short by its path budget is missing leaves, and with no
+// exhaustiveness query left to notice, the rule must reject it itself:
+// the dropped third path returns a bool.
+func TestTruncatedRunIsRejected(t *testing.T) {
+	env := EmptyEnv().Extend("x", Int(Top))
+	m := NewMixer()
+	m.exec.MaxPaths = 2
+	_, err := m.Check(env, lang.MustParse(`{s if x = 0 then 1 else (if x = 1 then 2 else true) s}`))
+	if err == nil || !strings.Contains(err.Error(), "exploration truncated") {
+		t.Fatalf("got %v, want the truncated run rejected", err)
+	}
+}
+
 func TestStandaloneCheckerRejectsSymBlocks(t *testing.T) {
 	var c Checker
 	_, err := c.Check(nil, lang.MustParse("{s 1 s}"))

@@ -17,10 +17,10 @@ import (
 //   - duplicate and complementary conjuncts/disjuncts: x ∧ x → x,
 //     x ∧ ¬x → false, x ∨ ¬x → true
 //
-// A complete fork tree never reaches it: sym.Translator.Disjunction
-// decides the subtrees a block's guards cover in its trie, so an
-// exhaustiveness query arrives as ¬true, or as the undecided rest of
-// the tree.
+// A forking symbolic block sends no exhaustiveness query at all (its
+// leaves cover its guard by construction); a deferring or concolic
+// block sends the flat ¬(g1 ∨ … ∨ gn), and on a deferred guard x ∨ ¬x
+// rarely meets itself here, so that query usually goes on to search.
 //
 // Simplify never errors: formulas it cannot improve (including nil or
 // unknown variants) come back unchanged, and the solver's own

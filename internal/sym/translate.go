@@ -321,136 +321,3 @@ func (t *Translator) readEntryFormula(base Mem, addr, v, ptr Val) (solver.Formul
 	eq := solver.Eq{X: ta, Y: tp}
 	return solver.NewOr(solver.NewAnd(eq, fv), solver.NewAnd(solver.NewNot(eq), rest)), nil
 }
-
-// Disjunction lowers a set of path guards to their disjunction,
-// factored by shared conjunct prefixes, with every subtree the guards
-// cover already decided true. Every fork extends its parent's guard
-// with one MkAnd, so a guard is a left-nested chain of conjuncts and
-// the guards of one exploration form a trie: sibling paths share the
-// chain up to their fork. The rewrite
-//
-//	(p ∧ a) ∨ (p ∧ b) ≡ p ∧ (a ∨ b)
-//
-// is exact, and it lets each distinct prefix conjunct appear once,
-// instead of once per leaf below it. A trie node is complete when a
-// guard ends there (a strict prefix of another guard, or a duplicate,
-// covers its whole subtree) or when two of its children are
-// complementary — one's conjunct is the other's NotOp, the pair MkNot
-// builds at a fork — and both complete, since p ∧ c ∨ p ∧ ¬c ≡ p. A
-// complete node lowers to true with nothing below it translated, so a
-// complete fork tree is true before any conjunct is translated. Only
-// the incomplete nodes are translated and lowered, in preorder; a
-// missing leaf leaves its sibling alone under the fork, so a
-// non-exhaustive set still has a counterexample for the solver to
-// find.
-func (t *Translator) Disjunction(guards []Val) (solver.Formula, error) {
-	// A fork tree with n leaves has 2n−1 nodes, the root included.
-	trie := guardTrie{nodes: make([]guardNode, 1, 2*len(guards)+1)}
-	for _, g := range guards {
-		trie.nodes[trie.insert(g)].complete = true
-	}
-	trie.decide()
-	return trie.lower(t, 0)
-}
-
-// guardTrie is Disjunction's trie: one slice of nodes per call, linked
-// by index. Node 0 is the root, the empty prefix; a child is appended
-// after its parent, so no child has index 0 and 0 can mean "none".
-type guardTrie struct {
-	nodes []guardNode
-}
-
-// guardNode is one trie node: the conjunct that leads to it from its
-// parent, its first child and next sibling, and whether the guards
-// ending at or below it cover it.
-type guardNode struct {
-	conj        Val
-	first, next int32
-	complete    bool
-}
-
-// insert walks g's conjunct chain into the trie, oldest conjunct
-// first, and returns the node where g ends. The left spine of an AndOp
-// chain is its prefix; the constant true is the empty chain, and any
-// other non-AndOp value is a single conjunct.
-func (tr *guardTrie) insert(g Val) int32 {
-	if a, ok := g.U.(AndOp); ok {
-		return tr.child(tr.insert(a.X), a.Y)
-	}
-	if b, ok := g.U.(BoolConst); ok && b.Val {
-		return 0
-	}
-	return tr.child(0, g)
-}
-
-// child returns n's child for conjunct c, appending it as n's last
-// child when it is new. Siblings are few — a fork adds two — so a
-// linear scan beats hashing the conjunct.
-func (tr *guardTrie) child(n int32, c Val) int32 {
-	last := int32(0)
-	for ch := tr.nodes[n].first; ch != 0; ch = tr.nodes[ch].next {
-		if ValEqual(tr.nodes[ch].conj, c) {
-			return ch
-		}
-		last = ch
-	}
-	id := int32(len(tr.nodes))
-	tr.nodes = append(tr.nodes, guardNode{conj: c})
-	if last == 0 {
-		tr.nodes[n].first = id
-	} else {
-		tr.nodes[last].next = id
-	}
-	return id
-}
-
-// decide marks complete every node with two complementary complete
-// children. Children come after their parents in the slice, so one
-// backward pass decides each node's children before the node.
-func (tr *guardTrie) decide() {
-	for n := int32(len(tr.nodes)) - 1; n >= 0; n-- {
-		if !tr.nodes[n].complete {
-			tr.nodes[n].complete = tr.forkCovered(n)
-		}
-	}
-}
-
-// forkCovered reports whether some complete child of n has a conjunct
-// that is the NotOp of another complete child's.
-func (tr *guardTrie) forkCovered(n int32) bool {
-	for a := tr.nodes[n].first; a != 0; a = tr.nodes[a].next {
-		neg, ok := tr.nodes[a].conj.U.(NotOp)
-		if !ok || !tr.nodes[a].complete {
-			continue
-		}
-		for b := tr.nodes[n].first; b != 0; b = tr.nodes[b].next {
-			if tr.nodes[b].complete && ValEqual(tr.nodes[b].conj, neg.X) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// lower builds the disjunction of the guards ending at or below n,
-// relative to n's own prefix: true for a complete node, otherwise each
-// child's translated conjunct conjoined with the child's lowering, in
-// child order.
-func (tr *guardTrie) lower(t *Translator, n int32) (solver.Formula, error) {
-	if tr.nodes[n].complete {
-		return solver.True, nil
-	}
-	acc := solver.False
-	for ch := tr.nodes[n].first; ch != 0; ch = tr.nodes[ch].next {
-		f, err := t.Formula(tr.nodes[ch].conj)
-		if err != nil {
-			return nil, err
-		}
-		sub, err := tr.lower(t, ch)
-		if err != nil {
-			return nil, err
-		}
-		acc = solver.NewOr(acc, solver.NewAnd(f, sub))
-	}
-	return acc, nil
-}

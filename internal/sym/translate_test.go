@@ -186,149 +186,6 @@ func TestValEqualEdgeCases(t *testing.T) {
 	}
 }
 
-// countBoolVars counts the boolean-variable occurrences in f.
-func countBoolVars(f solver.Formula) int {
-	switch f := f.(type) {
-	case solver.BoolVar:
-		return 1
-	case solver.Not:
-		return countBoolVars(f.X)
-	case solver.And:
-		return countBoolVars(f.X) + countBoolVars(f.Y)
-	case solver.Or:
-		return countBoolVars(f.X) + countBoolVars(f.Y)
-	}
-	return 0
-}
-
-// factoredLowering is the reference for Disjunction's residue: the
-// guards' conjunct chains grouped by first conjunct, in order of first
-// appearance, each group lowered under its conjunct, with no subtree
-// decided before the solver's Simplify sees it.
-func factoredLowering(t *testing.T, tr *Translator, chains [][]Val) solver.Formula {
-	t.Helper()
-	acc := solver.False
-	for i, ch := range chains {
-		if len(ch) == 0 {
-			return solver.True
-		}
-		seen := false
-		for _, prev := range chains[:i] {
-			seen = seen || ValEqual(prev[0], ch[0])
-		}
-		if seen {
-			continue
-		}
-		var rest [][]Val
-		for _, other := range chains[i:] {
-			if ValEqual(other[0], ch[0]) {
-				rest = append(rest, other[1:])
-			}
-		}
-		f, err := tr.Formula(ch[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc = solver.NewOr(acc, solver.NewAnd(f, factoredLowering(t, tr, rest)))
-	}
-	return acc
-}
-
-// chainOf returns g's conjuncts, oldest first.
-func chainOf(g Val) []Val {
-	if a, ok := g.U.(AndOp); ok {
-		return append(chainOf(a.X), a.Y)
-	}
-	return []Val{g}
-}
-
-// A complete k-fork tree is decided in Disjunction's trie: it lowers
-// to true with no conjunct translated. With one leaf removed, only the
-// removed leaf's ancestors stay undecided, so the residue carries both
-// children at each of the k−1 levels above it (the sibling off the
-// path decided, the one on it lowered further) and the surviving leaf
-// at the bottom: 2k−1 variable occurrences, where the full factored
-// lowering carries one per remaining trie node, 2^(k+1)−3. Simplify
-// turns the residue and the full lowering into one formula.
-func TestDisjunctionTranslatesEachPrefixConjunctOnce(t *testing.T) {
-	const k = 6
-	x := NewExecutor()
-	env := EmptyEnv()
-	var src strings.Builder
-	for i := 0; i < k; i++ {
-		name := string(rune('a' + i))
-		env = env.Extend(name, x.Fresh.Var(types.Bool, name))
-		src.WriteString("let _ = (if " + name + " then 1 else 2) in ")
-	}
-	src.WriteString("0")
-	rs, err := x.Run(env, x.InitialState(), lang.MustParse(src.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	guards := make([]Val, len(rs))
-	for i, r := range rs {
-		guards[i] = r.State.Guard
-	}
-	if len(guards) != 1<<k {
-		t.Fatalf("%d paths, want %d", len(guards), 1<<k)
-	}
-	d, err := NewTranslator().Disjunction(guards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !solver.FormulaEq(d, solver.True) {
-		t.Fatalf("complete tree lowers to %s, want true", d)
-	}
-
-	for _, missing := range []int{0, 1 << (k - 1), 1<<k - 1} {
-		partial := append(append([]Val(nil), guards[:missing]...), guards[missing+1:]...)
-		residue, err := NewTranslator().Disjunction(partial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := countBoolVars(residue), 2*k-1; got != want {
-			t.Errorf("without leaf %d: residue %s has %d variable occurrences, want %d", missing, residue, got, want)
-		}
-		chains := make([][]Val, len(partial))
-		for i, g := range partial {
-			chains[i] = chainOf(g)
-		}
-		full := factoredLowering(t, NewTranslator(), chains)
-		if got, want := countBoolVars(full), 1<<(k+1)-3; got != want {
-			t.Errorf("without leaf %d: full lowering has %d variable occurrences, want %d", missing, got, want)
-		}
-		if got, want := solver.Simplify(residue), solver.Simplify(full); !solver.FormulaEq(got, want) {
-			t.Errorf("without leaf %d: Simplify(residue) = %s, Simplify(full lowering) = %s", missing, got, want)
-		}
-	}
-}
-
-// TestDisjunctionAllocs pins the cost of deciding a complete tree: the
-// 1,024 guards of a ladder-10 block lower to true from one slice of
-// trie nodes, with no conjunct translated and no formula built.
-func TestDisjunctionAllocs(t *testing.T) {
-	const n, maxAllocs = 10, 16
-	e, mkEnv := benchLadder(n)
-	x := NewExecutor()
-	rs, err := x.Run(mkEnv(x), x.InitialState(), e)
-	if err != nil || len(rs) != 1<<n {
-		t.Fatalf("ladder-%d: %d paths, %v", n, len(rs), err)
-	}
-	guards := make([]Val, len(rs))
-	for i, r := range rs {
-		guards[i] = r.State.Guard
-	}
-	tr := NewTranslator()
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := tr.Disjunction(guards); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > maxAllocs {
-		t.Fatalf("Disjunction over a complete ladder-%d allocates %.0f objects, want at most %d", n, allocs, maxAllocs)
-	}
-}
-
 // A variable's solver name is its sort letter and ID (p for booleans,
 // s for integers), the same at every occurrence.
 func TestTranslatorNamesVariablesConsistently(t *testing.T) {

@@ -54,7 +54,10 @@ type Config struct {
 	// Mode selects the outermost analysis.
 	Mode Mode
 	// Unsound skips the exhaustive() tautology check, modeling
-	// bug-finding-style symbolic execution.
+	// bug-finding-style symbolic execution. Only DeferConditionals
+	// blocks send that check: a forking block covers its guard by
+	// construction, so without DeferConditionals Unsound changes
+	// nothing.
 	Unsound bool
 	// DeferConditionals uses the SEIF-DEFER rule instead of forking.
 	DeferConditionals bool

@@ -111,8 +111,11 @@ func TestTraceDeterministicMixy(t *testing.T) {
 // TestChaosDegradeEventsNameFaultClass drives every fault class
 // through a traced ladder run and asserts the trace carries the
 // degradation's provenance: at least one degrade event, every degrade
-// event naming the class the verdict reports.
+// event naming the class the verdict reports. A ladder asks the solver
+// nothing (its forks cover the block), so the solver-limit scenario
+// runs the plain deep conditional, whose refuted arm takes one query.
 func TestChaosDegradeEventsNameFaultClass(t *testing.T) {
+	deep, _, deepEnv := corpus.DeepConditionals(8)
 	scenarios := []struct {
 		name  string
 		class string
@@ -139,13 +142,16 @@ func TestChaosDegradeEventsNameFaultClass(t *testing.T) {
 				Plan(fault.PreFork, fault.Plan{Count: 1, Panic: true})
 		}},
 	}
-	src, envPairs := corpus.Ladder(8)
-	env := map[string]string{}
-	for _, p := range envPairs {
-		env[p[0]] = p[1]
-	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
+			src, envPairs := corpus.Ladder(8)
+			if sc.class == "solver-limit" {
+				src, envPairs = deep, deepEnv
+			}
+			env := map[string]string{}
+			for _, p := range envPairs {
+				env[p[0]] = p[1]
+			}
 			tr := obs.NewTracer(obs.TraceOptions{Deterministic: true})
 			cfg := Config{Mode: StartSymbolic, Env: env, Workers: 1, Tracer: tr}
 			sc.configure(&cfg)
