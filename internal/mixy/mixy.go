@@ -19,8 +19,11 @@
 package mixy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"mix/internal/engine"
 	"mix/internal/fault"
@@ -528,35 +531,28 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 	// map, and the visit order decides both the constraint reasons and
 	// the cached qualifier list, so it must be reproducible. The
 	// queries run first, each behind a panic boundary; constraints are
-	// then applied in the same order.
+	// then applied in the same order, and only a check that constrains
+	// formats its reason.
 	type nullCheck struct {
-		q      *qual.QVar
-		pc     *solver.PC
-		f      solver.Formula
-		reason string
+		q   *qual.QVar
+		pc  *solver.PC
+		f   solver.Formula
+		obj *symexec.Object // the cell's object; nil for the return value
 	}
 	var checks []nullCheck
+	var cells []memCell
 	for _, o := range outs {
-		for _, c := range sortedCells(o.St.Mem) {
+		cells = sortedCells(o.St.Mem, cells)
+		for _, c := range cells {
 			q := m.qvarForCell(c.obj, c.field)
 			if q == nil {
 				continue
 			}
-			checks = append(checks, nullCheck{
-				q:      q,
-				pc:     o.St.PC,
-				f:      symexec.NullFormula(c.v),
-				reason: fmt.Sprintf("symbolic block %s leaves %s possibly null", f.Name, c.obj.Name),
-			})
+			checks = append(checks, nullCheck{q: q, pc: o.St.PC, f: symexec.NullFormula(c.v), obj: c.obj})
 		}
 		// The return value translates to the function's return type.
 		if rq := m.Inf.RetQ(f); rq != nil && rq.Ptr != nil && o.Ret != nil {
-			checks = append(checks, nullCheck{
-				q:      rq.Ptr,
-				pc:     o.St.PC,
-				f:      symexec.NullFormula(o.Ret),
-				reason: "symbolic block " + f.Name + " may return null",
-			})
+			checks = append(checks, nullCheck{q: rq.Ptr, pc: o.St.PC, f: symexec.NullFormula(o.Ret)})
 		}
 	}
 	m.Stats.SolverQueries += len(checks)
@@ -582,7 +578,11 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 		if !mayNull[i] {
 			continue
 		}
-		if m.Inf.ConstrainNull(c.q, c.reason) {
+		reason := "symbolic block " + f.Name + " may return null"
+		if c.obj != nil {
+			reason = "symbolic block " + f.Name + " leaves " + c.obj.Name + " possibly null"
+		}
+		if m.Inf.ConstrainNull(c.q, reason) {
 			changed = true
 		}
 		constrained = append(constrained, c.q)
@@ -607,19 +607,19 @@ type memCell struct {
 }
 
 // sortedCells snapshots a memory's cells in deterministic
-// (object-ID, field) order.
-func sortedCells(mem *symexec.Memory) []memCell {
-	var out []memCell
+// (object-ID, field) order, reusing buf's array.
+func sortedCells(mem *symexec.Memory, buf []memCell) []memCell {
+	buf = buf[:0]
 	mem.Cells(func(obj *symexec.Object, field string, v symexec.Value) {
-		out = append(out, memCell{obj: obj, field: field, v: v})
+		buf = append(buf, memCell{obj: obj, field: field, v: v})
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].obj.ID != out[j].obj.ID {
-			return out[i].obj.ID < out[j].obj.ID
+	slices.SortFunc(buf, func(a, b memCell) int {
+		if c := cmp.Compare(a.obj.ID, b.obj.ID); c != 0 {
+			return c
 		}
-		return out[i].field < out[j].field
+		return strings.Compare(a.field, b.field)
 	})
-	return out
+	return buf
 }
 
 // qvarForCell maps an object cell back to the qualifier variable of

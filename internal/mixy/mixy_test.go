@@ -172,8 +172,12 @@ int main(void) {
 	}
 	// The discovered nullness must produce the warning in the typed
 	// region.
-	if len(nullWarnings(a)) == 0 {
+	ws := nullWarnings(a)
+	if len(ws) == 0 {
 		t.Fatalf("g=NULL in symbolic block must reach sink: %v", a.Warnings)
+	}
+	if want := "(source: symbolic block blk leaves g possibly null)"; !strings.HasSuffix(ws[0].Msg, want) {
+		t.Fatalf("warning %q does not end with the constraint's reason %q", ws[0].Msg, want)
 	}
 }
 

@@ -22,8 +22,12 @@ int main(void) {
 }
 `
 	a := analyze(t, src, Options{})
-	if len(nullWarnings(a)) == 0 {
+	ws := nullWarnings(a)
+	if len(ws) == 0 {
 		t.Fatalf("maybe-null return must reach sink: %v", a.Warnings)
+	}
+	if want := "(source: symbolic block get may return null)"; !strings.HasSuffix(ws[0].Msg, want) {
+		t.Fatalf("warning %q does not end with the constraint's reason %q", ws[0].Msg, want)
 	}
 }
 

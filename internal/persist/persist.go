@@ -1,7 +1,6 @@
 // Package persist provides the persistent (immutable, structurally
 // shared) containers behind O(1) state forking: the MicroC executor's
-// memory and the interval facts each solver path-condition node
-// carries. A Map is a hash array mapped trie (HAMT): Set and Delete
+// memory. A Map is a hash array mapped trie (HAMT): Set and Delete
 // copy only the O(log n) nodes on the path from the root to the
 // affected leaf and share everything else with the original, so
 // snapshotting a map is a pointer copy and sibling paths forked from

@@ -13,8 +13,9 @@
 package pointer
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"mix/internal/microc"
@@ -70,9 +71,10 @@ func (l Loc) String() string {
 
 // Analysis holds solved points-to results.
 type Analysis struct {
-	// mu guards the query API: node interning is lazy, so lookups for
-	// never-generated entities mutate the tables, and parallel symbolic
-	// paths query concurrently.
+	// mu makes the query API safe for concurrent use. Queries mutate
+	// the tables: node interning is lazy, so lookups for
+	// never-generated entities add nodes, and ptsOf fills sorted on
+	// first use.
 	mu    sync.Mutex
 	prog  *microc.Program
 	locs  []Loc
@@ -82,6 +84,11 @@ type Analysis struct {
 	succs []map[int]bool // copy edges
 	loads []map[int]bool // dst ⊇ *n
 	strs  []map[int]bool // *n ⊇ src
+
+	// sorted memoizes ptsOf per node solved by Analyze; a nil entry is
+	// not yet computed. Solved sets never change afterwards, and a node
+	// interned later has an empty set.
+	sorted [][]Loc
 
 	// indirect call sites discovered during constraint generation.
 	indirect []indirectCall
@@ -114,6 +121,7 @@ func Analyze(prog *microc.Program) *Analysis {
 	for a.bindIndirect() {
 		a.solve()
 	}
+	a.sorted = make([][]Loc, len(a.locs))
 	return a
 }
 
@@ -510,22 +518,30 @@ func pointable(l Loc) bool {
 	return false
 }
 
+// ptsOf returns node n's pointable targets sorted by node id. The
+// list is memoized and shared: callers must not modify it. Its
+// capacity is capped, so appending to it copies.
 func (a *Analysis) ptsOf(n int) []Loc {
-	if n < 0 {
-		return nil
+	if n < 0 || n >= len(a.sorted) {
+		return nil // no node, or one interned after Analyze: an empty set
 	}
-	var out []Loc
+	if out := a.sorted[n]; out != nil {
+		return out
+	}
+	out := []Loc{} // non-nil: marks n computed even when empty
 	for l := range a.pts[n] {
 		if pointable(a.locs[l]) {
 			out = append(out, a.locs[l])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	slices.SortFunc(out, func(x, y Loc) int { return cmp.Compare(x.id, y.id) })
+	out = out[:len(out):len(out)]
+	a.sorted[n] = out
 	return out
 }
 
 // PointsToVar returns the abstract locations a declared variable may
-// point to.
+// point to. The list is shared: callers must not modify it.
 func (a *Analysis) PointsToVar(d *microc.VarDecl) []Loc {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -536,7 +552,7 @@ func (a *Analysis) PointsToVar(d *microc.VarDecl) []Loc {
 }
 
 // PointsToField returns the abstract locations a struct field may
-// point to.
+// point to. The list is shared: callers must not modify it.
 func (a *Analysis) PointsToField(structName, field string) []Loc {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -544,7 +560,8 @@ func (a *Analysis) PointsToField(structName, field string) []Loc {
 }
 
 // PointsToLoc returns the points-to set of an abstract location
-// (chasing one level of indirection).
+// (chasing one level of indirection). The list is shared: callers
+// must not modify it.
 func (a *Analysis) PointsToLoc(l Loc) []Loc {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -559,7 +576,7 @@ func (a *Analysis) CallTargets(e *microc.Call) []*microc.FuncDef {
 }
 
 // LValueLocs returns the abstract locations an lvalue expression may
-// denote.
+// denote. The list may be shared: callers must not modify it.
 func (a *Analysis) LValueLocs(e microc.Expr) []Loc {
 	a.mu.Lock()
 	defer a.mu.Unlock()

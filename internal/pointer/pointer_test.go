@@ -1,6 +1,9 @@
 package pointer
 
 import (
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 
 	"mix/internal/microc"
@@ -232,6 +235,80 @@ int *q = p;
 	q, _ := prog.Global("q")
 	if !locNames(a.PointsToVar(q))["g"] {
 		t.Fatal("global initializer flow lost")
+	}
+}
+
+// TestPointsToMemoized: a node's sorted points-to list is computed once
+// and shared, with its capacity capped so that a caller's append copies
+// instead of writing into the shared array; a node interned after
+// Analyze, such as a field no statement mentions, points nowhere.
+func TestPointsToMemoized(t *testing.T) {
+	prog := mustParse(`
+struct s { int *f; };
+int g;
+int h;
+int *p;
+void f(int c) { if (c) p = &h; else p = &g; p = (int *) malloc(sizeof(int)); }
+`)
+	a := Analyze(prog)
+	p, _ := prog.Global("p")
+	first := a.PointsToVar(p)
+	if len(first) != 3 || cap(first) != len(first) {
+		t.Fatalf("PointsToVar(p) = %v (cap %d), want 3 targets, capacity capped", first, cap(first))
+	}
+	if !slices.IsSortedFunc(first, func(x, y Loc) int { return x.id - y.id }) {
+		t.Fatalf("PointsToVar(p) = %v, not in node order", first)
+	}
+	again := a.PointsToVar(p)
+	if &again[0] != &first[0] {
+		t.Fatal("a second query rebuilt the list instead of sharing it")
+	}
+	grown := append(again, first[0])
+	if &grown[0] == &first[0] || len(a.PointsToVar(p)) != 3 {
+		t.Fatal("appending to a returned list wrote into the shared one")
+	}
+	if got := a.PointsToField("s", "f"); len(got) != 0 {
+		t.Fatalf("PointsToField(s, f) = %v, want none", got)
+	}
+}
+
+// TestQueriesConcurrent: the query API interns nodes and fills the
+// memo table under its lock, so concurrent queries agree with
+// sequential ones. Run it under -race.
+func TestQueriesConcurrent(t *testing.T) {
+	src := `
+struct s { int *f; };
+int g;
+int h;
+int *p;
+int *q;
+struct s *sp;
+void f(int c) { if (c) p = &h; else p = &g; q = p; sp->f = q; }
+`
+	prog := mustParse(src)
+	want := Analyze(prog)
+	p, _ := prog.Global("p")
+	q, _ := prog.Global("q")
+	a := Analyze(prog)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				for _, d := range []*microc.VarDecl{p, q} {
+					if got := locNames(a.PointsToVar(d)); !maps.Equal(got, locNames(want.PointsToVar(d))) {
+						t.Errorf("worker %d: PointsToVar(%s) = %v", w, d.Name, got)
+					}
+				}
+				a.PointsToField("s", "f")
+				a.PointsToField("s", "g")
+			}
+		}()
+	}
+	wg.Wait()
+	if got := locNames(a.PointsToField("s", "f")); !got["g"] || !got["h"] {
+		t.Fatalf("PointsToField(s, f) = %v, want g and h", got)
 	}
 }
 

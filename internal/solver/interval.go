@@ -1,7 +1,5 @@
 package solver
 
-import "mix/internal/persist"
-
 // This file implements the interval fast path: a constant-time-per-
 // conjunct decision procedure for conjunctions whose conjuncts are
 // boolean literals or single-variable bounds (x ⋈ c). Branch guards
@@ -9,10 +7,11 @@ import "mix/internal/persist"
 // most feasibility queries never reach the search core at all.
 //
 // The procedure is a left fold over the conjuncts. Its state keeps the
-// per-variable facts in a persistent map, so every PC node carries the
-// state of its whole prefix for the price of one update (pc.go), and a
-// query folds only its new guard on top of it (PC.Quick). QuickConj is
-// the same fold started from the empty state.
+// per-variable facts on a parent chain that a conjunct extends only
+// when it changes a fact, so every PC node carries the state of its
+// whole prefix for the price of one cell (pc.go), and a query folds
+// only its new guard on top of it (PC.Quick). QuickConj is the same
+// fold started from the empty state.
 
 // iv is a rational interval with open/closed ends plus punched-out
 // points (from disequalities). Bounds are int64 because guards compare
@@ -79,21 +78,30 @@ func (v *iv) empty() bool {
 
 // fact is what the fast path knows about one variable name: its value
 // as a boolean variable and its interval as an integer variable (the
-// two namespaces are independent). A fact is immutable once it is in a
-// map; updates copy it.
+// two namespaces are independent). A fact is immutable once it is on a
+// chain; updates copy it.
 type fact struct {
 	hasBool, val bool
 	iv
 }
 
-// quickState is the fold's state after a sequence of conjuncts.
+// quickState is the fold's state after a sequence of conjuncts. The
+// zero value is the empty state.
 type quickState struct {
-	facts  persist.Map[string, *fact]
-	opaque bool // some conjunct lies outside the recognized fragment
-	unsat  bool // the recognized conjuncts contradict each other
+	facts  *factCell // newest first; the first cell for a name is its fact
+	opaque bool      // some conjunct lies outside the recognized fragment
+	unsat  bool      // the recognized conjuncts contradict each other
 }
 
-var emptyQuick = quickState{facts: persist.NewMap[string, *fact](persist.HashString)}
+// factCell is one changed fact. Cells are immutable and shared: a PC
+// node's chain is its parent's with the cells of its own conjunct
+// prepended, so sibling paths share their common prefix's cells, and
+// an older cell for the same name is shadowed, never rewritten.
+type factCell struct {
+	name   string
+	f      *fact
+	parent *factCell
+}
 
 // with returns the state extended by conjunct f, for a PC node.
 func (s quickState) with(f Formula) quickState {
@@ -138,13 +146,13 @@ func (s quickState) decide(fs []Formula) (sat, decided bool) {
 // interval reasoning; see quickState.decide for the meaning of the
 // answer.
 func QuickConj(fs []Formula) (sat, decided bool) {
-	return emptyQuick.decide(fs)
+	return quickState{}.decide(fs)
 }
 
 // folder extends a quickState conjunct by conjunct. A kept fold (a PC
-// node's state) writes updated facts to the persistent map; a
-// throwaway fold (a query's extras) writes them to a scratch list
-// consulted first, so deciding a query never copies the map.
+// node's state) prepends updated facts to the chain; a throwaway fold
+// (a query's extras) writes them to a scratch list consulted first, so
+// deciding a query never extends the chain.
 type folder struct {
 	quickState
 	keep    bool
@@ -164,8 +172,12 @@ func (w *folder) get(name string) *fact {
 			return w.scratch[i].f
 		}
 	}
-	f, _ := w.facts.Get(name)
-	return f
+	for c := w.facts; c != nil; c = c.parent {
+		if c.name == name {
+			return c.f
+		}
+	}
+	return nil
 }
 
 // fact returns a copy of name's current fact (zero if there is none).
@@ -178,7 +190,7 @@ func (w *folder) fact(name string) fact {
 
 func (w *folder) put(name string, f *fact) {
 	if w.keep {
-		w.facts = w.facts.Set(name, f)
+		w.facts = &factCell{name: name, f: f, parent: w.facts}
 		return
 	}
 	w.scratch = append(w.scratch, namedFact{name, f})

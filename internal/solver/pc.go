@@ -75,7 +75,7 @@ func (p *PC) and(f Formula) *PC {
 
 func (p *PC) state() quickState {
 	if p == nil {
-		return emptyQuick
+		return quickState{}
 	}
 	return p.quick
 }
@@ -170,34 +170,44 @@ func (c Chain) PC() *PC { return c.pc }
 // complementing an earlier one kills the chain, a repeat is dropped.
 // Simplify compares FormulaKeys; on simplified formulas, which carry
 // no double negation anywhere, syntactic equality is the same
-// relation and allocates nothing.
+// relation and allocates nothing. A guard that simplifies to one leaf,
+// as a dereference walk's literals do, goes to the rule directly.
 func (c Chain) And(g Formula) Chain {
 	if c.killed {
 		return c
 	}
-	var leaves []Formula
-	collectLeaves(Simplify(g), true, &leaves)
-	for _, l := range leaves {
-		if b, ok := l.(BoolConst); ok {
-			if b.Val {
-				continue
-			}
-			return c.kill()
-		}
-		dup, neg := false, false
-		for q := c.kept; q != nil && !dup && !neg; q = q.next {
-			dup = formulaEq(q.f, l)
-			neg = complementary(q.f, l)
-		}
-		if dup {
-			continue
-		}
-		if neg {
-			return c.kill()
-		}
-		c.kept = &leafCell{f: l, next: c.kept}
-		c.pc = c.pc.and(l)
+	g = Simplify(g)
+	if _, ok := g.(And); !ok {
+		return c.andLeaf(g)
 	}
+	var leaves []Formula
+	collectLeaves(g, true, &leaves)
+	for _, l := range leaves {
+		if c = c.andLeaf(l); c.killed {
+			break
+		}
+	}
+	return c
+}
+
+// andLeaf applies the conjunction rule to one simplified leaf.
+func (c Chain) andLeaf(l Formula) Chain {
+	if b, ok := l.(BoolConst); ok {
+		if b.Val {
+			return c
+		}
+		return c.kill()
+	}
+	for q := c.kept; q != nil; q = q.next {
+		if formulaEq(q.f, l) {
+			return c
+		}
+		if complementary(q.f, l) {
+			return c.kill()
+		}
+	}
+	c.kept = &leafCell{f: l, next: c.kept}
+	c.pc = c.pc.and(l)
 	return c
 }
 

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -166,6 +167,36 @@ func bruteSatHalf(f Formula) bool {
 	return false
 }
 
+// randomExtras draws up to two genGuard formulas as a query's extras,
+// split into conjuncts; ok=false when one is literally false, which
+// never reaches the fast path.
+func randomExtras(r *rand.Rand) (xs []Formula, ok bool) {
+	ok = true
+	for i := r.Intn(3); i > 0 && ok; i-- {
+		xs, ok = splitConj(genGuard(r), xs)
+	}
+	return xs, ok
+}
+
+// probeQuick decides pc ∧ xs with the fast path and fails the test
+// unless the answer is QuickConj's on the flat conjunct list and, when
+// decided, the brute-force oracle's.
+func probeQuick(t *testing.T, pc *PC, xs []Formula) (sat, dec bool) {
+	t.Helper()
+	flat := append(pc.Conjuncts(), xs...)
+	sat, dec = pc.Quick(xs)
+	if wantSat, wantDec := QuickConj(flat); dec != wantDec || sat != wantSat {
+		t.Fatalf("PC %s + extras %v: Quick = (%v,%v), QuickConj = (%v,%v)", pc, xs, sat, dec, wantSat, wantDec)
+	}
+	if !dec {
+		return sat, dec
+	}
+	if oracle := bruteSatHalf(Conj(flat...)); sat != oracle {
+		t.Fatalf("PC %s + extras %v: fast path says sat=%v, brute force %v", pc, xs, sat, oracle)
+	}
+	return sat, dec
+}
+
 // TestPCQuickMatchesQuickConj: a path condition built conjunct by
 // conjunct carries the fast path's state, and at every prefix, with
 // random extras, the node's state plus the extras decides exactly what
@@ -189,31 +220,17 @@ func TestPCQuickMatchesQuickConj(t *testing.T) {
 				if probe > 0 {
 					pc = prefixes[r.Intn(len(prefixes))]
 				}
-				var xs []Formula
-				ok := true
-				for i := r.Intn(3); i > 0 && ok; i-- {
-					xs, ok = splitConj(genGuard(r), xs)
-				}
+				xs, ok := randomExtras(r)
 				if !ok {
-					continue // a literally false extra never reaches the fast path
-				}
-				flat := append(pc.Conjuncts(), xs...)
-				sat, dec := pc.Quick(xs)
-				wantSat, wantDec := QuickConj(flat)
-				if dec != wantDec || sat != wantSat {
-					t.Fatalf("PC %s + extras %v: Quick = (%v,%v), QuickConj = (%v,%v)", pc, xs, sat, dec, wantSat, wantDec)
-				}
-				if !dec {
-					undecided++
 					continue
 				}
-				if sat {
+				switch sat, dec := probeQuick(t, pc, xs); {
+				case !dec:
+					undecided++
+				case sat:
 					sats++
-				} else {
+				default:
 					unsats++
-				}
-				if oracle := bruteSatHalf(Conj(flat...)); sat != oracle {
-					t.Fatalf("PC %s + extras %v: fast path says sat=%v, brute force %v", pc, xs, sat, oracle)
 				}
 			}
 		}
@@ -327,5 +344,131 @@ func TestPCReassertedGuardKeepsNode(t *testing.T) {
 	q := p.And(BoolVar{"q"})
 	if q == p || q.Len() != 2 {
 		t.Fatalf("a new guard must add a node: got %s (len %d)", q, q.Len())
+	}
+}
+
+// genLongGuard draws a guard over ints (and p when withBool) that
+// holds at the hidden point at, except about one time in 25: a
+// disequality from some other value, a bound at or beyond at's
+// coordinate, or a boolean literal. So a path stays alive for dozens
+// of conjuncts while each of its few variables' facts is rewritten
+// again and again, and now and then one dies.
+func genLongGuard(r *rand.Rand, ints []string, withBool bool, at map[string]int64) Formula {
+	if withBool && r.Intn(6) == 0 {
+		p := BoolVar{"p"}
+		if (r.Intn(25) == 0) != (at["p"] == 0) {
+			return NewNot(p)
+		}
+		return p
+	}
+	name := ints[r.Intn(len(ints))]
+	v, a := IntVar{name}, at[name]
+	if r.Intn(25) == 0 {
+		a += int64(1 + r.Intn(3)) // the guard fails at the hidden point
+	}
+	d := int64(r.Intn(6))
+	switch r.Intn(6) {
+	case 0:
+		return Le{v, IntConst{a + d}}
+	case 1:
+		return Lt{IntConst{a - d - 1}, v}
+	case 2:
+		return NewNot(Lt{v, IntConst{a - d}})
+	default:
+		c := a
+		for c == a {
+			c = int64(r.Intn(15) - 7)
+		}
+		return NewNot(Eq{v, IntConst{c}})
+	}
+}
+
+// longestShadow is the largest number of cells one name has on s's
+// chain: how many times the fold rewrote one variable's fact.
+func longestShadow(s quickState) int {
+	n := map[string]int{}
+	best := 0
+	for c := s.facts; c != nil; c = c.parent {
+		n[c.name]++
+		best = max(best, n[c.name])
+	}
+	return best
+}
+
+// TestPCQuickLongPaths: paths of up to 40 conjuncts over two or three
+// variables, grown as a tree so sibling paths share their prefix, with
+// every variable's fact rewritten many times. Each probe of a random
+// node with random extras must decide what QuickConj decides on the
+// flat conjunct list and agree with the brute-force oracle. A lookup
+// that returned an older cell for a name, or a node that saw a
+// sibling's cells, would answer with a stale or foreign fact.
+func TestPCQuickLongPaths(t *testing.T) {
+	r := rand.New(rand.NewSource(19650419))
+	var sats, unsats, deepShadows int
+	for trial := 0; trial < 60; trial++ {
+		ints := []string{"x", "y"}[:1+r.Intn(2)]
+		withBool := len(ints) == 1 || r.Intn(2) == 0
+		at := map[string]int64{"x": int64(r.Intn(5) - 2), "y": int64(r.Intn(5) - 2), "p": int64(r.Intn(2))}
+		nodes := []*PC{nil}
+		for len(nodes) < 80 {
+			// Extend the newest node mostly, an older one sometimes:
+			// the tree grows long branches with siblings along them.
+			from := nodes[len(nodes)-1]
+			if r.Intn(4) == 0 {
+				from = nodes[r.Intn(len(nodes))]
+			}
+			if from.Len() >= 40 {
+				from = nodes[r.Intn(len(nodes))]
+				if from.Len() >= 40 {
+					continue
+				}
+			}
+			pc := from.And(genLongGuard(r, ints, withBool, at))
+			nodes = append(nodes, pc)
+			if longestShadow(pc.state()) >= 10 {
+				deepShadows++
+			}
+			xs, ok := randomExtras(r)
+			if !ok {
+				continue
+			}
+			switch sat, dec := probeQuick(t, nodes[1+r.Intn(len(nodes)-1)], xs); {
+			case dec && sat:
+				sats++
+			case dec:
+				unsats++
+			}
+		}
+	}
+	t.Logf("%d sat, %d unsat, %d nodes with a fact rewritten 10+ times", sats, unsats, deepShadows)
+	if sats < 300 || unsats < 300 || deepShadows < 300 {
+		t.Fatal("weak coverage: the run must decide both ways on paths whose facts are rewritten many times")
+	}
+}
+
+// TestChainAndAllocs: extending a guard chain by one literal allocates
+// for the literal alone, however many facts the path already holds —
+// the chain's cell, the PC node, and the one changed fact with its
+// cell. A persistent map of the facts copied each trie node on the
+// fact's path, slots and all, for every guard: 8 allocations here.
+func TestChainAndAllocs(t *testing.T) {
+	var pc *PC
+	for i := 0; i < 20; i++ {
+		if i%2 == 0 {
+			pc = pc.And(BoolVar{fmt.Sprintf("b%d", i)})
+		} else {
+			pc = pc.And(Lt{IntVar{fmt.Sprintf("x%d", i)}, IntConst{int64(i)}})
+		}
+	}
+	cells := 0
+	for c := pc.state().facts; c != nil; c = c.parent {
+		cells++
+	}
+	if cells != 20 {
+		t.Fatalf("the PC holds %d facts, want 20", cells)
+	}
+	var g Formula = BoolVar{"pt"}
+	if n := testing.AllocsPerRun(100, func() { pc.Chain().And(g) }); n > 4 {
+		t.Fatalf("Chain.And of one literal on a 20-fact PC: %v allocations, want at most 4", n)
 	}
 }

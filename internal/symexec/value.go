@@ -224,6 +224,11 @@ func (s State) With(f solver.Formula) State {
 func NullFormula(v Value) solver.Formula { return nullFormula(v) }
 
 // nullFormula returns the condition under which v is the null pointer.
+// A VITE's arms are computed first, so a tree whose leaves are all
+// objects, such as a pointer the points-to analysis never saw null,
+// folds to false without building a negated guard; NewAnd and NewOr
+// fold the same constants, so the formula is the one the plain
+// recursion gives.
 func nullFormula(v Value) solver.Formula {
 	switch v := v.(type) {
 	case VNull:
@@ -231,10 +236,11 @@ func nullFormula(v Value) solver.Formula {
 	case VObj, VFunc:
 		return solver.False
 	case VITE:
-		return solver.NewOr(
-			solver.NewAnd(v.G, nullFormula(v.X)),
-			solver.NewAnd(solver.NewNot(v.G), nullFormula(v.Y)),
-		)
+		x, y := nullFormula(v.X), nullFormula(v.Y)
+		if x == solver.False && y == solver.False {
+			return solver.False
+		}
+		return solver.NewOr(solver.NewAnd(v.G, x), solver.NewAnd(solver.NewNot(v.G), y))
 	case VInt:
 		// An integer used as a pointer: null iff zero.
 		return solver.Eq{X: v.T, Y: solver.IntConst{Val: 0}}
