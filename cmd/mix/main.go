@@ -5,7 +5,7 @@
 //
 //	mix [-symbolic] [-unsound] [-defer] [-merge mode]
 //	    [-env name:type,...]
-//	    [-workers 0|1] [-max-paths n] [-cache-dir dir]
+//	    [-max-paths n] [-cache-dir dir]
 //	    [-deadline d] [-solver-timeout d]
 //	    [-stats] [-metrics] [-trace file] [-trace-det] [-pprof addr]
 //	    file.mix
@@ -15,15 +15,14 @@
 // -env b:bool,x:int. Exit status 1 means the program was rejected.
 //
 // The analysis flags are shared with mixy and with the mixd request
-// schema (see internal/cliflags): -workers 1 turns on the
-// path-exploration engine (0, the default, leaves it off unless
-// another flag needs it; exploration is sequential either way, so
-// larger values are rejected); -max-paths bounds the engine's total
-// path budget. Every engine memoizes solver queries. With -v the
-// engine's fork/memo statistics are printed alongside path and query
-// counts. -cache-dir persists the engine's definite solver
-// verdicts and counterexample models under a directory, so a repeat
-// run answers previously decided queries from disk.
+// schema (see internal/cliflags). Every check runs on one
+// path-exploration engine, whose memoizing solver pool answers every
+// solver query; -max-paths bounds its total path budget. With -v the
+// engine's fork, memo, pipeline and fault statistics are printed
+// alongside path and query counts. -cache-dir persists the engine's
+// definite solver verdicts and counterexample models under a
+// directory, so a repeat run answers previously decided queries from
+// disk.
 //
 // -merge selects veritesting-style state merging at conditional join
 // points (DESIGN.md section 12): "joins" (the default) folds the two
@@ -134,14 +133,12 @@ func main() {
 			fmt.Fprintln(human, r)
 		}
 		fmt.Fprintf(human, "paths=%d solver-queries=%d\n", res.Paths, res.SolverQueries)
-		if cfg.Workers > 0 || cfg.MaxPaths > 0 || cfg.Deadline > 0 || cfg.SolverTimeout > 0 {
-			fmt.Fprintf(human, "engine: forks=%d memo-hits=%d memo-misses=%d solver-time=%v\n",
-				res.Forks, res.MemoHits, res.MemoMisses, res.SolverTime)
-			fmt.Fprintf(human, "pipeline: quick-decided=%d slices=%d max-slice=%d cex-hits=%d\n",
-				res.QuickDecided, res.Slices, res.MaxSlice, res.CexHits)
-			fmt.Fprintf(human, "faults: timeouts=%d panics-recovered=%d paths-truncated=%d\n",
-				res.Timeouts, res.PanicsRecovered, res.PathsTruncated)
-		}
+		fmt.Fprintf(human, "engine: forks=%d memo-hits=%d memo-misses=%d solver-time=%v\n",
+			res.Forks, res.MemoHits, res.MemoMisses, res.SolverTime)
+		fmt.Fprintf(human, "pipeline: quick-decided=%d slices=%d max-slice=%d cex-hits=%d\n",
+			res.QuickDecided, res.Slices, res.MaxSlice, res.CexHits)
+		fmt.Fprintf(human, "faults: timeouts=%d panics-recovered=%d paths-truncated=%d\n",
+			res.Timeouts, res.PanicsRecovered, res.PathsTruncated)
 	}
 	if res.Degraded {
 		// A degraded check is unknown, not rejected: report the

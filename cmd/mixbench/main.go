@@ -40,12 +40,14 @@ import (
 	"mix/internal/concrete"
 	"mix/internal/core"
 	"mix/internal/corpus"
+	"mix/internal/engine"
 	"mix/internal/lang"
 	"mix/internal/langgen"
 	"mix/internal/microc"
 	"mix/internal/mixy"
 	"mix/internal/profiling"
 	"mix/internal/signs"
+	"mix/internal/solver"
 	"mix/internal/summary"
 	"mix/internal/sym"
 	"mix/internal/types"
@@ -203,7 +205,14 @@ func tableE4() {
 	for _, n := range []int{4, 6, 8, 10} {
 		src, env := corpus.Ladder(n)
 		for _, mode := range []string{"fork", "defer"} {
-			opts := core.Options{}
+			// The pool takes one solver at its first search; capture it
+			// to read its atom and decision counts.
+			var solv *solver.Solver
+			eng := engine.New(engine.Options{NewSolver: func() *solver.Solver {
+				solv = solver.New()
+				return solv
+			}})
+			opts := core.Options{Engine: eng}
 			if mode == "defer" {
 				opts.IfMode = sym.DeferIf
 			}
@@ -217,10 +226,14 @@ func tableE4() {
 			_, err := checker.CheckSymbolic(tenv, e)
 			must(err)
 			dur := time.Since(start)
+			eng.Close()
+			var st solver.Stats
+			if solv != nil {
+				st = solv.Stats
+			}
 			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%d\t%v\n",
-				n, mode, checker.Executor().Stats.Paths, checker.Solver().Stats.SatQueries,
-				checker.Solver().Stats.Atoms, checker.Solver().Stats.Decisions,
-				dur.Round(time.Microsecond))
+				n, mode, checker.Executor().Stats.Paths, eng.Snapshot().SolverQueries,
+				st.Atoms, st.Decisions, dur.Round(time.Microsecond))
 		}
 	}
 	w.Flush()
@@ -519,7 +532,7 @@ func tableX6() {
 	w := newTab()
 	fmt.Fprintln(w, "bench\tdeadline\tverdict\tpaths\ttimeouts\ttruncated\ttime")
 	for _, d := range []time.Duration{0, 10 * time.Second, 50 * time.Millisecond, time.Millisecond, time.Nanosecond} {
-		cfg := mix.Config{Mode: mix.StartSymbolic, Env: em, Workers: 1, Deadline: d}
+		cfg := mix.Config{Mode: mix.StartSymbolic, Env: em, Deadline: d}
 		start := time.Now()
 		res := mix.Check(src, cfg)
 		dur := time.Since(start)
@@ -590,13 +603,13 @@ func gate(w *tabwriter.Writer, table, what string, median, bound float64) {
 }
 
 // tableX8 — veritesting-style state merging (DESIGN.md section 12):
-// -merge off vs joins at workers=1. The ladder family is the worst
+// -merge off vs joins. The ladder family is the worst
 // case merging targets (2^k forked paths collapse to one merged state
 // per rung); the synthetic vsftpd MIXY workload is branch-light, so
 // merging must not slow it down. The median joins/off ratio must stay
 // at or below 1 on a ladder and 1.05 on vsftpd-12x2.
 func tableX8() {
-	fmt.Printf("X8 — state merging: -merge off vs joins (workers=1, %d paired reps)\n", pairs)
+	fmt.Printf("X8 — state merging: -merge off vs joins (%d paired reps)\n", pairs)
 	fmt.Println("claims: guarded joins collapse ladder-k from 2^k paths to O(1) with large speedups; branch-light code is unaffected (<=5%)")
 	w := newTab()
 	fmt.Fprintln(w, "bench\tmerge\tpaths\tmerges\tmedian time\tjoins/off median [quartiles]")
@@ -605,7 +618,7 @@ func tableX8() {
 		src, env := corpus.Ladder(n)
 		em := envMap(env)
 		return func(merge string) (string, int) {
-			res := mix.Check(src, mix.Config{Mode: mix.StartSymbolic, Env: em, Workers: 1, Merge: merge})
+			res := mix.Check(src, mix.Config{Mode: mix.StartSymbolic, Env: em, Merge: merge})
 			must(res.Err)
 			return strconv.Itoa(res.Paths), res.Merges
 		}

@@ -15,8 +15,9 @@
 // A request body is exactly one JSON object of serve.Request's fields:
 // "source", the mix and mixy analysis flags (internal/cliflags), and
 // "tenant", "metrics" and "trace"; anything else is a 400. Each
-// request's analysis runs on its own goroutine, so "workers" may be
-// left out, 0 or 1, and all three are the same request.
+// request's analysis runs on one engine on its own goroutine, so
+// "workers" selects nothing: it may be left out, 0 or 1, and all three
+// are the same request.
 //
 // With -cache-dir, solver verdicts, counterexample models, and
 // function summaries persist under that directory: a restarted daemon

@@ -6,7 +6,6 @@
 //
 //	mixy [-pure] [-entry main] [-nocache] [-merge mode]
 //	     [-summaries] [-cache-dir dir]
-//	     [-workers 0|1]
 //	     [-deadline d] [-solver-timeout d]
 //	     [-stats] [-metrics] [-trace file] [-trace-det] [-pprof addr]
 //	     file.mc
@@ -16,10 +15,8 @@
 // reported.
 //
 // The analysis flags are shared with mix and with the mixd request
-// schema (see internal/cliflags): -workers 1 routes solver queries
-// through the engine's memoizing pool (0, the default, keeps the
-// analysis engine-free unless another flag needs an engine; larger
-// values are rejected, since exploration is sequential).
+// schema (see internal/cliflags). Every run answers its solver
+// queries through one engine's memoizing pool.
 //
 // -merge selects veritesting-style state merging in the per-block
 // symbolic executor (DESIGN.md section 12): "joins" (the default)

@@ -101,7 +101,9 @@ type Analysis struct {
 	NoCache   bool   `json:"nocache,omitempty"`
 	Summaries bool   `json:"summaries,omitempty"`
 
-	// Shared options.
+	// Shared options. Workers is a request field only, with no flag:
+	// every analysis runs on one engine, so it selects nothing, and
+	// the facade's Validate still rejects values outside 0..1.
 	Merge         string   `json:"merge,omitempty"`
 	Workers       int      `json:"workers,omitempty"`
 	Deadline      Duration `json:"deadline,omitempty"`
@@ -153,7 +155,6 @@ func (e envValue) Set(s string) error {
 func (a *Analysis) Register(fs *flag.FlagSet, kind Kind) {
 	// Shared flags — one declaration for every binary.
 	fs.StringVar(&a.Merge, "merge", "joins", "state merging at conditional joins: off or joins")
-	fs.IntVar(&a.Workers, "workers", 0, "1 = run the exploration engine, 0 = none; exploration is sequential, so larger values are rejected")
 	fs.Var(&a.Deadline, "deadline", "wall-clock deadline for the whole run (0 = none)")
 	fs.Var(&a.SolverTimeout, "solver-timeout", "per-query solver timeout (0 = none)")
 	fs.StringVar(&a.CacheDir, "cache-dir", "", "persist caches (summaries, solver memo, models) under this directory across runs")

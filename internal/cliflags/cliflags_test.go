@@ -3,6 +3,7 @@ package cliflags
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"testing"
 	"time"
 
@@ -26,13 +27,13 @@ func TestRegisterCoreFlags(t *testing.T) {
 	a := parse(t, Core,
 		"-symbolic", "-unsound", "-defer", "-merge", "off",
 		"-env", "b:bool,x:int,r:int_ref",
-		"-workers", "1", "-max-paths", "100",
+		"-max-paths", "100",
 		"-deadline", "250ms", "-solver-timeout", "5ms")
 	cfg := a.MixConfig()
 	if cfg.Mode != mix.StartSymbolic || !cfg.Unsound || !cfg.DeferConditionals {
 		t.Fatalf("mode flags lost: %+v", cfg)
 	}
-	if cfg.Merge != "off" || cfg.Workers != 1 || cfg.MaxPaths != 100 {
+	if cfg.Merge != "off" || cfg.MaxPaths != 100 {
 		t.Fatalf("engine flags lost: %+v", cfg)
 	}
 	if cfg.Deadline != 250*time.Millisecond || cfg.SolverTimeout != 5*time.Millisecond {
@@ -58,10 +59,25 @@ func TestRegisterMicroCFlags(t *testing.T) {
 		t.Fatalf("default config should validate: %v", err)
 	}
 
-	a := parse(t, MicroC, "-pure", "-entry", "f", "-nocache", "-summaries", "-workers", "1")
+	a := parse(t, MicroC, "-pure", "-entry", "f", "-nocache", "-summaries")
 	cfg = a.CConfig()
-	if !cfg.PureTypes || cfg.Entry != "f" || !cfg.NoCache || !cfg.Summaries || cfg.Workers != 1 {
+	if !cfg.PureTypes || cfg.Entry != "f" || !cfg.NoCache || !cfg.Summaries {
 		t.Fatalf("mixy flags lost: %+v", cfg)
+	}
+}
+
+// TestNoWorkersFlag: neither CLI defines -workers. Every analysis runs
+// on one engine, so the flag would select nothing; the request field
+// "workers" stays (TestRequestDecoding).
+func TestNoWorkersFlag(t *testing.T) {
+	for _, kind := range []Kind{Core, MicroC} {
+		var a Analysis
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		a.Register(fs, kind)
+		if err := fs.Parse([]string{"-workers", "1"}); err == nil {
+			t.Fatalf("kind %d: -workers parsed; want an undefined-flag error", kind)
+		}
 	}
 }
 

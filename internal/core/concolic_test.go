@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"mix/internal/engine"
 	"mix/internal/lang"
 	"mix/internal/sym"
 	"mix/internal/types"
@@ -66,7 +67,7 @@ func TestConcolicFindsErrorsOnItsPath(t *testing.T) {
 func TestConcolicPathConditionRecorded(t *testing.T) {
 	// The recorded equalities keep the path condition satisfiable and
 	// meaningful: the guard must mention the chosen value.
-	x := sym.NewExecutor()
+	x := sym.NewExecutor(engine.New(engine.Options{}))
 	x.Concolic = true
 	x.ConcolicInt = 7
 	env := sym.EmptyEnv().Extend("n", x.Fresh.Var(types.Int, "n"))

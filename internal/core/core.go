@@ -64,15 +64,10 @@ type Options struct {
 	// in the path condition. Only meaningful together with Unsound,
 	// since a single concolic path cannot be exhaustive.
 	Concolic bool
-	// Engine, when non-nil, enforces the run's budgets and routes
-	// every solver query through its memoizing SolverPool. Nil
-	// preserves the single-solver behavior.
+	// Engine enforces the run's budgets and answers every solver query
+	// through its memoizing SolverPool. Nil gives the checker a private
+	// engine with no budgets (engine.New(engine.Options{})).
 	Engine *engine.Engine
-	// NewSolver is a test seam: it builds the checker's own solver
-	// (the one used when Engine is nil, and for the address-equality
-	// side queries) in place of solver.New, so the differential tests
-	// can run it on solver.NewReference.
-	NewSolver func() *solver.Solver
 }
 
 // Report records one symbolic-execution finding and whether its path
@@ -98,7 +93,6 @@ type Checker struct {
 	opts Options
 	typs *types.Checker
 	exec *sym.Executor
-	solv *solver.Solver
 	eng  *engine.Engine
 
 	Reports []Report
@@ -108,37 +102,29 @@ type Checker struct {
 // symbolic executor, each given a hook that invokes the corresponding
 // mix rule.
 func New(opts Options) *Checker {
-	newSolver := opts.NewSolver
-	if newSolver == nil {
-		newSolver = solver.New
+	eng := opts.Engine
+	if eng == nil {
+		eng = engine.New(engine.Options{})
 	}
-	c := &Checker{opts: opts, solv: newSolver(), eng: opts.Engine}
+	c := &Checker{opts: opts, eng: eng}
 	c.typs = &types.Checker{SymBlock: c.tSymBlock}
-	c.exec = sym.NewExecutor()
+	c.exec = sym.NewExecutor(eng)
 	c.exec.Mode = opts.IfMode
 	c.exec.MergeMode = opts.Merge
 	c.exec.ConcreteFold = !opts.NoConcreteFold
 	c.exec.Concolic = opts.Concolic
 	c.exec.TypBlock = c.seTypBlock
 	c.exec.MemCheck = c.memOK
-	c.exec.Engine = opts.Engine
 	return c
 }
 
-// Solver exposes the underlying solver (for statistics).
-func (c *Checker) Solver() *solver.Solver { return c.solv }
+// Solver returns an idle solver whose Stats read zero: every query goes
+// through the engine's pool, whose Snapshot counts them. It stays for
+// callers that add its SatQueries to the engine's count.
+func (c *Checker) Solver() *solver.Solver { return new(solver.Solver) }
 
 // Executor exposes the underlying symbolic executor (for statistics).
 func (c *Checker) Executor() *sym.Executor { return c.exec }
-
-// sat routes satisfiability queries through the engine's memoizing
-// pool when present, else the plain solver.
-func (c *Checker) sat(f solver.Formula) (bool, error) {
-	if c.eng != nil {
-		return c.eng.Sat(f)
-	}
-	return c.solv.Sat(f)
-}
 
 // Check analyzes e as if wrapped in a typed block at the outermost
 // scope ("MIX can handle either case").
@@ -264,7 +250,7 @@ func (c *Checker) tSymBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 			}
 			disj = solver.NewOr(disj, g)
 		}
-		counter, err := c.sat(solver.NewNot(disj))
+		counter, err := c.eng.Sat(solver.NewNot(disj))
 		if err != nil {
 			return nil, fmt.Errorf("core: exhaustiveness check failed: %w", err)
 		}
@@ -380,7 +366,7 @@ func (c *Checker) memOK(st sym.State) error {
 			return false
 		}
 		// Valid under the path condition: g ∧ a≠b unsat.
-		sat, err := c.sat(solver.NewAnd(g, solver.Neq(ta, tb)))
+		sat, err := c.eng.Sat(solver.NewAnd(g, solver.Neq(ta, tb)))
 		return err == nil && !sat
 	}
 	return sym.MemOKWith(st.Mem, eq)
@@ -400,5 +386,5 @@ func (c *Checker) feasible(g sym.Val) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return c.sat(f)
+	return c.eng.Sat(f)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mix/internal/engine"
 	"mix/internal/lang"
 	"mix/internal/sym"
 	"mix/internal/types"
@@ -188,8 +189,9 @@ func TestUnsoundModeSkipsExhaustiveness(t *testing.T) {
 	// here. A deferred block is where the exhaustiveness query is
 	// still sent (a forked one covers its guard by construction), so
 	// sound mode asks it once and unsound mode not at all.
-	sound := New(Options{IfMode: sym.DeferIf})
-	unsound := New(Options{IfMode: sym.DeferIf, Unsound: true})
+	soundEng, unsoundEng := engine.New(engine.Options{}), engine.New(engine.Options{})
+	sound := New(Options{IfMode: sym.DeferIf, Engine: soundEng})
+	unsound := New(Options{IfMode: sym.DeferIf, Unsound: true, Engine: unsoundEng})
 	env := types.EmptyEnv().Extend("b", types.Bool)
 	e := lang.MustParse("if b then 1 else 2")
 	if _, err := sound.CheckSymbolic(env, e); err != nil {
@@ -198,10 +200,10 @@ func TestUnsoundModeSkipsExhaustiveness(t *testing.T) {
 	if _, err := unsound.CheckSymbolic(env, e); err != nil {
 		t.Fatal(err)
 	}
-	if got := sound.Solver().Stats.SatQueries; got != 1 {
+	if got := soundEng.Snapshot().SolverQueries; got != 1 {
 		t.Fatalf("sound deferred block: %d solver queries, want 1", got)
 	}
-	if got := unsound.Solver().Stats.SatQueries; got != 0 {
+	if got := unsoundEng.Snapshot().SolverQueries; got != 0 {
 		t.Fatalf("unsound deferred block: %d solver queries, want 0", got)
 	}
 }

@@ -29,7 +29,7 @@ func derefKnownAfterBlock(t *testing.T, opts Options, block string) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	known, err := c.Solver().Valid(solver.Eq{X: term, Y: solver.IntConst{Val: 5}})
+	known, err := solver.New().Valid(solver.Eq{X: term, Y: solver.IntConst{Val: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

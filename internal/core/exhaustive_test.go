@@ -237,25 +237,20 @@ func coverEnv(t testing.TB) *types.Env {
 
 // coverMode is one fork-mode configuration.
 type coverMode struct {
-	name   string
-	opts   Options
-	engine bool // run on a fresh engine
+	name string
+	opts Options
 }
 
 // coverModes are the fork-mode configurations the cover lemma holds in:
-// merging off or at joins, concrete folding on or off, and the engine
-// off or on.
+// merging off or at joins, and concrete folding on or off.
 var coverModes = func() []coverMode {
 	var modes []coverMode
 	for _, merge := range []engine.MergeMode{engine.MergeOff, engine.MergeJoins} {
 		for _, nofold := range []bool{false, true} {
-			for _, eng := range []bool{false, true} {
-				modes = append(modes, coverMode{
-					name:   fmt.Sprintf("merge=%d/nofold=%v/engine=%v", merge, nofold, eng),
-					opts:   Options{Merge: merge, NoConcreteFold: nofold},
-					engine: eng,
-				})
-			}
+			modes = append(modes, coverMode{
+				name: fmt.Sprintf("merge=%d/nofold=%v", merge, nofold),
+				opts: Options{Merge: merge, NoConcreteFold: nofold},
+			})
 		}
 	}
 	return modes
@@ -336,18 +331,11 @@ func checkCover(t testing.TB, src string, st *coverStats) {
 		t.Fatalf("%s: %v", src, err)
 	}
 	env := coverEnv(t)
-	// Modes often explore the same leaves (the engine changes no
-	// guard), and a leaf set once decided need not be decided again.
+	// Modes often explore the same leaves, and a leaf set once decided
+	// need not be decided again.
 	decided := map[string]bool{}
 	for _, m := range coverModes {
-		opts := m.opts
-		if m.engine {
-			opts.Engine = engine.New(engine.Options{})
-		}
-		guards, degraded := blockLeaves(t, New(opts), env, e)
-		if opts.Engine != nil {
-			opts.Engine.Close()
-		}
+		guards, degraded := blockLeaves(t, New(m.opts), env, e)
 		if degraded {
 			continue
 		}

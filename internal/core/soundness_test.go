@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mix/internal/concrete"
+	"mix/internal/engine"
 	"mix/internal/lang"
 	"mix/internal/langgen"
 	"mix/internal/sym"
@@ -170,7 +171,7 @@ func TestSymbolicExecutorAgreesWithConcrete(t *testing.T) {
 	validated := 0
 	for i := 0; i < 300; i++ {
 		prog := gen.Closed()
-		x := sym.NewExecutor()
+		x := sym.NewExecutor(engine.New(engine.Options{}))
 		rs, err := x.Run(sym.EmptyEnv(), x.InitialState(), prog)
 		if err != nil {
 			continue

@@ -17,10 +17,10 @@
 // timings), and distinct paths re-prove identical formulas. The pool
 // keys each independent component by its conjuncts'
 // solver.FormulaKeys and memoizes Sat answers in a sharded LRU table
-// that a Cache can share across concurrent runs.
-//
-// A nil *Engine everywhere means "unmemoized, no budgets" — exactly
-// the pre-engine behavior.
+// that a Cache can share across concurrent runs. Every layer that asks
+// the solver a question (core, sym, symexec, mixy, signs, summary)
+// asks it through an engine's pool; a layer whose caller passes no
+// engine builds a private one with engine.New(Options{}).
 package engine
 
 import (
@@ -149,83 +149,43 @@ func New(o Options) *Engine {
 }
 
 // Close releases the engine's deadline timer, if any, and returns the
-// run's solver to its Cache. Safe on nil.
+// run's solver to its Cache.
 func (e *Engine) Close() {
-	if e == nil {
-		return
-	}
 	if e.cancel != nil {
 		e.cancel()
 	}
 	e.pool.release()
 }
 
-// Context returns the run's context (Background for a nil engine).
-func (e *Engine) Context() context.Context {
-	if e == nil {
-		return context.Background()
-	}
-	return e.ctx
-}
-
-// SetContext swaps the run's context. Tests use this to verify that a
-// cancellation verdict was not memoized: cancel, query, swap in a live
-// context, query again through the same pool.
-func (e *Engine) SetContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.ctx = ctx
-}
+// Context returns the run's context.
+func (e *Engine) Context() context.Context { return e.ctx }
 
 // Injector exposes the armed fault-injection points (nil in
 // production). Executors visit their own points through it so one
 // injector drives the whole stack.
-func (e *Engine) Injector() *fault.Injector {
-	if e == nil {
-		return nil
-	}
-	return e.injector
-}
+func (e *Engine) Injector() *fault.Injector { return e.injector }
 
 // Faults is the run-wide classified-fault counter. Every layer that
 // absorbs an abort into an imprecise result records it here exactly
 // once, so -stats can report timeouts / panics recovered / paths
-// truncated. Nil for a nil engine (a nil *fault.Counters is inert).
-func (e *Engine) Faults() *fault.Counters {
-	if e == nil {
-		return nil
-	}
-	return &e.faults
-}
+// truncated.
+func (e *Engine) Faults() *fault.Counters { return &e.faults }
 
 // Interrupted reports a classified timeout/cancellation fault if the
 // run's context is done, nil otherwise. Executors poll it at their
-// step boundaries; op names the polling site for diagnostics. Nil-safe.
-func (e *Engine) Interrupted(op string) error { return e.ctxErr(op) }
-
-// ctxErr reports a classified fault if the run's context is done.
-func (e *Engine) ctxErr(op string) error {
-	if e == nil {
-		return nil
-	}
-	ctx := e.Context()
+// step boundaries; op names the polling site for diagnostics.
+func (e *Engine) Interrupted(op string) error {
 	select {
-	case <-ctx.Done():
-		return fault.FromContext(op, e.deadline, ctx.Err())
+	case <-e.ctx.Done():
+		return fault.FromContext(op, e.deadline, e.ctx.Err())
 	default:
 		return nil
 	}
 }
 
-// Tracer exposes the run's event tracer (nil when tracing is off or
-// the engine is nil; a nil tracer and its nil spans are inert).
-func (e *Engine) Tracer() *obs.Tracer {
-	if e == nil {
-		return nil
-	}
-	return e.tracer
-}
+// Tracer exposes the run's event tracer (nil when tracing is off; a
+// nil tracer and its nil spans are inert).
+func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // PublishMetrics mirrors the engine's aggregate counters — exploration,
 // solver pipeline, fault taxonomy — into the run's metrics registry
@@ -234,10 +194,10 @@ func (e *Engine) Tracer() *obs.Tracer {
 // point-in-time copy, so calling this again refreshes the published
 // values. No-op without a registry.
 func (e *Engine) PublishMetrics() {
-	if e == nil || e.metrics == nil {
+	m := e.metrics
+	if m == nil {
 		return
 	}
-	m := e.metrics
 	s := e.Snapshot()
 	m.Gauge("engine.paths").Set(s.Paths)
 	m.Gauge("engine.forks").Set(s.Forks)
@@ -286,24 +246,15 @@ func (e *Engine) FeasiblePCSpan(sp *obs.Span, pc *solver.PC, extras ...solver.Fo
 }
 
 // AddPaths records n completed paths in the aggregate stats.
-func (e *Engine) AddPaths(n int) {
-	if e == nil {
-		return
-	}
-	e.paths += int64(n)
-}
+func (e *Engine) AddPaths(n int) { e.paths += int64(n) }
 
 // Charge accounts for one prospective fork. It returns a classified
 // timeout/cancellation fault if the run's context is done, or a
 // classified path-budget fault (still wrapping ErrBudget) if the fork
 // would exceed the path budget, so executors apply one uniform rule:
-// degradable → truncate with imprecision, else abort. A nil engine has
-// no budgets.
+// degradable → truncate with imprecision, else abort.
 func (e *Engine) Charge() error {
-	if e == nil {
-		return nil
-	}
-	if err := e.ctxErr("engine.fork"); err != nil {
+	if err := e.Interrupted("engine.fork"); err != nil {
 		return err
 	}
 	if err := e.injector.At(fault.PreFork); err != nil {
@@ -348,7 +299,7 @@ func Fork2(left, right func() error) error {
 
 // Map runs fn(0), ..., fn(n-1) in index order and returns the first
 // error, skipping the remaining indices; a panicking call is recovered
-// as a worker-panic fault for its index. Safe on a nil engine.
+// as a worker-panic fault for its index.
 func (e *Engine) Map(n int, fn func(i int) error) error {
 	for i := 0; i < n; i++ {
 		if err := protect(func() error { return fn(i) }); err != nil {
@@ -360,9 +311,6 @@ func (e *Engine) Map(n int, fn func(i int) error) error {
 
 // Snapshot returns the aggregated statistics so far.
 func (e *Engine) Snapshot() Stats {
-	if e == nil {
-		return Stats{}
-	}
 	s := Stats{
 		Paths:     e.paths,
 		Forks:     e.forks,

@@ -89,16 +89,18 @@ func TestChargePathBudget(t *testing.T) {
 	}
 }
 
-func TestChargeNilEngineUnlimited(t *testing.T) {
-	var e *Engine
+// TestChargeWithoutBudgetUnlimited: an engine built with no MaxPaths
+// (the private engine of a caller that passes none) refuses no fork.
+func TestChargeWithoutBudgetUnlimited(t *testing.T) {
+	e := New(Options{})
 	for i := 0; i < 1000; i++ {
 		if err := e.Charge(); err != nil {
-			t.Fatalf("nil engine charged: %v", err)
+			t.Fatalf("fork %d charged: %v", i, err)
 		}
 	}
-	e.AddPaths(5) // must not panic
-	if s := e.Snapshot(); s != (Stats{}) {
-		t.Fatalf("nil snapshot = %+v", s)
+	e.AddPaths(5)
+	if s := e.Snapshot(); s.Forks != 1000 || s.Paths != 5 || s.Exhausted {
+		t.Fatalf("snapshot = %+v", s)
 	}
 }
 

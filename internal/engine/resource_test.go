@@ -122,17 +122,19 @@ func TestAtomGateMapsToErrLimit(t *testing.T) {
 
 // TestCancellationNotMemoized is the soundness half of unknown-caching:
 // a cancellation verdict depends on wall clock, so caching it would
-// turn a transient abort into a permanent wrong answer. Cancel, query,
-// swap in a live context, and the same query must produce the real
-// verdict.
+// turn a transient abort into a permanent wrong answer. A canceled
+// engine queries, then a live engine on the same Cache (the boundary
+// mixd's requests share) asks the same query and must get the real
+// verdict from a fresh solve, not from the memo.
 func TestCancellationNotMemoized(t *testing.T) {
+	cache := engine.NewCache(engine.CacheOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := engine.New(engine.Options{Context: ctx})
-	defer eng.Close()
+	canceled := engine.New(engine.Options{Context: ctx, Cache: cache})
+	defer canceled.Close()
 
 	f := iffChain(4)
-	_, err := eng.Sat(f)
+	_, err := canceled.Sat(f)
 	if got := fault.ClassOf(err); got != fault.Canceled {
 		t.Fatalf("canceled-context query: fault class = %v (err %v), want canceled", got, err)
 	}
@@ -140,16 +142,20 @@ func TestCancellationNotMemoized(t *testing.T) {
 		t.Fatalf("cancellation must be a classified transient fault: %v", err)
 	}
 
-	eng.SetContext(context.Background())
-	sat, err := eng.Sat(f)
+	live := engine.New(engine.Options{Cache: cache})
+	defer live.Close()
+	sat, err := live.Sat(f)
 	if err != nil {
-		t.Fatalf("live-context re-query failed — the cancellation was memoized: %v", err)
+		t.Fatalf("live-engine re-query failed — the cancellation was memoized: %v", err)
 	}
 	if !sat {
 		t.Fatal("an iff-chain is satisfiable; the degraded verdict leaked into the memo")
 	}
-	if hits := eng.Snapshot().MemoHits; hits != 0 {
+	if hits := cache.Stats().MemoHits; hits != 0 {
 		t.Fatalf("nothing should have been memoized before the real verdict, got %d hits", hits)
+	}
+	if s := live.Snapshot(); s.MemoMisses == 0 {
+		t.Fatalf("the live engine never reached the memo: %+v", s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -40,7 +41,8 @@ const cexCacheSize = 64
 // guards — the overwhelming majority of branch feasibility checks) are
 // decided from the interval state cached on the path condition's
 // newest node plus the query's own guard, and never touch the memo
-// table or the search core. The remainder is
+// table or the search core; so is a query with a disjunctive extra
+// whose cases the interval state decides (quickCases). The remainder is
 // sliced into independent components: the long shared prefix of a
 // path condition memo-hits component-by-component and only the
 // component entangled with the new guard is ever solved fresh, usually
@@ -52,8 +54,8 @@ const cexCacheSize = 64
 // a pool belongs to one goroutine. Construct via New; the zero value
 // is not ready.
 type SolverPool struct {
-	// eng points back at the owning engine for the run context and the
-	// fault injector; nil only in direct-pool unit tests.
+	// eng points back at the owning engine for the run context, the
+	// fault injector and the tracer.
 	eng     *Engine
 	timeout time.Duration // per-query solver timeout (0 = none)
 	// solver is the run's one CDCL instance, taken at its first search
@@ -176,10 +178,9 @@ func (p *SolverPool) SatPCSpan(sp *obs.Span, pc *solver.PC, extras ...solver.For
 	if p.queryHist != nil {
 		t0 = time.Now()
 	}
-	var tr *obs.Tracer
+	tr := p.eng.Tracer()
 	var ts int64
-	if sp != nil && p.eng != nil {
-		tr = p.eng.Tracer()
+	if sp != nil {
 		ts = tr.Now()
 	}
 	sat, err := p.satPC(sp, pc, extras)
@@ -198,10 +199,8 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 	// The pre-solve injection point fires per query, before the quick
 	// paths: a planned fault must reach callers whose queries would
 	// otherwise be interval- or memo-decided.
-	if p.eng != nil {
-		if err := p.eng.Injector().At(fault.PreSolve); err != nil {
-			return false, err
-		}
+	if err := p.eng.Injector().At(fault.PreSolve); err != nil {
+		return false, err
 	}
 	if pc.Dead() {
 		p.quick++
@@ -218,7 +217,7 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 	// newest node and folds in only the extras: its cost is the new
 	// guard's, not the path's. The conjunct slice is built only for
 	// the few queries it cannot decide.
-	if sat, decided := pc.Quick(xs); decided {
+	if sat, decided := quickCases(pc, xs); decided {
 		p.quick++
 		sp.Stage("quick", verdictOf(sat, nil), 0)
 		return sat, nil
@@ -252,6 +251,35 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 		return false, firstErr
 	}
 	return true, nil
+}
+
+// quickCases decides pc ∧ xs on the interval fast path (PC.Quick).
+// When that fold cannot and an extra is a disjunction — a merged
+// pointer's null test, (g ∧ null(a)) ∨ (¬g ∧ null(b)), is the usual
+// one — it folds each disjunct in the disjunction's place: the query
+// is sat as soon as one case is, and unsat when both are.
+func quickCases(pc *solver.PC, xs []solver.Formula) (sat, decided bool) {
+	if sat, decided := pc.Quick(xs); decided {
+		return sat, true
+	}
+	for i, x := range xs {
+		or, ok := x.(solver.Or)
+		if !ok {
+			continue
+		}
+		c := slices.Clone(xs)
+		decided = true
+		for _, d := range [2]solver.Formula{or.X, or.Y} {
+			c[i] = d
+			sat, dec := pc.Quick(c)
+			if dec && sat {
+				return true, true
+			}
+			decided = decided && dec
+		}
+		return false, decided
+	}
+	return false, false
 }
 
 // decideComponent resolves one independence component against the g
@@ -320,10 +348,9 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 		return sat, nil
 	}
 
-	var tr *obs.Tracer
+	tr := p.eng.Tracer()
 	var ts int64
-	if sp != nil && p.eng != nil {
-		tr = p.eng.Tracer()
+	if sp != nil {
 		ts = tr.Now()
 	}
 	sat, model, err := p.solve(sub, small)
@@ -403,14 +430,13 @@ func (p *SolverPool) solve(sub []solver.Formula, wantModel bool) (bool, *solver.
 		s.Reset()
 		s.Gen = epoch
 	}
-	var cancel context.CancelFunc
-	if p.eng != nil {
-		ctx := p.eng.Context()
-		if p.timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, p.timeout)
-		}
-		s.Ctx, s.Injector = ctx, p.eng.Injector()
+	ctx := p.eng.Context()
+	if p.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.timeout)
+		defer cancel()
 	}
+	s.Ctx, s.Injector = ctx, p.eng.Injector()
 	t0 := time.Now()
 	var (
 		sat   bool
@@ -428,9 +454,6 @@ func (p *SolverPool) solve(sub []solver.Formula, wantModel bool) (bool, *solver.
 	// The solver outlives this query, and later the run: it must never
 	// carry a stale context or injector into its next one.
 	s.Ctx, s.Injector = nil, nil
-	if cancel != nil {
-		cancel()
-	}
 	if err != nil && errors.Is(err, solver.ErrLimit) {
 		p.unknown++
 	}

@@ -34,10 +34,14 @@ func TestPoolMemoHit(t *testing.T) {
 
 // TestPoolTrivialBypass pins the memo-regression fix: boolean literals
 // and single-variable interval guards are decided by the fast path and
-// generate no memo traffic at all.
+// generate no memo traffic at all; so is a disjunction of them, case by
+// case, as in a merged pointer's null test.
 func TestPoolTrivialBypass(t *testing.T) {
 	e := New(Options{})
 	x := solver.IntVar{Name: "x"}
+	g := solver.Eq{X: x, Y: solver.IntConst{Val: 0}}
+	null := solver.NewOr(g, solver.NewAnd(solver.NewNot(g), solver.NewNot(bvar("pt"))))
+	pos := solver.Lt{X: solver.IntConst{Val: 0}, Y: x}
 	queries := []struct {
 		f   solver.Formula
 		sat bool
@@ -47,6 +51,9 @@ func TestPoolTrivialBypass(t *testing.T) {
 		{solver.NewAnd(bvar("a"), solver.NewNot(bvar("a"))), false},
 		{solver.Lt{X: x, Y: solver.IntConst{Val: 10}}, true},
 		{solver.NewAnd(solver.Lt{X: x, Y: solver.IntConst{Val: 0}}, solver.Lt{X: solver.IntConst{Val: 0}, Y: x}), false},
+		{null, true},
+		{solver.NewAnd(pos, null), true},
+		{solver.Conj(pos, bvar("pt"), null), false},
 	}
 	for i, q := range queries {
 		sat, err := e.Sat(q.f)

@@ -17,10 +17,10 @@ func warningStrings(a *Analysis) []string {
 	return out
 }
 
-// TestEngineMatchesNoEngine: routing MIXY's solver queries through the
-// engine's memoizing pool must not change the analysis — same
-// warnings, same fixpoint trajectory — while actually deduplicating
-// solver work.
+// TestEngineMatchesNoEngine: a run given the caller's engine and a run
+// given none, which builds a private one, must analyze alike — same
+// warnings, same fixpoint trajectory — and the pool must actually
+// deduplicate solver work.
 func TestEngineMatchesNoEngine(t *testing.T) {
 	src := corpus.SyntheticVsftpd(12, 2)
 

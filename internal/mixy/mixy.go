@@ -60,15 +60,10 @@ type Options struct {
 	// (internal/summary.Store.Precompute) instead of inlining; every
 	// fallback stays observable through the Summarizer's counters.
 	Summaries symexec.Summarizer
-	// Engine, when non-nil, routes all solver queries through the
-	// engine's memoizing pool and supplies the run's budgets, so
-	// results are identical to a run without an engine.
+	// Engine answers every solver query through its memoizing pool
+	// and supplies the run's budgets. Nil gives the run a private
+	// engine with no budgets (engine.New(engine.Options{})).
 	Engine *engine.Engine
-	// NewSolver is a test seam: it builds the per-block executor's own
-	// solver (used when Engine is nil) in place of solver.New, so the
-	// differential tests can run it on solver.NewReference. With an
-	// engine, the pool's solver comes from engine.Options.NewSolver.
-	NewSolver func() *solver.Solver
 }
 
 // Warning is an analysis finding.
@@ -148,6 +143,9 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 		m.Inf.AddImplicitNullGlobals()
 	}
 	m.eng = opts.Engine
+	if m.eng == nil {
+		m.eng = engine.New(engine.Options{})
+	}
 	// The engine's tracer records fixpoint-loop structure
 	// (per-iteration frontier sizes, block-cache hits and misses,
 	// analyzed blocks, degradation provenance). The fixpoint loop
@@ -155,15 +153,11 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 	// executor roots (one per RunFunc) interleave with it in
 	// deterministic program order.
 	m.span = m.eng.Tracer().Root("mixy.fixpoint")
-	m.Exec = symexec.New(prog, m.PA)
-	if opts.NewSolver != nil {
-		m.Exec.Solv = opts.NewSolver()
-	}
+	m.Exec = symexec.New(prog, m.PA, m.eng)
 	m.Exec.InitCell = m.initCell
 	m.Exec.TypedCall = m.typedCall
 	m.Exec.MergeMode = opts.Merge
 	m.Exec.Summaries = opts.Summaries
-	m.Exec.Engine = m.eng
 
 	entry, ok := prog.Func(opts.Entry)
 	if !ok {
@@ -232,7 +226,7 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 func (m *Analysis) Degraded() error { return m.degraded }
 
 // interrupted polls the run's deadline and the fixpoint-iteration
-// fault-injection point; both are inert without an engine.
+// fault-injection point.
 func (m *Analysis) interrupted() error {
 	if err := m.eng.Interrupted("mixy.fixpoint"); err != nil {
 		return err
@@ -425,19 +419,6 @@ func (m *Analysis) contextOf(f *microc.FuncDef) string {
 	return f.Name + "(" + fmt.Sprint(parts) + ")" + fmt.Sprint(globalParts)
 }
 
-// satPC decides satisfiability of pc ∧ extra, routing through the
-// engine's incremental pipeline when present so the shared path-
-// condition prefix is sliced and memoized conjunct by conjunct.
-func (m *Analysis) satPC(pc *solver.PC, extra solver.Formula) (bool, error) {
-	if m.eng != nil {
-		return m.eng.SatPC(pc, extra)
-	}
-	if pc.Dead() {
-		return false, nil
-	}
-	return m.Exec.Solv.Sat(solver.NewAnd(pc.Formula(), extra))
-}
-
 // CachedContexts returns the block-cache keys (block name + typed
 // calling context, Section 4.3) as a sorted snapshot. The cache is a
 // map; consumers that iterate it — diagnostics, tests, future
@@ -520,8 +501,8 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 		// The executor stopped mid-exploration (deadline, cancellation,
 		// injected fault, recovered panic) and returned a partial
 		// outcome set. The executor already counted the fault in the
-		// engine's counters when it has one; count it here otherwise.
-		m.degrade(d, m.eng != nil)
+		// engine's counters.
+		m.degrade(d, true)
 		return m.pessimizeBlock(f)
 	}
 	// Symbolic-to-typed translation (Section 4.1): for every named
@@ -565,7 +546,7 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 		mayNull[i] = true
 	}
 	query := func(i int) error {
-		sat, err := m.satPC(checks[i].pc, checks[i].f)
+		sat, err := m.eng.SatPC(checks[i].pc, checks[i].f)
 		mayNull[i] = err != nil || sat
 		return nil
 	}
@@ -775,7 +756,7 @@ func (m *Analysis) typedCall(x *symexec.Executor, st symexec.State, f *microc.Fu
 			continue
 		}
 		m.Stats.SolverQueries++
-		sat, err := m.satPC(st.PC, symexec.NullFormula(args[i]))
+		sat, err := m.eng.SatPC(st.PC, symexec.NullFormula(args[i]))
 		if err != nil || sat {
 			m.Inf.ConstrainNull(m.Inf.VarQ(p).Ptr,
 				fmt.Sprintf("possibly-null argument to typed function %s at %s", f.Name, pos))
@@ -830,11 +811,7 @@ func (m *Analysis) collectWarnings() {
 		}
 	}
 	m.Stats.Faults = m.faults.Snapshot()
-	if m.eng != nil {
-		snap := m.eng.Snapshot()
-		m.Stats.SolverQueries += int(snap.SolverQueries)
-		m.Stats.Faults.Add(snap.Faults)
-	} else {
-		m.Stats.SolverQueries += m.Exec.Solv.Stats.SatQueries
-	}
+	snap := m.eng.Snapshot()
+	m.Stats.SolverQueries += int(snap.SolverQueries)
+	m.Stats.Faults.Add(snap.Faults)
 }

@@ -627,20 +627,3 @@ func (a *Analysis) exprOrVar(e microc.Expr) (int, bool) {
 	}
 	return -1, false
 }
-
-// MayAlias reports whether two lvalue expressions may denote the same
-// location.
-func (a *Analysis) MayAlias(e1, e2 microc.Expr) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	l1 := a.lvalueLocs(e1)
-	l2 := a.lvalueLocs(e2)
-	for _, x := range l1 {
-		for _, y := range l2 {
-			if x.id == y.id {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -3,6 +3,7 @@ package signs
 import (
 	"fmt"
 
+	"mix/internal/engine"
 	"mix/internal/lang"
 	"mix/internal/solver"
 	"mix/internal/sym"
@@ -15,16 +16,17 @@ import (
 type Mixer struct {
 	signs *Checker
 	exec  *sym.Executor
-	solv  *solver.Solver
+	eng   *engine.Engine
 	// Reports collects discarded and confirmed findings, as in core.
 	Reports []string
 }
 
-// NewMixer builds a mixed sign analysis.
+// NewMixer builds a mixed sign analysis on a private engine, which
+// answers its solver queries.
 func NewMixer() *Mixer {
-	m := &Mixer{solv: solver.New()}
+	m := &Mixer{eng: engine.New(engine.Options{})}
 	m.signs = &Checker{SymBlock: m.tSymBlock}
-	m.exec = sym.NewExecutor()
+	m.exec = sym.NewExecutor(m.eng)
 	m.exec.TypBlock = m.seSignBlock
 	return m
 }
@@ -101,7 +103,7 @@ func (m *Mixer) deriveSign(guard sym.Val, v sym.Val) (Sign, error) {
 		{Neg, solver.Lt{X: t, Y: zero}},
 	}
 	for _, c := range candidates {
-		counter, err := m.solv.Sat(solver.NewAnd(g, solver.NewNot(c.f)))
+		counter, err := m.eng.Sat(solver.NewAnd(g, solver.NewNot(c.f)))
 		if err != nil {
 			return Top, err
 		}
@@ -258,5 +260,5 @@ func (m *Mixer) feasible(g sym.Val) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return m.solv.Sat(f)
+	return m.eng.Sat(f)
 }

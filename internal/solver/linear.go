@@ -165,6 +165,41 @@ type ineq struct {
 	strict bool
 }
 
+// dedupIneqs drops, in place, each row that repeats an earlier one
+// exactly: same strictness, constant and coefficients. A repeat adds no
+// constraint, but Fourier–Motzkin combines it with every opposite
+// bound, so each round would multiply it. First occurrences keep their
+// order, so the elimination order, the verdict and the witness are
+// those of the rows with repeats. Rows are compared pairwise, which
+// allocates nothing.
+func dedupIneqs(ins []ineq) []ineq {
+	out := ins[:0]
+next:
+	for _, in := range ins {
+		for _, kept := range out {
+			if kept.strict == in.strict && kept.l.equal(in.l) {
+				continue next
+			}
+		}
+		out = append(out, in)
+	}
+	return out
+}
+
+// equal reports whether l and m have the same constant and
+// coefficients.
+func (l *lin) equal(m *lin) bool {
+	if len(l.coefs) != len(m.coefs) || l.k.Cmp(m.k) != 0 {
+		return false
+	}
+	for k, c := range l.coefs {
+		if d, ok := m.coefs[k]; !ok || c.Cmp(d) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // ctxDone returns ctx's error once it is done, and nil before that or
 // for a nil ctx.
 func ctxDone(ctx context.Context) error {
@@ -185,6 +220,10 @@ func ctxDone(ctx context.Context) error {
 // to 2^len(diseqs) eliminations, so ctx is observed at every split and
 // every elimination round (per lower bound within a Fourier–Motzkin
 // round): once it is done the check stops with ctx.Err().
+//
+// Fourier–Motzkin keeps one copy of each row (dedupIneqs): the CDCL
+// trail can hold two atoms with the same arithmetic content (x ≤ y and
+// ¬(y < x)), and one elimination round often derives a row twice.
 //
 // With witness set, the eliminations also record each Gaussian pivot
 // and Fourier–Motzkin step, and a sat answer comes with a rational
@@ -257,6 +296,7 @@ func theoryConj(ctx context.Context, eqs []*lin, ineqs []ineq, diseqs []*lin, wi
 	}
 
 	// Fourier–Motzkin elimination of inequalities.
+	ins = dedupIneqs(ins)
 	var fsteps []fmStep
 	for {
 		if err := ctxDone(ctx); err != nil {
@@ -312,7 +352,7 @@ func theoryConj(ctx context.Context, eqs []*lin, ineqs []ineq, diseqs []*lin, wi
 				rest = append(rest, ineq{comb, lo.strict || up.strict})
 			}
 		}
-		ins = rest
+		ins = dedupIneqs(rest)
 	}
 
 	for _, in := range ins {

@@ -30,6 +30,9 @@ func Simplify(f Formula) Formula {
 	case nil, BoolConst, BoolVar:
 		return f
 	case Not:
+		if _, ok := f.X.(BoolVar); ok {
+			break // ¬b is simple: return the input itself, not a copy
+		}
 		return NewNot(Simplify(f.X))
 	case And:
 		return simplifyAnd(f)

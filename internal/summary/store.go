@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mix/internal/engine"
 	"mix/internal/fault"
 	"mix/internal/microc"
 	"mix/internal/symexec"
@@ -107,6 +108,10 @@ func (s *Store) Faults() fault.Snapshot {
 // callers, so each summary composes its callees' summaries instead of
 // re-exploring them) and returns the per-program summary table. Cached
 // entries — in-memory or on disk — short-circuit the symbolic run.
+//
+// The scratch runs share one private engine, built at the first miss
+// and closed on return. It has no deadline: a stored summary serves
+// later requests too, so one request's budget must not shape it.
 func (s *Store) Precompute(prog *microc.Program, armCap int) *ProgramSummaries {
 	if armCap <= 0 {
 		armCap = DefaultCap
@@ -115,14 +120,13 @@ func (s *Store) Precompute(prog *microc.Program, armCap int) *ProgramSummaries {
 	a := analyze(prog)
 	corrupt0 := s.corrupt.Load()
 	defer func() { ps.Corrupt = int(s.corrupt.Load() - corrupt0) }()
-
-	// The configuration fingerprint folds every knob that affects a
-	// summary's content into the hash: the arm cap and the scratch
-	// executor's exploration bounds. Two runs disagreeing on any of
-	// these never share entries.
-	scratch := symexec.New(prog, nil)
-	fp := fmt.Sprintf("v%d cap=%d unroll=%d depth=%d paths=%d merge=aggressive",
-		schemaVersion, armCap, scratch.MaxUnroll, scratch.MaxDepth, scratch.MaxPaths)
+	fp := fingerprint(armCap)
+	var eng *engine.Engine
+	defer func() {
+		if eng != nil {
+			eng.Close()
+		}
+	}()
 
 	hashes := map[*microc.FuncDef]string{}
 	var visit func(f *microc.FuncDef)
@@ -151,7 +155,10 @@ func (s *Store) Precompute(prog *microc.Program, armCap int) *ProgramSummaries {
 			ps.byFn[f] = rec.entry()
 			return
 		}
-		rec := summarizeFunc(prog, precomputeView{ps}, f, armCap, in.height)
+		if eng == nil {
+			eng = engine.New(engine.Options{})
+		}
+		rec := summarizeFunc(prog, eng, precomputeView{ps}, f, armCap, in.height)
 		s.put(h, rec)
 		ps.Computed++
 		ps.byFn[f] = rec.entry()
@@ -160,6 +167,15 @@ func (s *Store) Precompute(prog *microc.Program, armCap int) *ProgramSummaries {
 		visit(f)
 	}
 	return ps
+}
+
+// fingerprint folds every knob that affects a summary's content into
+// the hash: the arm cap and the exploration bounds of the scratch
+// executor (symexec.New's defaults). Two runs disagreeing on any of
+// these never share entries.
+func fingerprint(armCap int) string {
+	return fmt.Sprintf("v%d cap=%d unroll=%d depth=%d paths=%d merge=aggressive",
+		schemaVersion, armCap, symexec.DefaultMaxUnroll, symexec.DefaultMaxDepth, symexec.DefaultMaxPaths)
 }
 
 // fnHash is the content key of one function's summary: fingerprint,

@@ -313,14 +313,14 @@ func (v precomputeView) Summary(f *microc.FuncDef) (*symexec.FuncSummary, string
 func (v precomputeView) NoteInstantiated(*microc.FuncDef, int) {}
 func (v precomputeView) NoteFallback(*microc.FuncDef, string)  {}
 
-// summarizeFunc runs one function on a scratch executor against
+// summarizeFunc runs one function on a scratch executor on eng against
 // placeholder parameters and folds the completed paths into arms.
 // Any imprecision during the scratch run — a loop bound, a budget,
 // a degradation, too many arms — becomes a fallback record: the call
 // sites must inline so the imprecision is reported in caller context,
 // exactly as it would be without summaries.
-func summarizeFunc(prog *microc.Program, view symexec.Summarizer, f *microc.FuncDef, armCap, height int) *record {
-	x := symexec.New(prog, nil)
+func summarizeFunc(prog *microc.Program, eng *engine.Engine, view symexec.Summarizer, f *microc.FuncDef, armCap, height int) *record {
+	x := symexec.New(prog, nil, eng)
 	x.MergeMode = engine.MergeAggressive
 	x.Summaries = view
 	args := make([]symexec.Value, len(f.Params))

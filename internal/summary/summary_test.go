@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mix/internal/engine"
 	"mix/internal/fault"
 	"mix/internal/microc"
 	"mix/internal/pointer"
@@ -98,14 +99,14 @@ int entry(int x, int y) MIX(symbolic) {
 func TestInstantiationMatchesInline(t *testing.T) {
 	prog := mustParse(t, callerSrc)
 
-	inline := symexec.New(prog, pointer.Analyze(prog))
+	inline := symexec.New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	inlineOuts, err := inline.Run("entry")
 	if err != nil {
 		t.Fatalf("inline run: %v", err)
 	}
 
 	ps := NewStore("").Precompute(prog, 0)
-	summ := symexec.New(prog, pointer.Analyze(prog))
+	summ := symexec.New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	summ.Summaries = ps
 	summOuts, err := summ.Run("entry")
 	if err != nil {
@@ -189,7 +190,7 @@ func TestDiskRoundTripAndWarmHits(t *testing.T) {
 	// Same program through a decoded summary must instantiate the same
 	// paths as the freshly computed one.
 	run := func(ps *ProgramSummaries) []string {
-		x := symexec.New(prog, pointer.Analyze(prog))
+		x := symexec.New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 		x.Summaries = ps
 		outs, err := x.Run("entry")
 		if err != nil {
@@ -274,5 +275,19 @@ func TestFlushKeepsDiskTier(t *testing.T) {
 	ps := s.Precompute(prog, 0)
 	if ps.Computed != 0 || ps.DiskHits == 0 {
 		t.Errorf("post-flush precompute: computed=%d diskHits=%d, want disk reload", ps.Computed, ps.DiskHits)
+	}
+}
+
+// TestFingerprintText pins the configuration fingerprint every entry's
+// hash starts from, which names symexec.New's exploration bounds:
+// stored entries are keyed by it, so a change here orphans every
+// summary already on disk.
+func TestFingerprintText(t *testing.T) {
+	if got, want := fingerprint(DefaultCap), "v1 cap=16 unroll=6 depth=24 paths=2048 merge=aggressive"; got != want {
+		t.Fatalf("fingerprint = %q, want %q", got, want)
+	}
+	x := symexec.New(mustParse(t, callerSrc), nil, engine.New(engine.Options{}))
+	if x.MaxUnroll != symexec.DefaultMaxUnroll || x.MaxDepth != symexec.DefaultMaxDepth || x.MaxPaths != symexec.DefaultMaxPaths {
+		t.Fatalf("symexec.New bounds %d/%d/%d differ from the fingerprinted defaults", x.MaxUnroll, x.MaxDepth, x.MaxPaths)
 	}
 }

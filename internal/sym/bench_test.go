@@ -36,7 +36,7 @@ func BenchmarkForkingExecution(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				x := NewExecutor()
+				x := newExec()
 				if _, err := x.Run(mkEnv(x), x.InitialState(), e); err != nil {
 					b.Fatal(err)
 				}
@@ -52,7 +52,7 @@ func BenchmarkDeferredExecution(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				x := NewExecutor()
+				x := newExec()
 				x.Mode = DeferIf
 				if _, err := x.Run(mkEnv(x), x.InitialState(), e); err != nil {
 					b.Fatal(err)
@@ -63,16 +63,17 @@ func BenchmarkDeferredExecution(b *testing.B) {
 }
 
 // TestForkingExecutionAllocs pins what a forking path costs in heap
-// objects: one Run of the ladder with no engine, executor and
-// environment included, allocates at most 16 objects per path. Path
-// state is shared (environment frames, guards, memories) and results
-// go to one accumulator per Run, so the count grows with the guards
-// and bindings a path adds, not with copies of result lists.
+// objects: one Run of the ladder on an engine with no budgets,
+// executor and environment included, allocates at most 16 objects per
+// path. Path state is shared (environment frames, guards, memories)
+// and results go to one accumulator per Run, so the count grows with
+// the guards and bindings a path adds, not with copies of result
+// lists.
 func TestForkingExecutionAllocs(t *testing.T) {
 	const n, maxPerPath = 8, 16
 	e, mkEnv := benchLadder(n)
 	allocs := testing.AllocsPerRun(20, func() {
-		x := NewExecutor()
+		x := newExec()
 		rs, err := x.Run(mkEnv(x), x.InitialState(), e)
 		if err != nil || len(rs) != 1<<n {
 			t.Fatalf("ladder-%d: %d paths, %v", n, len(rs), err)
@@ -101,7 +102,7 @@ func BenchmarkConcreteFoldAblation(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var paths int
 			for i := 0; i < b.N; i++ {
-				x := NewExecutor()
+				x := newExec()
 				x.ConcreteFold = fold
 				rs, err := x.Run(EmptyEnv(), x.InitialState(), e)
 				if err != nil {
@@ -123,7 +124,7 @@ func BenchmarkMemoryLogDeref(b *testing.B) {
 	src += "!r"
 	e := lang.MustParse(src)
 	for i := 0; i < b.N; i++ {
-		x := NewExecutor()
+		x := newExec()
 		if _, err := x.Run(EmptyEnv(), x.InitialState(), e); err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func BenchmarkClosureInlining(b *testing.B) {
 	e := lang.MustParse(
 		"let twice = fun f -> fun x -> f (f x) in twice (twice (fun n -> n + 1)) 0")
 	for i := 0; i < b.N; i++ {
-		x := NewExecutor()
+		x := newExec()
 		rs, err := x.Run(EmptyEnv(), x.InitialState(), e)
 		if err != nil {
 			b.Fatal(err)

@@ -88,9 +88,8 @@ type Executor struct {
 	// references can tie Landin's knot, so execution needs fuel.
 	MaxSteps int
 	steps    int64
-	// Engine, when non-nil, enforces the engine's path budget and
-	// deadline and routes solver queries through its memoizing pool. A
-	// nil Engine gives the original executor.
+	// Engine enforces the run's path budget and deadline, counts its
+	// paths and faults, and carries its tracer.
 	Engine *engine.Engine
 	// TypBlock, when non-nil, analyzes {t e t} blocks; this is the
 	// seam where the SETYPBLOCK mix rule plugs in. A nil TypBlock
@@ -124,10 +123,11 @@ type Executor struct {
 	Stats Stats
 }
 
-// NewExecutor returns an executor with default settings: forking
-// conditionals, concrete folding on, and a fresh-name generator.
-func NewExecutor() *Executor {
-	return &Executor{Fresh: NewFresh(), ConcreteFold: true, MaxPaths: 1 << 14, MaxSteps: 1 << 20}
+// NewExecutor returns an executor on eng with default settings:
+// forking conditionals, concrete folding on, and a fresh-name
+// generator.
+func NewExecutor(eng *engine.Engine) *Executor {
+	return &Executor{Fresh: NewFresh(), ConcreteFold: true, MaxPaths: 1 << 14, MaxSteps: 1 << 20, Engine: eng}
 }
 
 // memCheck applies the configured ⊢ m ok oracle.

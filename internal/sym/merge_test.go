@@ -12,7 +12,7 @@ import (
 // to fresh symbolic booleans.
 func runMerged(t *testing.T, src string, mode engine.MergeMode) (*Executor, []Result) {
 	t.Helper()
-	x := NewExecutor()
+	x := newExec()
 	x.MergeMode = mode
 	env := EmptyEnv().
 		Extend("a", x.Fresh.Var(types.Bool, "a")).

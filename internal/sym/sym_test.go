@@ -12,10 +12,14 @@ import (
 	"mix/internal/types"
 )
 
+// newExec returns an executor with default settings on a private
+// engine.
+func newExec() *Executor { return NewExecutor(engine.New(engine.Options{})) }
+
 // runSrc executes src with a fresh executor.
 func runSrc(t *testing.T, src string) (*Executor, []Result) {
 	t.Helper()
-	x := NewExecutor()
+	x := newExec()
 	rs, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse(src))
 	if err != nil {
 		t.Fatalf("Run(%q): %v", src, err)
@@ -63,7 +67,7 @@ func TestLiteralsAndFolding(t *testing.T) {
 }
 
 func TestNoFoldingKeepsStructure(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	x.ConcreteFold = false
 	rs, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse("1 + 2"))
 	if err != nil {
@@ -75,7 +79,7 @@ func TestNoFoldingKeepsStructure(t *testing.T) {
 }
 
 func TestSymbolicArithmetic(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	a := x.Fresh.Var(types.Int, "a")
 	env := EmptyEnv().Extend("a", a)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("a + 1"))
@@ -115,7 +119,7 @@ func TestDynamicTypeErrors(t *testing.T) {
 }
 
 func TestUnboundVariableIsHardError(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	_, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse("nope"))
 	if err == nil || !strings.Contains(err.Error(), "unbound variable") {
 		t.Fatalf("got %v", err)
@@ -123,7 +127,7 @@ func TestUnboundVariableIsHardError(t *testing.T) {
 }
 
 func TestForkOnSymbolicCondition(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("if b then 1 else 2"))
@@ -163,7 +167,7 @@ func TestFlowSensitiveReuse(t *testing.T) {
 }
 
 func TestNestedForks(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	env := EmptyEnv().
 		Extend("a", x.Fresh.Var(types.Bool, "a")).
 		Extend("b", x.Fresh.Var(types.Bool, "b"))
@@ -222,7 +226,7 @@ func TestIllTypedWriteElsewhereStillBlocks(t *testing.T) {
 }
 
 func TestTypedBlockWithoutHook(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	_, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse("{t 1 t}"))
 	if err == nil || !strings.Contains(err.Error(), "typed block not supported") {
 		t.Fatalf("got %v", err)
@@ -237,7 +241,7 @@ func TestSymBlockPassThrough(t *testing.T) {
 }
 
 func TestDeferModeSingleResult(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	x.Mode = DeferIf
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)
@@ -257,7 +261,7 @@ func TestDeferModeSingleResult(t *testing.T) {
 }
 
 func TestDeferModeRequiresSameType(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	x.Mode = DeferIf
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)
@@ -274,7 +278,7 @@ func TestDeferModeRequiresSameType(t *testing.T) {
 func TestForkModeAllowsDifferentBranchTypes(t *testing.T) {
 	// Forking is less conservative than deferring: each path stands
 	// alone, so branch types may differ.
-	x := NewExecutor()
+	x := newExec()
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("if b then 1 else true"))
@@ -296,7 +300,7 @@ func TestMaxPathsBound(t *testing.T) {
 		"let _ = (if a then 1 else 2) in let _ = (if b then 1 else 2) in if c then 1 else 2",
 		"let z = 0 in if a then (if b then z else 1) else (if c then 2 else 3)",
 	} {
-		x := NewExecutor()
+		x := newExec()
 		x.MaxPaths = 3
 		env := EmptyEnv().
 			Extend("a", x.Fresh.Var(types.Bool, "a")).
@@ -338,7 +342,7 @@ func TestPathBudgetKeepsFirstPaths(t *testing.T) {
 	} {
 		for _, mode := range []engine.MergeMode{engine.MergeOff, engine.MergeJoins} {
 			run := func(budget int) (*Executor, []string) {
-				x := NewExecutor()
+				x := newExec()
 				x.MergeMode = mode
 				x.MaxPaths = budget
 				env := EmptyEnv()
@@ -391,7 +395,7 @@ func TestPathBudgetKeepsFirstPaths(t *testing.T) {
 }
 
 func TestGuardsTranslateAndSolve(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	a := x.Fresh.Var(types.Int, "a")
 	env := EmptyEnv().Extend("a", a)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("if a = 0 then 1 else 2"))
@@ -429,7 +433,7 @@ func TestGuardsTranslateAndSolve(t *testing.T) {
 
 func TestReadOverWriteTranslation(t *testing.T) {
 	// !x after x := 2 must solve to 2.
-	x := NewExecutor()
+	x := newExec()
 	rs, err := x.Run(EmptyEnv(), x.InitialState(),
 		lang.MustParse("let x = ref 1 in let _ = x := 2 in !x"))
 	if err != nil {
@@ -453,7 +457,7 @@ func TestReadOverWriteTranslation(t *testing.T) {
 
 func TestAllocDistinctness(t *testing.T) {
 	// Two allocations are distinct: writing to y must not clobber x.
-	x := NewExecutor()
+	x := newExec()
 	src := "let x = ref 1 in let y = ref 5 in let _ = y := 9 in !x"
 	rs, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse(src))
 	if err != nil {

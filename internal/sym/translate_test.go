@@ -31,7 +31,7 @@ func TestTranslateErrors(t *testing.T) {
 
 func TestTranslateBooleanReads(t *testing.T) {
 	// A bool stored through a ref and read back at bool type.
-	x := NewExecutor()
+	x := newExec()
 	rs, err := x.Run(EmptyEnv(), x.InitialState(),
 		lang.MustParse("let b = ref true in !b"))
 	if err != nil {
@@ -55,7 +55,7 @@ func TestTranslateBooleanReads(t *testing.T) {
 func TestTranslateBaseMemoryBoolRead(t *testing.T) {
 	// A bool read from the arbitrary base memory μ becomes a free
 	// boolean variable: satisfiable either way.
-	x := NewExecutor()
+	x := newExec()
 	p := x.Fresh.Var(types.Ref(types.Bool), "p")
 	env := EmptyEnv().Extend("p", p)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("!p"))
@@ -78,7 +78,7 @@ func TestTranslateBaseMemoryBoolRead(t *testing.T) {
 func TestTranslateCondMemRead(t *testing.T) {
 	// Defer mode writes different values per branch; the merged memory
 	// is conditional, and the read reflects both.
-	x := NewExecutor()
+	x := newExec()
 	x.Mode = DeferIf
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)
@@ -189,7 +189,7 @@ func TestValEqualEdgeCases(t *testing.T) {
 // A variable's solver name is its sort letter and ID (p for booleans,
 // s for integers), the same at every occurrence.
 func TestTranslatorNamesVariablesConsistently(t *testing.T) {
-	x := NewExecutor()
+	x := newExec()
 	b := x.Fresh.Var(types.Bool, "b")
 	n := x.Fresh.Var(types.Int, "n")
 	tr := NewTranslator()

@@ -141,7 +141,7 @@ int r(int n) {
 }
 int f(int n) { return r(n); }
 `)
-	x := New(prog, pointer.Analyze(prog))
+	x := New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	x.MaxDepth = 4
 	outs, err := x.Run("f")
 	if err != nil {
@@ -162,7 +162,7 @@ func TestSelfRecursionAlwaysBounded(t *testing.T) {
 int r(int n) { return r(n); }
 int f(int n) { return r(n); }
 `)
-	x := New(prog, pointer.Analyze(prog))
+	x := New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	x.MaxDepth = 3
 	outs, err := x.Run("f")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mix/internal/engine"
 	"mix/internal/microc"
 	"mix/internal/pointer"
 	"mix/internal/solver"
@@ -70,7 +71,7 @@ func kTargetSrc(k int) string {
 func TestDerefWalkSharesPrefix(t *testing.T) {
 	const k = 6
 	prog := mustParse(kTargetSrc(k))
-	x := New(prog, pointer.Analyze(prog))
+	x := New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	pd, _ := prog.Global("p")
 	base := solver.PCTrue.And(solver.BoolVar{Name: "c"}).And(solver.Lt{X: solver.IntVar{Name: "n"}, Y: solver.IntConst{Val: 5}})
 	st := State{PC: base, Mem: NewMemory()}
@@ -83,9 +84,9 @@ func TestDerefWalkSharesPrefix(t *testing.T) {
 		t.Fatalf("last leaf is %v, want null", ref[k].leaf)
 	}
 
-	q0 := x.Solv.Stats.SatQueries
+	q0 := x.Engine.Snapshot().SolverQueries
 	out := x.derefTargets(st, v, microc.Pos{Line: 9, Col: 3}, "p")
-	if got := x.Solv.Stats.SatQueries - q0; got != k+1 {
+	if got := x.Engine.Snapshot().SolverQueries - q0; got != k+1 {
 		t.Fatalf("dereference issued %d queries, want %d (null case + one per target)", got, k+1)
 	}
 	if !hasReport(x, NullDeref, "dereference of possibly-null pointer p") {

@@ -74,7 +74,6 @@ type Stats struct {
 type Executor struct {
 	Prog *microc.Program
 	PA   *pointer.Analysis
-	Solv *solver.Solver
 
 	// MaxUnroll bounds loop iterations per path.
 	MaxUnroll int
@@ -105,9 +104,9 @@ type Executor struct {
 	// observable: a counter bump plus a "summary" trace event.
 	Summaries Summarizer
 
-	// Engine, when non-nil, routes feasibility queries through the
-	// engine's memoizing solver pool and supplies the run's context,
-	// fault injector and tracer.
+	// Engine answers every feasibility query through its memoizing
+	// solver pool and supplies the run's context, fault counters and
+	// tracer.
 	Engine *engine.Engine
 
 	Reports []Report
@@ -159,11 +158,20 @@ func (x *Executor) interrupted(st State, pos microc.Pos) bool {
 	return false
 }
 
-// New returns an executor over prog with pointer analysis pa.
-func New(prog *microc.Program, pa *pointer.Analysis) *Executor {
+// The exploration bounds New gives an executor. A summary's content
+// depends on them, so internal/summary folds them into its cache key.
+const (
+	DefaultMaxUnroll = 6
+	DefaultMaxDepth  = 24
+	DefaultMaxPaths  = 2048
+)
+
+// New returns an executor over prog with pointer analysis pa, asking
+// its queries through eng.
+func New(prog *microc.Program, pa *pointer.Analysis, eng *engine.Engine) *Executor {
 	return &Executor{
-		Prog: prog, PA: pa, Solv: solver.New(),
-		MaxUnroll: 6, MaxDepth: 24, MaxPaths: 2048,
+		Prog: prog, PA: pa, Engine: eng,
+		MaxUnroll: DefaultMaxUnroll, MaxDepth: DefaultMaxDepth, MaxPaths: DefaultMaxPaths,
 		varObjs:  map[*microc.VarDecl]*Object{},
 		locObjs:  map[string]*Object{},
 		anonObjs: map[cellKey]*Object{},
@@ -214,28 +222,12 @@ func (x *Executor) FreshBool(hint string) solver.Formula {
 }
 
 // feasible decides satisfiability of a path condition plus extra
-// guards, erring toward feasible on solver resource errors
-// (conservative: keeps reports). With an engine the query goes through
-// its sliced, memoizing solver pipeline, which classifies
-// resource-exhausted queries the same way: unknown → keep the path.
-// The querying path's span (nil when tracing is off) receives the
-// verdict as a solve event.
+// guards through the engine's sliced, memoizing solver pipeline,
+// erring toward feasible on solver resource errors (conservative:
+// unknown keeps the path and its reports). The querying path's span
+// (nil when tracing is off) receives the verdict as a solve event.
 func (x *Executor) feasible(st State, pc *solver.PC, extras ...solver.Formula) bool {
-	if x.Engine != nil {
-		return x.Engine.FeasiblePCSpan(st.span, pc, extras...)
-	}
-	if pc.Dead() {
-		return false
-	}
-	f := pc.Formula()
-	for _, e := range extras {
-		f = solver.NewAnd(f, e)
-	}
-	sat, err := x.Solv.Sat(f)
-	if err != nil {
-		return true
-	}
-	return sat
+	return x.Engine.FeasiblePCSpan(st.span, pc, extras...)
 }
 
 // VarObj returns the (unique, conflated across invocations) object of

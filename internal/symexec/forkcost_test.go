@@ -37,12 +37,11 @@ func TestPersistentForkAndSlicingCounts(t *testing.T) {
 		{"chain-10", chainSrc(10), 4096, [10]int64{1024, 1023, 11263, 3071, 0, 2046, 10, 86, 0, 2046}},
 	} {
 		prog := mustParse(tc.src)
-		x := New(prog, pointer.Analyze(prog))
+		eng := engine.New(engine.Options{})
+		x := New(prog, pointer.Analyze(prog), eng)
 		if tc.maxPaths > 0 {
 			x.MaxPaths = tc.maxPaths
 		}
-		eng := engine.New(engine.Options{Workers: 1})
-		x.Engine = eng
 		c0, s0, w0 := MemoryStats()
 		outs, err := x.Run("f")
 		if err != nil {

@@ -56,22 +56,11 @@ func (x *Executor) mergeIf(st State, s *microc.IfStmt, thenPC, elsePC *solver.PC
 	}
 	st.span.Join()
 
-	var passthrough []flowOutcome
-	var live []State
-	thenLive, elseLive := 0, 0
-	for i, fl := range append(thenFlows[:len(thenFlows):len(thenFlows)], elseFlows...) {
-		if fl.returned || fl.st.PC.Dead() {
-			passthrough = append(passthrough, fl)
-			continue
-		}
-		live = append(live, fl.st)
-		if i < len(thenFlows) {
-			thenLive++
-		} else {
-			elseLive++
-		}
-	}
-	mergeable := len(live) >= 2
+	// Count each arm's live flows before copying any: most joins are
+	// declined (an arm forked again, or returned), and a declined join
+	// costs what a fork costs.
+	thenLive, elseLive := liveFlows(thenFlows), liveFlows(elseFlows)
+	mergeable := thenLive+elseLive >= 2
 	if x.MergeMode == engine.MergeJoins && (thenLive != 1 || elseLive != 1) {
 		// joins mode only rejoins the canonical diamond: one live path
 		// per arm. Aggressive mode folds whatever reached the join.
@@ -82,11 +71,34 @@ func (x *Executor) mergeIf(st State, s *microc.IfStmt, thenPC, elsePC *solver.PC
 		if x.MergeMode == engine.MergeAggressive {
 			maxDiv = 0
 		}
+		var passthrough []flowOutcome
+		live := make([]State, 0, thenLive+elseLive)
+		for _, fls := range [2][]flowOutcome{thenFlows, elseFlows} {
+			for _, fl := range fls {
+				if fl.returned || fl.st.PC.Dead() {
+					passthrough = append(passthrough, fl)
+				} else {
+					live = append(live, fl.st)
+				}
+			}
+		}
 		if merged, ok := x.mergeStates(st.span, s.StmtPos().String(), base, live, maxDiv); ok {
 			return append(passthrough, flowOutcome{st: merged}), nil
 		}
 	}
 	return append(thenFlows, elseFlows...), nil
+}
+
+// liveFlows counts the flows that reach the join point: not returned,
+// on a path condition not known dead.
+func liveFlows(fls []flowOutcome) int {
+	n := 0
+	for _, fl := range fls {
+		if !fl.returned && !fl.st.PC.Dead() {
+			n++
+		}
+	}
+	return n
 }
 
 // mergeStates folds sibling states — all extending base, all feasible —

@@ -15,7 +15,7 @@ import (
 func runMerged(t *testing.T, src, entry string, mode engine.MergeMode) (*Executor, []Outcome) {
 	t.Helper()
 	prog := mustParse(src)
-	x := New(prog, pointer.Analyze(prog))
+	x := New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	x.MergeMode = mode
 	outs, err := x.Run(entry)
 	if err != nil {
@@ -190,7 +190,7 @@ func sortedReports(t *testing.T, src string, mode engine.MergeMode) string {
 // and states not descending from base must decline.
 func TestMergeStatesDirect(t *testing.T) {
 	prog := mustParse(`int f(void) { return 0; }`)
-	x := New(prog, pointer.Analyze(prog))
+	x := New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	obj := &Object{ID: 1, Name: "v"}
 
 	n := solver.IntVar{Name: "n"}

@@ -76,11 +76,10 @@ type Config struct {
 	// Env declares free variables of the program as name -> type
 	// syntax, e.g. "int", "bool", "int ref", "int -> int".
 	Env map[string]string
-	// Workers 1 enables the path-exploration engine: budgets and the
-	// memoizing solver pool, with exploration on the calling goroutine.
-	// 0 keeps the engine off, unless another option needs one
-	// (MaxPaths, Deadline, Metrics, ...). Validate rejects values above
-	// 1: exploration is sequential.
+	// Workers is ignored: every check runs on one engine, on the
+	// calling goroutine, whose memoizing solver pool answers every
+	// query. Validate still accepts only 0 and 1, so outside input
+	// that names it stays checked.
 	Workers int
 	// MaxPaths bounds the engine's total path budget (0 = unlimited);
 	// exceeding it degrades the check to an uncertified (Degraded)
@@ -138,18 +137,19 @@ type Result struct {
 	// Merges is the number of join-point state merges performed (only
 	// nonzero with Config.Merge enabled or DeferConditionals).
 	Merges int
-	// SolverQueries counts SMT queries issued.
+	// SolverQueries counts the queries sent to the engine's solver
+	// pool.
 	SolverQueries int
-	// Engine statistics (zero without Workers): conditional forks,
-	// solver memo hits and misses, and time spent inside the solver.
+	// Engine statistics: conditional forks, solver memo hits and
+	// misses, and time spent inside the solver.
 	Forks      int
 	MemoHits   int
 	MemoMisses int
 	SolverTime time.Duration
-	// Solver-pipeline statistics (zero without Workers): queries decided
-	// by the constant-time interval fast path, independence components
-	// that reached the memo/search stage, the largest such component (in
-	// conjuncts), and components satisfied by a cached counterexample.
+	// Solver-pipeline statistics: queries decided by the constant-time
+	// interval fast path, independence components that reached the
+	// memo/search stage, the largest such component (in conjuncts), and
+	// components satisfied by a cached counterexample.
 	QuickDecided int
 	Slices       int
 	MaxSlice     int
@@ -162,9 +162,9 @@ type Result struct {
 	Degraded    bool
 	Fault       string
 	FaultDetail string
-	// Classified-fault counters for the run (zero without an engine):
-	// expired deadlines/cancellations, worker panics recovered, and
-	// paths truncated by path/step budgets.
+	// Classified-fault counters for the run: expired
+	// deadlines/cancellations, worker panics recovered, and paths
+	// truncated by path/step budgets.
 	Timeouts        int64
 	PanicsRecovered int64
 	PathsTruncated  int64
@@ -195,10 +195,8 @@ func (cfg Config) Validate() error {
 	switch {
 	case cfg.Mode != StartTyped && cfg.Mode != StartSymbolic:
 		return fmt.Errorf("mix: unknown Mode %d (want StartTyped or StartSymbolic)", cfg.Mode)
-	case cfg.Workers < 0:
-		return fmt.Errorf("mix: negative Workers %d (0 disables the engine)", cfg.Workers)
-	case cfg.Workers > 1:
-		return fmt.Errorf("mix: Workers %d above 1: exploration is sequential (1 enables the engine)", cfg.Workers)
+	case cfg.Workers < 0 || cfg.Workers > 1:
+		return workersErr(cfg.Workers)
 	case cfg.MaxPaths < 0:
 		return fmt.Errorf("mix: negative MaxPaths budget %d (0 means unlimited)", cfg.MaxPaths)
 	case cfg.Deadline < 0:
@@ -214,12 +212,29 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// wantsEngine mirrors CheckExpr's engine-construction condition.
-func (cfg Config) wantsEngine() bool {
-	return cfg.Workers > 0 || cfg.MaxPaths > 0 || cfg.Deadline > 0 ||
-		cfg.SolverTimeout > 0 || cfg.Cache != nil || cfg.CacheDir != "" ||
-		cfg.Context != nil || cfg.FaultInjector != nil || cfg.Tracer != nil ||
-		cfg.Metrics != nil
+// workersErr rejects a Workers value outside 0..1. The field selects
+// nothing, but a request or caller that asks for parallel exploration
+// is told it does not exist.
+func workersErr(n int) error {
+	if n < 0 {
+		return fmt.Errorf("mix: negative Workers %d (the field is ignored; leave it 0)", n)
+	}
+	return fmt.Errorf("mix: Workers %d above 1: exploration is sequential (the field is ignored; leave it 0)", n)
+}
+
+// newEngine builds a check's engine over cache. Without one, a
+// non-empty cacheDir backs the engine with a private cache over that
+// directory (load before, write back after), which newEngine returns
+// for the caller to Persist once the engine is closed; otherwise the
+// returned cache is nil, and Persist on nil does nothing.
+func newEngine(cache *engine.Cache, cacheDir string, o engine.Options) (*engine.Engine, *engine.Cache) {
+	var private *engine.Cache
+	if cache == nil && cacheDir != "" {
+		private = engine.NewCache(engine.CacheOptions{Dir: cacheDir})
+		cache = private
+	}
+	o.Cache = cache
+	return engine.New(o), private
 }
 
 // CheckExpr runs the mixed analysis on a parsed program.
@@ -242,28 +257,18 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 		}
 		opts.Merge = mm
 	}
-	var eng *engine.Engine
-	if cfg.wantsEngine() {
-		cache := cfg.Cache
-		if cache == nil && cfg.CacheDir != "" {
-			// Private per-run cache over a persistent directory: load
-			// before, write back after.
-			cache = engine.NewCache(engine.CacheOptions{Dir: cfg.CacheDir})
-			defer cache.Persist()
-		}
-		eng = engine.New(engine.Options{
-			MaxPaths:      int64(cfg.MaxPaths),
-			Cache:         cache,
-			Context:       cfg.Context,
-			Deadline:      cfg.Deadline,
-			SolverTimeout: cfg.SolverTimeout,
-			FaultInjector: cfg.FaultInjector,
-			Tracer:        cfg.Tracer,
-			Metrics:       cfg.Metrics,
-		})
-		defer eng.Close()
-		opts.Engine = eng
-	}
+	eng, private := newEngine(cfg.Cache, cfg.CacheDir, engine.Options{
+		MaxPaths:      int64(cfg.MaxPaths),
+		Context:       cfg.Context,
+		Deadline:      cfg.Deadline,
+		SolverTimeout: cfg.SolverTimeout,
+		FaultInjector: cfg.FaultInjector,
+		Tracer:        cfg.Tracer,
+		Metrics:       cfg.Metrics,
+	})
+	defer private.Persist()
+	defer eng.Close()
+	opts.Engine = eng
 	checker := core.New(opts)
 	env := types.EmptyEnv()
 	// Bind in sorted order: fresh symbolic variable IDs are assigned in
@@ -293,11 +298,23 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 	} else {
 		ty, err = checker.Check(env, e)
 	}
+	es := eng.Snapshot()
 	res := Result{
-		Err:           err,
-		Paths:         checker.Executor().Stats.Paths,
-		Merges:        checker.Executor().Stats.Merges,
-		SolverQueries: checker.Solver().Stats.SatQueries,
+		Err:             err,
+		Paths:           checker.Executor().Stats.Paths,
+		Merges:          checker.Executor().Stats.Merges,
+		SolverQueries:   int(es.SolverQueries),
+		Forks:           int(es.Forks),
+		MemoHits:        int(es.MemoHits),
+		MemoMisses:      int(es.MemoMisses),
+		SolverTime:      es.SolverTime,
+		QuickDecided:    int(es.QuickDecided),
+		Slices:          int(es.Slices),
+		MaxSlice:        int(es.MaxSlice),
+		CexHits:         int(es.CexHits),
+		Timeouts:        es.Faults.Of(fault.Timeout) + es.Faults.Of(fault.Canceled),
+		PanicsRecovered: es.Faults.Of(fault.WorkerPanic),
+		PathsTruncated:  es.Faults.Truncations(),
 	}
 	// The single degradation rule: a classified fault (deadline, budget,
 	// solver limit, recovered panic) is an explicit "cannot certify",
@@ -315,21 +332,6 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 		// event closes that gap. Emitted only on degraded runs, so
 		// fault-free traces stay byte-comparable.
 		cfg.Tracer.Root("mix.check").Degrade(res.Fault, "verdict degraded to unknown")
-	}
-	if eng != nil {
-		es := eng.Snapshot()
-		res.SolverQueries += int(es.SolverQueries)
-		res.Forks = int(es.Forks)
-		res.MemoHits = int(es.MemoHits)
-		res.MemoMisses = int(es.MemoMisses)
-		res.SolverTime = es.SolverTime
-		res.QuickDecided = int(es.QuickDecided)
-		res.Slices = int(es.Slices)
-		res.MaxSlice = int(es.MaxSlice)
-		res.CexHits = int(es.CexHits)
-		res.Timeouts = es.Faults.Of(fault.Timeout) + es.Faults.Of(fault.Canceled)
-		res.PanicsRecovered = es.Faults.Of(fault.WorkerPanic)
-		res.PathsTruncated = es.Faults.Truncations()
 	}
 	if ty != nil {
 		res.Type = ty.String()
@@ -359,10 +361,6 @@ type CConfig struct {
 	PureTypes bool
 	// NoCache disables block caching (Section 4.3).
 	NoCache bool
-	// StrictInit treats uninitialized pointer globals as null (C zero
-	// initialization); the paper's MIXY tracks only explicit NULL
-	// uses.
-	StrictInit bool
 	// Merge selects the state-merging mode ("off" or "joins"; empty =
 	// off) for the per-block symbolic executor. A joins-mode merge
 	// declines past 8 diverging cells. See DESIGN.md section 12.
@@ -379,9 +377,8 @@ type CConfig struct {
 	// across requests. Nil with Summaries set builds a store from
 	// CacheDir (or memory-only when that too is empty).
 	SummaryStore *summary.Store
-	// Workers 1 enables the engine: budgets and a memoizing solver
-	// pool. 0 keeps the engine off, unless another option needs one.
-	// Validate rejects values above 1: exploration is sequential.
+	// Workers is ignored, as Config.Workers is: every analysis runs on
+	// one engine. Validate still accepts only 0 and 1.
 	Workers int
 	// Cache, when non-nil, is a shared cross-run solver cache; see
 	// Config.Cache.
@@ -425,8 +422,8 @@ type CResult struct {
 	CacheHits      int
 	FixpointIters  int
 	SolverQueries  int
-	// MemoHits/MemoMisses count engine solver-memo traffic (zero
-	// without Workers); SolverTime is time spent inside the solver.
+	// MemoHits/MemoMisses count engine solver-memo traffic;
+	// SolverTime is time spent inside the solver.
 	MemoHits   int
 	MemoMisses int
 	SolverTime time.Duration
@@ -441,8 +438,7 @@ type CResult struct {
 	SummaryCorrupt      int
 	SummaryInstantiated int64
 	SummaryFallbacks    int64
-	// Solver-pipeline statistics (zero without Workers): see
-	// Result.QuickDecided and friends.
+	// Solver-pipeline statistics: see Result.QuickDecided and friends.
 	QuickDecided int
 	Slices       int
 	MaxSlice     int
@@ -472,10 +468,8 @@ type CResult struct {
 // error, or nil; see Config.Validate.
 func (cfg CConfig) Validate() error {
 	switch {
-	case cfg.Workers < 0:
-		return fmt.Errorf("mix: negative Workers %d (0 disables the engine)", cfg.Workers)
-	case cfg.Workers > 1:
-		return fmt.Errorf("mix: Workers %d above 1: exploration is sequential (1 enables the engine)", cfg.Workers)
+	case cfg.Workers < 0 || cfg.Workers > 1:
+		return workersErr(cfg.Workers)
 	case cfg.Deadline < 0:
 		return fmt.Errorf("mix: negative Deadline %v (0 means none)", cfg.Deadline)
 	case cfg.SolverTimeout < 0:
@@ -491,13 +485,6 @@ func (cfg CConfig) Validate() error {
 	return nil
 }
 
-// wantsEngine mirrors AnalyzeC's engine-construction condition.
-func (cfg CConfig) wantsEngine() bool {
-	return cfg.Workers > 0 || cfg.Deadline > 0 || cfg.SolverTimeout > 0 ||
-		cfg.Cache != nil || cfg.CacheDir != "" || cfg.Context != nil ||
-		cfg.FaultInjector != nil || cfg.Tracer != nil || cfg.Metrics != nil
-}
-
 // ParseC parses a MicroC translation unit.
 func ParseC(src string) (*microc.Program, error) { return microc.Parse(src) }
 
@@ -511,24 +498,16 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 	if err != nil {
 		return CResult{}, err
 	}
-	var eng *engine.Engine
-	if cfg.wantsEngine() {
-		cache := cfg.Cache
-		if cache == nil && cfg.CacheDir != "" {
-			cache = engine.NewCache(engine.CacheOptions{Dir: cfg.CacheDir})
-			defer cache.Persist()
-		}
-		eng = engine.New(engine.Options{
-			Cache:         cache,
-			Context:       cfg.Context,
-			Deadline:      cfg.Deadline,
-			SolverTimeout: cfg.SolverTimeout,
-			FaultInjector: cfg.FaultInjector,
-			Tracer:        cfg.Tracer,
-			Metrics:       cfg.Metrics,
-		})
-		defer eng.Close()
-	}
+	eng, private := newEngine(cfg.Cache, cfg.CacheDir, engine.Options{
+		Context:       cfg.Context,
+		Deadline:      cfg.Deadline,
+		SolverTimeout: cfg.SolverTimeout,
+		FaultInjector: cfg.FaultInjector,
+		Tracer:        cfg.Tracer,
+		Metrics:       cfg.Metrics,
+	})
+	defer private.Persist()
+	defer eng.Close()
 	var mergeMode engine.MergeMode
 	if cfg.Merge != "" {
 		mergeMode, err = engine.ParseMergeMode(cfg.Merge)
@@ -554,7 +533,6 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 		Entry:             cfg.Entry,
 		IgnoreAnnotations: cfg.PureTypes,
 		NoCache:           cfg.NoCache,
-		StrictInit:        cfg.StrictInit,
 		Merge:             mergeMode,
 		Engine:            eng,
 	}
@@ -582,16 +560,14 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 	res.PathsTruncated = a.Stats.Faults.Truncations()
 	clones1, shared1, writes1 := symexec.MemoryStats()
 	res.MemClones, res.SharedCells, res.MemWrites = clones1-clones0, shared1-shared0, writes1-writes0
-	if eng != nil {
-		es := eng.Snapshot()
-		res.MemoHits = int(es.MemoHits)
-		res.MemoMisses = int(es.MemoMisses)
-		res.SolverTime = es.SolverTime
-		res.QuickDecided = int(es.QuickDecided)
-		res.Slices = int(es.Slices)
-		res.MaxSlice = int(es.MaxSlice)
-		res.CexHits = int(es.CexHits)
-	}
+	es := eng.Snapshot()
+	res.MemoHits = int(es.MemoHits)
+	res.MemoMisses = int(es.MemoMisses)
+	res.SolverTime = es.SolverTime
+	res.QuickDecided = int(es.QuickDecided)
+	res.Slices = int(es.Slices)
+	res.MaxSlice = int(es.MaxSlice)
+	res.CexHits = int(es.CexHits)
 	if sums != nil {
 		res.SummaryComputed = sums.Computed
 		res.SummaryMemHits = sums.MemHits

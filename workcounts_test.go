@@ -48,6 +48,33 @@ func TestMergeWorkCounts(t *testing.T) {
 	}
 }
 
+// TestMergeCostOnVsftpd pins what keeps X8's vsftpd-12x2 row, joins
+// within 5% of off, true on the engine's pool: joins sends no
+// component past the interval path, because each merged pointer's
+// null test is decided case by case, and allocates within 2% of off,
+// because a declined join copies no flows. Before both it sent three
+// components to the memo and allocated 4.2% more.
+func TestMergeCostOnVsftpd(t *testing.T) {
+	src := corpus.SyntheticVsftpd(12, 2)
+	var slices [2]int
+	var allocs [2]float64
+	for i, mode := range []string{"off", "joins"} {
+		allocs[i] = testing.AllocsPerRun(3, func() {
+			res, err := AnalyzeC(src, CConfig{Merge: mode})
+			if err != nil {
+				t.Fatalf("vsftpd-12x2 %s: %v", mode, err)
+			}
+			slices[i] = res.Slices
+		})
+	}
+	if slices != [2]int{} {
+		t.Errorf("vsftpd-12x2: %v components reached the memo (off, joins); want none", slices)
+	}
+	if allocs[1] > 1.02*allocs[0] {
+		t.Errorf("vsftpd-12x2: joins allocates %.0f per run, off %.0f; want within 2%%", allocs[1], allocs[0])
+	}
+}
+
 // TestSummaryWorkCounts pins X9 on the shared-helper family: each of
 // the three helpers is summarized once and its summary instantiated at
 // every call site; a store warm from disk computes nothing and reads
