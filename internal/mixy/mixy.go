@@ -19,11 +19,8 @@
 package mixy
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 
 	"mix/internal/engine"
 	"mix/internal/fault"
@@ -484,7 +481,7 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 	// The symbolic block starts with a fresh memory (the formalism's
 	// fresh μ); cells are lazily initialized from the typed context
 	// through the InitCell hook.
-	st := symexec.State{PC: solver.PCTrue, Mem: symexec.NewMemory()}
+	st := symexec.State{PC: solver.PCTrue, Mem: m.Exec.NewMemory()}
 	outs, err := m.Exec.RunFunc(f, st, nil)
 	if err != nil {
 		if fault.Degradable(err) {
@@ -508,12 +505,11 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 	// Symbolic-to-typed translation (Section 4.1): for every named
 	// cell in every final memory, constrain the corresponding
 	// qualifier variable to null if the value may be null under the
-	// path condition. Cells are visited in sorted order — Memory is a
-	// map, and the visit order decides both the constraint reasons and
-	// the cached qualifier list, so it must be reproducible. The
-	// queries run first, each behind a panic boundary; constraints are
-	// then applied in the same order, and only a check that constrains
-	// formats its reason.
+	// path condition. Memory visits its cells in (object ID, field)
+	// order, which decides both the constraint reasons and the cached
+	// qualifier list, so both are reproducible. The queries run first,
+	// each behind a panic boundary; constraints are then applied in the
+	// same order, and only a check that constrains formats its reason.
 	type nullCheck struct {
 		q   *qual.QVar
 		pc  *solver.PC
@@ -521,16 +517,13 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 		obj *symexec.Object // the cell's object; nil for the return value
 	}
 	var checks []nullCheck
-	var cells []memCell
 	for _, o := range outs {
-		cells = sortedCells(o.St.Mem, cells)
-		for _, c := range cells {
-			q := m.qvarForCell(c.obj, c.field)
-			if q == nil {
-				continue
+		pc := o.St.PC
+		o.St.Mem.Cells(func(obj *symexec.Object, field string, v symexec.Value) {
+			if q := m.qvarForCell(obj, field); q != nil {
+				checks = append(checks, nullCheck{q: q, pc: pc, f: symexec.NullFormula(v), obj: obj})
 			}
-			checks = append(checks, nullCheck{q: q, pc: o.St.PC, f: symexec.NullFormula(c.v), obj: c.obj})
-		}
+		})
 		// The return value translates to the function's return type.
 		if rq := m.Inf.RetQ(f); rq != nil && rq.Ptr != nil && o.Ret != nil {
 			checks = append(checks, nullCheck{q: rq.Ptr, pc: o.St.PC, f: symexec.NullFormula(o.Ret)})
@@ -578,29 +571,6 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 		m.cache[key] = constrained
 	}
 	return changed
-}
-
-// memCell is one initialized cell of a symbolic memory.
-type memCell struct {
-	obj   *symexec.Object
-	field string
-	v     symexec.Value
-}
-
-// sortedCells snapshots a memory's cells in deterministic
-// (object-ID, field) order, reusing buf's array.
-func sortedCells(mem *symexec.Memory, buf []memCell) []memCell {
-	buf = buf[:0]
-	mem.Cells(func(obj *symexec.Object, field string, v symexec.Value) {
-		buf = append(buf, memCell{obj: obj, field: field, v: v})
-	})
-	slices.SortFunc(buf, func(a, b memCell) int {
-		if c := cmp.Compare(a.obj.ID, b.obj.ID); c != 0 {
-			return c
-		}
-		return strings.Compare(a.field, b.field)
-	})
-	return buf
 }
 
 // qvarForCell maps an object cell back to the qualifier variable of
@@ -771,7 +741,7 @@ func (m *Analysis) typedCall(x *symexec.Executor, st symexec.State, f *microc.Fu
 	// The typed block may write anything: havoc memory.
 	out := st
 	if !m.opts.NoHavoc {
-		out = symexec.State{PC: st.PC, Mem: symexec.NewMemory()}
+		out = symexec.State{PC: st.PC, Mem: x.NewMemory()}
 	}
 	// The result is an arbitrary value of the return type, refined by
 	// the inferred return qualifier.

@@ -202,7 +202,7 @@ func (c Chain) andLeaf(l Formula) Chain {
 		if formulaEq(q.f, l) {
 			return c
 		}
-		if complementary(q.f, l) {
+		if Complementary(q.f, l) {
 			return c.kill()
 		}
 	}
@@ -216,8 +216,9 @@ func (c Chain) kill() Chain {
 	return c
 }
 
-// complementary reports whether a and b are a formula and its negation.
-func complementary(a, b Formula) bool {
+// Complementary reports whether a and b are a formula and its
+// negation, syntactically.
+func Complementary(a, b Formula) bool {
 	if n, ok := a.(Not); ok && formulaEq(n.X, b) {
 		return true
 	}

@@ -327,7 +327,7 @@ func summarizeFunc(prog *microc.Program, eng *engine.Engine, view symexec.Summar
 	for i := range f.Params {
 		args[i] = symexec.VInt{T: solver.IntVar{Name: symexec.SummaryParam(f.Name, i)}}
 	}
-	outs, err := x.RunFunc(f, symexec.State{PC: solver.PCTrue, Mem: symexec.NewMemory()}, args)
+	outs, err := x.RunFunc(f, symexec.State{PC: solver.PCTrue, Mem: x.NewMemory()}, args)
 
 	rec := &record{Fn: f.Name, Height: height}
 	switch {

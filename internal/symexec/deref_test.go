@@ -74,7 +74,7 @@ func TestDerefWalkSharesPrefix(t *testing.T) {
 	x := New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	pd, _ := prog.Global("p")
 	base := solver.PCTrue.And(solver.BoolVar{Name: "c"}).And(solver.Lt{X: solver.IntVar{Name: "n"}, Y: solver.IntConst{Val: 5}})
-	st := State{PC: base, Mem: NewMemory()}
+	st := State{PC: base, Mem: x.NewMemory()}
 	v := x.ReadCell(st, x.VarObj(pd), "")
 	ref := refCases(v)
 	if len(ref) != k+1 {

@@ -68,6 +68,12 @@ type Stats struct {
 	Merges         int
 	MergedCells    int
 	CollapsedCells int
+	// MemClones counts the forks of this executor's memories,
+	// SharedCells the cells those forks shared instead of copying, and
+	// MemWrites the cell writes: the run's share of MemoryStats.
+	MemClones   int64
+	SharedCells int64
+	MemWrites   int64
 }
 
 // Executor executes MicroC functions symbolically.

@@ -21,9 +21,6 @@ import (
 //     counterexample cache answer.
 //   - chain-10: guards chained through shared variables, so slicing
 //     cannot split them and the largest slice grows with the chain.
-//
-// The memory counters are process-wide, so this test must not run in
-// parallel with another executor.
 func TestPersistentForkAndSlicingCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -42,14 +39,12 @@ func TestPersistentForkAndSlicingCounts(t *testing.T) {
 		if tc.maxPaths > 0 {
 			x.MaxPaths = tc.maxPaths
 		}
-		c0, s0, w0 := MemoryStats()
 		outs, err := x.Run("f")
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		c1, s1, w1 := MemoryStats()
 		st := eng.Snapshot()
-		got := [10]int64{int64(len(outs)), c1 - c0, s1 - s0, w1 - w0,
+		got := [10]int64{int64(len(outs)), x.Stats.MemClones, x.Stats.SharedCells, x.Stats.MemWrites,
 			st.QuickDecided, st.Slices, st.MaxSlice, st.CexHits, st.MemoHits, st.SolverQueries}
 		if got != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)

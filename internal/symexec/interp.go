@@ -42,7 +42,7 @@ func (x *Executor) Run(entry string) ([]Outcome, error) {
 	if !ok {
 		return nil, fmt.Errorf("symexec: no function %s", entry)
 	}
-	st := State{PC: solver.PCTrue, Mem: NewMemory()}
+	st := State{PC: solver.PCTrue, Mem: x.NewMemory()}
 	var err error
 	st, err = x.InitGlobals(st)
 	if err != nil {

@@ -1,8 +1,6 @@
 package symexec
 
 import (
-	"sort"
-
 	"mix/internal/engine"
 	"mix/internal/microc"
 	"mix/internal/obs"
@@ -120,30 +118,35 @@ func (x *Executor) mergeStates(span *obs.Span, site string, base *solver.PC, sta
 		}
 		guards[i] = solver.Conj(suf...)
 	}
-	// Union of initialized cells across the arms, in deterministic
-	// (object ID, field) order.
-	seen := map[cellKey]bool{}
+	// Union of initialized cells across the arms, in (object ID, field)
+	// order: a merge of the arms' sorted cell lists.
 	var keys []cellKey
-	for _, s := range states {
-		s.Mem.Cells(func(obj *Object, field string, _ Value) {
-			k := cellKey{obj, field}
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
+	next := make([]int, len(states))
+	for {
+		var least *cellKey
+		for i, s := range states {
+			if next[i] < len(s.Mem.cells) {
+				if k := &s.Mem.cells[next[i]].cellKey; least == nil || k.compare(*least) < 0 {
+					least = k
+				}
 			}
-		})
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].obj.ID != keys[j].obj.ID {
-			return keys[i].obj.ID < keys[j].obj.ID
 		}
-		return keys[i].field < keys[j].field
-	})
+		if least == nil {
+			break
+		}
+		k := *least
+		keys = append(keys, k)
+		for i, s := range states {
+			if next[i] < len(s.Mem.cells) && s.Mem.cells[next[i]].compare(k) == 0 {
+				next[i]++
+			}
+		}
+	}
 	// Read every union cell in every arm — materializing, via the usual
 	// lazy initialization, exactly what that arm would observe on its
 	// next access — then split the cells into agreeing and diverging.
 	var diverging []cellKey
-	vals := map[cellKey][]Value{}
+	var divVals [][]Value
 	collapsed := 0
 	for _, k := range keys {
 		vs := make([]Value, len(states))
@@ -162,16 +165,23 @@ func (x *Executor) mergeStates(span *obs.Span, site string, base *solver.PC, sta
 			continue
 		}
 		diverging = append(diverging, k)
-		vals[k] = vs
+		divVals = append(divVals, vs)
 	}
 	if maxDiv > 0 && len(diverging) > maxDiv {
 		return State{}, false
 	}
 	merged := states[0].Clone()
-	merged.PC = base.And(solver.Disj(guards...))
+	if len(guards) == 2 && solver.Complementary(guards[0], guards[1]) {
+		// g ∨ ¬g: the join restores the fork's path condition.
+		// Simplify folds this disjunction only when g is no
+		// disjunction itself.
+		merged.PC = base
+	} else {
+		merged.PC = base.And(solver.Disj(guards...))
+	}
 	merged.span = span
-	for _, k := range diverging {
-		vs := vals[k]
+	for j, k := range diverging {
+		vs := divVals[j]
 		acc := vs[len(vs)-1]
 		for i := len(vs) - 2; i >= 0; i-- {
 			acc = mergeVal(guards[i], vs[i], acc)

@@ -87,6 +87,30 @@ int f(int a, int b) {
 	}
 }
 
+// TestComplementaryJoinKeepsBase: the arms of a diamond on a
+// disjunction carry the guards g and ¬g, so the join continues on the
+// fork's own path condition. Simplify does not fold (p ∨ q) ∨ ¬(p ∨ q),
+// and conjoining it would carry a tautology into every later query.
+func TestComplementaryJoinKeepsBase(t *testing.T) {
+	src := `
+int f(int p, int q, int r) {
+  int s = 0;
+  if (r > 0) { return 0; }
+  if (p || q) { s = 1; } else { s = 2; }
+  return s;
+}
+`
+	x, outs := runMerged(t, src, "f", engine.MergeJoins)
+	if len(outs) != 2 || x.Stats.Merges != 1 {
+		t.Fatalf("paths = %d, merges = %d; want the early return and one merged path", len(outs), x.Stats.Merges)
+	}
+	for _, o := range outs {
+		if o.St.PC.Len() != 1 {
+			t.Errorf("path returning %s has PC %s, want only the guard on r", o.Ret, o.St.PC)
+		}
+	}
+}
+
 // divergingCells returns f(a): one diamond whose arms assign n cells
 // different values, so its join has n diverging cells.
 func divergingCells(n int) string {
@@ -199,7 +223,7 @@ func TestMergeStatesDirect(t *testing.T) {
 	base := solver.PCTrue.And(solver.Le{X: solver.IntConst{Val: -10}, Y: n})
 
 	mkState := func(g solver.Formula, val int64) State {
-		st := State{PC: base.And(g), Mem: NewMemory()}
+		st := State{PC: base.And(g), Mem: x.NewMemory()}
 		st.Mem.Write(obj, "", VInt{T: solver.IntConst{Val: val}})
 		return st
 	}
@@ -231,7 +255,7 @@ func TestMergeStatesDirect(t *testing.T) {
 	mustFeasible(solver.Lt{X: n, Y: solver.IntConst{Val: -10}}, false)
 
 	// A state that does not descend from base declines the merge.
-	alien := State{PC: solver.PCTrue.And(g1), Mem: NewMemory()}
+	alien := State{PC: solver.PCTrue.And(g1), Mem: x.NewMemory()}
 	if _, ok := x.mergeStates(nil, "t:0", base, []State{s1, alien}, 0); ok {
 		t.Fatal("merging a state that does not extend base must decline")
 	}

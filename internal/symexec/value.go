@@ -13,11 +13,13 @@
 package symexec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"mix/internal/microc"
 	"mix/internal/obs"
-	"mix/internal/persist"
 	"mix/internal/pointer"
 	"mix/internal/solver"
 )
@@ -117,29 +119,44 @@ type cellKey struct {
 	field string
 }
 
-// hashCell hashes a cell address deterministically: by the object's
-// stable ID, never its pointer, so HAMT layout — and thus every
-// iteration order downstream — is identical across runs.
-func hashCell(k cellKey) uint64 {
-	return persist.HashU64(uint64(k.obj.ID)) ^ persist.HashString(k.field)
+// compare orders cells by (object ID, field). An executor numbers its
+// objects uniquely, so the order is total and the same on every run.
+func (k cellKey) compare(o cellKey) int {
+	if c := cmp.Compare(k.obj.ID, o.obj.ID); c != 0 {
+		return c
+	}
+	return strings.Compare(k.field, o.field)
 }
 
-// Memory is the symbolic store: a mutable head over a persistent
-// (structurally shared) cell map. Writes swap the immutable root in
-// place — callers that share a *Memory pointer observe them, exactly
-// like the seed's flat map — while Clone is O(1): the fork and its
-// parent share every unchanged cell and diverge copy-on-write,
-// path-copying only the O(log n) nodes on a written path.
+// cell is one initialized cell of a Memory.
+type cell struct {
+	cellKey
+	v Value
+}
+
+// Memory is the symbolic store: the initialized cells, sorted by
+// (object ID, field). Writes update the *Memory in place, so callers
+// that share the pointer observe them, while Clone is O(1): the fork
+// and its original share the cell array, and each copies it on its
+// first Write or Delete after the fork. No memory in the measured
+// workloads holds more than 9 cells (DESIGN.md section 8), so a linear
+// scan finds a cell and a copy costs less than any structure that
+// would avoid it.
 type Memory struct {
-	cells persist.Map[cellKey, Value]
+	cells []cell
+	// shared marks cells' array as held by another Memory too.
+	shared bool
+	// stats counts the memory's clones and writes: it is the Stats of
+	// the executor that built the memory.
+	stats *Stats
 }
 
 // memClones / memSharedCells / memWrites instrument fork cost for the
-// benchmarks: memSharedCells counts cells a clone shared structurally
-// — each one a cell the seed's eager copy would have duplicated. They
-// live in the process-wide metrics registry (obs.Default) under
-// symexec.mem.*; being monotone, concurrent readers take before/after
-// deltas instead of resetting.
+// benchmarks: memSharedCells counts the cells a clone shared instead
+// of copying. They live in the process-wide metrics registry
+// (obs.Default) under symexec.mem.*, and being monotone they are read
+// as before/after deltas, which count every executor's work in
+// between; one run's own counts are on its executor's Stats.
 var (
 	memClones      = obs.Default.Counter("symexec.mem.clones")
 	memSharedCells = obs.Default.Counter("symexec.mem.shared_cells")
@@ -153,42 +170,80 @@ func MemoryStats() (clones, sharedCells, writes int64) {
 	return memClones.Value(), memSharedCells.Value(), memWrites.Value()
 }
 
-// NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{cells: persist.NewMap[cellKey, Value](hashCell)}
+// NewMemory returns an empty memory whose clones and writes count in
+// x.Stats.
+func (x *Executor) NewMemory() *Memory {
+	return &Memory{stats: &x.Stats}
 }
 
 // Clone forks the memory in O(1); both copies share all current cells.
 func (m *Memory) Clone() *Memory {
+	n := int64(len(m.cells))
 	memClones.Add(1)
-	memSharedCells.Add(int64(m.cells.Len()))
-	return &Memory{cells: m.cells}
+	memSharedCells.Add(n)
+	m.stats.MemClones++
+	m.stats.SharedCells += n
+	m.shared = true
+	return &Memory{cells: m.cells, shared: true, stats: m.stats}
+}
+
+// find returns the index of the first cell not ordered before k, and
+// whether that cell is k.
+func (m *Memory) find(k cellKey) (int, bool) {
+	for i := range m.cells {
+		if c := m.cells[i].compare(k); c >= 0 {
+			return i, c == 0
+		}
+	}
+	return len(m.cells), false
+}
+
+// own copies a shared cell array, with room for extra more cells.
+func (m *Memory) own(extra int) {
+	if m.shared {
+		m.cells = append(make([]cell, 0, len(m.cells)+extra), m.cells...)
+		m.shared = false
+	}
 }
 
 // Read returns the cell value, if initialized.
 func (m *Memory) Read(obj *Object, field string) (Value, bool) {
-	return m.cells.Get(cellKey{obj, field})
+	if i, ok := m.find(cellKey{obj, field}); ok {
+		return m.cells[i].v, true
+	}
+	return nil, false
 }
 
 // Write sets a cell (copy-on-write underneath; siblings forked earlier
 // are unaffected).
 func (m *Memory) Write(obj *Object, field string, v Value) {
 	memWrites.Add(1)
-	m.cells = m.cells.Set(cellKey{obj, field}, v)
+	m.stats.MemWrites++
+	k := cellKey{obj, field}
+	i, ok := m.find(k)
+	if ok {
+		m.own(0)
+		m.cells[i].v = v
+		return
+	}
+	m.own(1)
+	m.cells = slices.Insert(m.cells, i, cell{k, v})
 }
 
 // Delete removes a cell, if present.
 func (m *Memory) Delete(obj *Object, field string) {
-	m.cells = m.cells.Delete(cellKey{obj, field})
+	if i, ok := m.find(cellKey{obj, field}); ok {
+		m.own(0)
+		m.cells = slices.Delete(m.cells, i, i+1)
+	}
 }
 
-// Cells iterates over all initialized cells in deterministic (hash)
-// order; callers needing a semantic order still sort.
+// Cells calls f on every initialized cell in (object ID, field) order.
+// f must not write m.
 func (m *Memory) Cells(f func(obj *Object, field string, v Value)) {
-	m.cells.Range(func(k cellKey, v Value) bool {
-		f(k.obj, k.field, v)
-		return true
-	})
+	for _, c := range m.cells {
+		f(c.obj, c.field, c.v)
+	}
 }
 
 // State is one symbolic execution path: a path condition and memory.

@@ -33,7 +33,6 @@ import (
 	"mix/internal/obs"
 	"mix/internal/summary"
 	"mix/internal/sym"
-	"mix/internal/symexec"
 	"mix/internal/types"
 )
 
@@ -443,9 +442,9 @@ type CResult struct {
 	Slices       int
 	MaxSlice     int
 	CexHits      int
-	// Persistent-memory statistics: state forks (O(1) clones), cells
-	// those forks shared structurally instead of copying, and cell
-	// writes.
+	// Memory statistics of this run's executor: state forks (O(1)
+	// clones), the cells those forks shared instead of copying, and
+	// cell writes.
 	MemClones   int64
 	SharedCells int64
 	MemWrites   int64
@@ -526,9 +525,6 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 		}
 		sums = store.Precompute(prog, 0)
 	}
-	// The memory counters are process-wide and monotone; this run's
-	// contribution is the before/after delta.
-	clones0, shared0, writes0 := symexec.MemoryStats()
 	mopts := mixy.Options{
 		Entry:             cfg.Entry,
 		IgnoreAnnotations: cfg.PureTypes,
@@ -558,8 +554,7 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 	res.Timeouts = a.Stats.Faults.Of(fault.Timeout) + a.Stats.Faults.Of(fault.Canceled)
 	res.PanicsRecovered = a.Stats.Faults.Of(fault.WorkerPanic)
 	res.PathsTruncated = a.Stats.Faults.Truncations()
-	clones1, shared1, writes1 := symexec.MemoryStats()
-	res.MemClones, res.SharedCells, res.MemWrites = clones1-clones0, shared1-shared0, writes1-writes0
+	res.MemClones, res.SharedCells, res.MemWrites = a.Exec.Stats.MemClones, a.Exec.Stats.SharedCells, a.Exec.Stats.MemWrites
 	es := eng.Snapshot()
 	res.MemoHits = int(es.MemoHits)
 	res.MemoMisses = int(es.MemoMisses)

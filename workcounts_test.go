@@ -2,6 +2,7 @@ package mix
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"mix/internal/corpus"
@@ -137,4 +138,46 @@ func TestSummaryWorkCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentMemoryCounts: a CResult's memory counts are its own
+// run's. Two goroutines analyze different programs 20 times each, and
+// every run's clones, shared cells and writes must equal its solo
+// run's, however the runs interleave.
+func TestConcurrentMemoryCounts(t *testing.T) {
+	type counts struct{ clones, shared, writes int64 }
+	analyze := func(src string) (counts, error) {
+		res, err := AnalyzeC(src, CConfig{Merge: "joins", Summaries: true})
+		return counts{res.MemClones, res.SharedCells, res.MemWrites}, err
+	}
+	srcs := []string{corpus.SyntheticVsftpd(12, 2), corpus.SyntheticVsftpd(14, 3)}
+	solo := make([]counts, len(srcs))
+	for i, src := range srcs {
+		c, err := analyze(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.clones == 0 || c.writes == 0 {
+			t.Fatalf("program %d: solo run counts %+v, want clones and writes", i, c)
+		}
+		solo[i] = c
+	}
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func(i int, src string) {
+			defer wg.Done()
+			for run := 0; run < 20; run++ {
+				c, err := analyze(src)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if c != solo[i] {
+					t.Errorf("program %d, run %d: counts %+v, solo run %+v", i, run, c, solo[i])
+				}
+			}
+		}(i, src)
+	}
+	wg.Wait()
 }
